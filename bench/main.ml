@@ -359,23 +359,20 @@ let time_ns ~warmup ~iters f =
   (t1 -. t0) *. 1e9 /. float_of_int iters
 
 (* BENCH_*.json are CI artifacts diffed across runs: a truncated or
-   non-finite document is worse than a missing one. Render the whole
-   string first, refuse NaN/inf (what %f prints for them), then write
-   to a temp path and rename, so a crash mid-write can never leave a
-   partial file behind — and any failure exits nonzero instead of
-   letting the bench report success. *)
+   non-finite document is worse than a missing one. Every float goes
+   through [num], which refuses NaN/inf where it is formatted (so a
+   name that merely contains "inf" is fine); the writer renders the
+   whole document before [emit_json] writes it to a temp path and
+   renames it, so a crash mid-write can never leave a partial file
+   behind — and any failure exits nonzero instead of letting the bench
+   report success. *)
+exception Non_finite of float
+
+let num decimals x =
+  if Float.is_finite x then Printf.sprintf "%.*f" decimals x
+  else raise (Non_finite x)
+
 let emit_json path json =
-  let contains needle =
-    let nl = String.length needle and hl = String.length json in
-    let rec go i =
-      i + nl <= hl && (String.sub json i nl = needle || go (i + 1))
-    in
-    go 0
-  in
-  if contains "nan" || contains "inf" then begin
-    Printf.eprintf "refusing to write %s: non-finite value in output\n%!" path;
-    exit 1
-  end;
   let tmp = path ^ ".tmp" in
   (try
      let oc = open_out tmp in
@@ -420,16 +417,19 @@ let write_bench_json path =
     Printf.sprintf
       "{\n\
       \  \"topology\": \"e21-large-internet (12 transits x 6 stubs)\",\n\
-      \  \"packets_per_sec\": %.0f,\n\
-      \  \"cache_hit_rate\": %.4f,\n\
-      \  \"ns_per_lookup_uncached\": %.1f,\n\
-      \  \"ns_per_lookup_cached\": %.1f,\n\
-      \  \"lookup_speedup\": %.2f,\n\
-      \  \"ns_per_packet_uncached\": %.1f,\n\
-      \  \"ns_per_packet_cached\": %.1f\n\
+      \  \"packets_per_sec\": %s,\n\
+      \  \"cache_hit_rate\": %s,\n\
+      \  \"ns_per_lookup_uncached\": %s,\n\
+      \  \"ns_per_lookup_cached\": %s,\n\
+      \  \"lookup_speedup\": %s,\n\
+      \  \"ns_per_packet_uncached\": %s,\n\
+      \  \"ns_per_packet_cached\": %s\n\
        }\n"
-      (1e9 /. ns_send) (Pump.cache_hit_rate pump) ns_lpm ns_cached
-      (ns_lpm /. ns_cached) ns_send_lpm ns_send
+      (num 0 (1e9 /. ns_send))
+      (num 4 (Pump.cache_hit_rate pump))
+      (num 1 ns_lpm) (num 1 ns_cached)
+      (num 2 (ns_lpm /. ns_cached))
+      (num 1 ns_send_lpm) (num 1 ns_send)
   in
   emit_json path json
 
@@ -477,20 +477,21 @@ let write_faults_json path =
   let json =
     Printf.sprintf
       "{\n\
-      \  \"ns_per_fault_send\": %.1f,\n\
-      \  \"ls_loss\": %.2f,\n\
+      \  \"ns_per_fault_send\": %s,\n\
+      \  \"ls_loss\": %s,\n\
       \  \"ls_messages\": %d,\n\
       \  \"ls_acks\": %d,\n\
       \  \"ls_retransmits\": %d,\n\
-      \  \"ls_flood_ms\": %.1f,\n\
-      \  \"bgp_loss\": %.2f,\n\
+      \  \"ls_flood_ms\": %s,\n\
+      \  \"bgp_loss\": %s,\n\
       \  \"bgp_updates\": %d,\n\
       \  \"bgp_resets\": %d,\n\
-      \  \"bgp_boot_ms\": %.1f\n\
+      \  \"bgp_boot_ms\": %s\n\
        }\n"
-      ns_send ls_loss ls.Simcore.Lsproto.messages ls.Simcore.Lsproto.acks
-      ls.Simcore.Lsproto.retransmits ls_ms bgp_loss bgp.Simcore.Bgpdyn.updates
-      bgp.Simcore.Bgpdyn.resets bgp_ms
+      (num 1 ns_send) (num 2 ls_loss) ls.Simcore.Lsproto.messages
+      ls.Simcore.Lsproto.acks ls.Simcore.Lsproto.retransmits (num 1 ls_ms)
+      (num 2 bgp_loss) bgp.Simcore.Bgpdyn.updates bgp.Simcore.Bgpdyn.resets
+      (num 1 bgp_ms)
   in
   emit_json path json
 
@@ -539,10 +540,10 @@ let write_lint_json path =
   let json =
     Printf.sprintf
       "{\n\
-      \  \"untyped_ms\": %.1f,\n\
-      \  \"typed_ms\": %.1f,\n\
-      \  \"fixpoint_ms\": %.1f,\n\
-      \  \"bounds_ms\": %.1f,\n\
+      \  \"untyped_ms\": %s,\n\
+      \  \"typed_ms\": %s,\n\
+      \  \"fixpoint_ms\": %s,\n\
+      \  \"bounds_ms\": %s,\n\
       \  \"bindings\": %d,\n\
       \  \"bounds_sites\": %d,\n\
       \  \"bounds_proven\": %d,\n\
@@ -550,7 +551,8 @@ let write_lint_json path =
       \  \"typed_findings_raw\": %d,\n\
       \  \"findings\": %d\n\
        }\n"
-      untyped_ms typed_ms fixpoint_ms bounds_ms bindings
+      (num 1 untyped_ms) (num 1 typed_ms) (num 1 fixpoint_ms) (num 1 bounds_ms)
+      bindings
       (List.length bounds_sites) bounds_proven (List.length untyped)
       (List.length typed_diags) (List.length findings)
   in
@@ -614,14 +616,15 @@ let write_shard_json path =
       \  \"topology\": \"e21-large-internet (12 transits x 6 stubs)\",\n\
       \  \"mode\": \"flowlet-batched domain pool vs per-packet serial pump\",\n\
       \  \"packets_per_batch\": %d,\n\
-      \  \"baseline_pump_pps\": %.0f,\n\
-      \  \"pps_domains_1\": %.0f,\n\
-      \  \"pps_domains_2\": %.0f,\n\
-      \  \"pps_domains_4\": %.0f,\n\
-      \  \"pps_domains_8\": %.0f,\n\
-      \  \"speedup_domains_4\": %.2f\n\
+      \  \"baseline_pump_pps\": %s,\n\
+      \  \"pps_domains_1\": %s,\n\
+      \  \"pps_domains_2\": %s,\n\
+      \  \"pps_domains_4\": %s,\n\
+      \  \"pps_domains_8\": %s,\n\
+      \  \"speedup_domains_4\": %s\n\
        }\n"
-      npackets baseline p1 p2 p4 p8 (p4 /. baseline)
+      npackets (num 0 baseline) (num 0 p1) (num 0 p2) (num 0 p4) (num 0 p8)
+      (num 2 (p4 /. baseline))
   in
   emit_json path json
 
@@ -632,7 +635,7 @@ let write_shard_json path =
 let write_drills_json path =
   let fopt = function
     | None -> "null"
-    | Some f -> Printf.sprintf "%.4f" f
+    | Some f -> num 4 f
   in
   let drill_obj b =
     let r = Ops.Drill.complete b in
@@ -644,7 +647,7 @@ let write_drills_json path =
       String.concat ", "
         (List.map
            (fun (row : Ops.Drill.tick_row) ->
-             Printf.sprintf "%.4f" row.Ops.Drill.ok)
+             num 4 row.Ops.Drill.ok)
            rows)
     in
     let blackhole_traj =
@@ -653,7 +656,7 @@ let write_drills_json path =
         (List.map
            (fun (row : Ops.Drill.tick_row) ->
              acc := !acc +. row.Ops.Drill.lost;
-             Printf.sprintf "%.4f" !acc)
+             num 4 !acc)
            rows)
     in
     Printf.sprintf
@@ -662,16 +665,17 @@ let write_drills_json path =
       \      \"pass\": %b,\n\
       \      \"detection_s\": %s,\n\
       \      \"reconverge_s\": %s,\n\
-      \      \"blackhole_s\": %.4f,\n\
-      \      \"stale_frac\": %.4f,\n\
-      \      \"hijacked_peak\": %.4f,\n\
+      \      \"blackhole_s\": %s,\n\
+      \      \"stale_frac\": %s,\n\
+      \      \"hijacked_peak\": %s,\n\
       \      \"ok_trajectory\": [%s],\n\
       \      \"blackhole_cumulative_s\": [%s]\n\
       \    }"
       b.Ops.Drillbook.name v.Ops.Slo.pass
       (fopt m.Ops.Slo.detection_s)
       (fopt m.Ops.Slo.reconverge_s)
-      m.Ops.Slo.blackhole_s m.Ops.Slo.stale_frac m.Ops.Slo.hijacked_peak
+      (num 4 m.Ops.Slo.blackhole_s) (num 4 m.Ops.Slo.stale_frac)
+      (num 4 m.Ops.Slo.hijacked_peak)
       ok_traj blackhole_traj
   in
   let json =
@@ -692,11 +696,12 @@ let write_overload_json path =
          (fun (r : E.e36_row) ->
            Printf.sprintf
              "    { \"load\": %d, \"offered\": %d, \"goodput\": %d, \
-              \"goodput_frac\": %.4f, \"shed_frac\": %.4f, \"queue_drop\": \
-              %d, \"ctrl_ok\": %.4f, \"mean_delay_ticks\": %.4f }"
-             r.E.load36 r.E.offered36 r.E.goodput36 r.E.goodput_frac36
-             (float_of_int r.E.shed36 /. float_of_int (max 1 r.E.offered36))
-             r.E.qdrop36 r.E.ctrl_ok36 r.E.delay36)
+              \"goodput_frac\": %s, \"shed_frac\": %s, \"queue_drop\": \
+              %d, \"ctrl_ok\": %s, \"mean_delay_ticks\": %s }"
+             r.E.load36 r.E.offered36 r.E.goodput36 (num 4 r.E.goodput_frac36)
+             (num 4
+                (float_of_int r.E.shed36 /. float_of_int (max 1 r.E.offered36)))
+             r.E.qdrop36 (num 4 r.E.ctrl_ok36) (num 4 r.E.delay36))
          (E.e36_overload_response ()))
   in
   let drills =
@@ -753,25 +758,32 @@ let write_overload_json path =
       \  \"overload_drills\": [\n\
        %s\n\
       \  ],\n\
-      \  \"uncrashed_run_ms\": %.3f,\n\
-      \  \"crashed_run_ms\": %.3f,\n\
-      \  \"recovery_overhead_ms\": %.3f,\n\
+      \  \"uncrashed_run_ms\": %s,\n\
+      \  \"crashed_run_ms\": %s,\n\
+      \  \"recovery_overhead_ms\": %s,\n\
       \  \"restarts\": %d\n\
        }\n"
-      curve drills base_ms crash_ms
-      (Float.max 0.0 (crash_ms -. base_ms))
+      curve drills (num 3 base_ms) (num 3 crash_ms)
+      (num 3 (Float.max 0.0 (crash_ms -. base_ms)))
       restarts
   in
   emit_json path json
 
 let () =
   if Array.exists (fun a -> a = "--json") Sys.argv then begin
-    write_bench_json "BENCH_dataplane.json";
-    write_faults_json "BENCH_faults.json";
-    write_lint_json "BENCH_lint.json";
-    write_shard_json "BENCH_shard.json";
-    write_drills_json "BENCH_drills.json";
-    write_overload_json "BENCH_overload.json"
+    let write writer path =
+      try writer path
+      with Non_finite x ->
+        Printf.eprintf "refusing to write %s: non-finite value %h in output\n%!"
+          path x;
+        exit 1
+    in
+    write write_bench_json "BENCH_dataplane.json";
+    write write_faults_json "BENCH_faults.json";
+    write write_lint_json "BENCH_lint.json";
+    write write_shard_json "BENCH_shard.json";
+    write write_drills_json "BENCH_drills.json";
+    write write_overload_json "BENCH_overload.json"
   end
   else begin
     figures ();

@@ -48,15 +48,17 @@ let telemetry t = t.telemetry
 let cached t = Option.is_some t.caches
 let cache_hit_rate t = Telemetry.cache_hit_rate t.telemetry
 
-let install t fib r =
-  t.tables.(r) <- Fib.table fib ~router:r;
+let table t ~router = t.tables.(router)
+
+let install t c r =
+  t.tables.(r) <- Fib.router_table c r;
   match t.caches with Some cs -> Flowcache.clear cs.(r) | None -> ()
 
 let refresh ?routers t =
-  let fib = Fib.compile t.env in
+  let c = Fib.compiler t.env in
   match routers with
-  | None -> Array.iteri (fun r _ -> install t fib r) t.tables
-  | Some rs -> List.iter (install t fib) rs
+  | None -> Array.iteri (fun r _ -> install t c r) t.tables
+  | Some rs -> List.iter (install t c) rs
 
 (* one forwarding decision: flow cache in front of the router's LPM *)
 let lookup_action t ~router ~cls dst =
@@ -142,7 +144,7 @@ let inject ?cls t packet ~entry =
   let encap_bytes =
     match packet.Packet.payload with
     | Packet.Data _ -> 0
-    | Packet.Encap vn -> len - (13 + String.length vn.Packet.body)
+    | Packet.Encap vn -> len - Wire.data_length (String.length vn.Packet.body)
   in
   (* the hot path reads the destination straight from the header bytes *)
   let dst = Wire.peek_dst_or wire ~default:packet.Packet.dst in

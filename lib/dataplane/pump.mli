@@ -62,7 +62,14 @@ val refresh : ?routers:int list -> t -> unit
 (** Recompile the FIB from the env's current control-plane state and
     install it at the given routers (default: all), invalidating their
     flow caches. Partial refresh leaves the rest forwarding on the old
-    snapshot — the mixed-table state of a convergence window. *)
+    snapshot — the mixed-table state of a convergence window. Only the
+    listed routers are compiled ({!Simcore.Fib.router_table}), so the
+    cost is proportional to the routers listed, plus one BGP egress
+    resolution per domain they span. *)
+
+val table : t -> router:int -> Simcore.Fib.action Netcore.Lpm.t
+(** The table currently installed at [router] — read-only view of
+    what the pump forwards against. *)
 
 val inject :
   ?cls:Telemetry.cls -> t -> Netcore.Packet.t -> entry:int -> Simcore.Forward.trace

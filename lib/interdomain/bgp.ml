@@ -224,21 +224,42 @@ let as_path_length r = List.length r.as_path
 let rib_size t ~domain = Lpm.cardinal t.ribs.(domain)
 let rib t ~domain = List.map snd (Lpm.bindings t.ribs.(domain))
 
-let egress_link t ~domain prefix =
+(* the neighbour the domain's route for the covering prefix goes
+   through *)
+let covering_next_hop t ~domain prefix =
   match Lpm.lookup (Prefix.network prefix) t.ribs.(domain) with
   | None -> None
-  | Some (_, r) -> (
-      match next_hop_domain r with
-      | None -> None
-      | Some nb ->
-          Internet.interlinks_between t.inet domain nb
-          |> List.sort (fun a b ->
-                 compare
-                   (a.Internet.a_router, a.Internet.b_router)
-                   (b.Internet.a_router, b.Internet.b_router))
-          |> function
-          | [] -> None
-          | l :: _ -> Some l)
+  | Some (_, r) -> next_hop_domain r
+
+(* the lowest-numbered link from [domain] to neighbour [nb] *)
+let link_to t domain nb =
+  Internet.interlinks_between t.inet domain nb
+  |> List.sort (fun a b ->
+         compare
+           (a.Internet.a_router, a.Internet.b_router)
+           (b.Internet.a_router, b.Internet.b_router))
+  |> function
+  | [] -> None
+  | l :: _ -> Some l
+
+let egress_link t ~domain prefix =
+  Option.bind (covering_next_hop t ~domain prefix) (link_to t domain)
+
+let egress_links t ~domain =
+  let links = Hashtbl.create 8 in
+  let link nb =
+    match Hashtbl.find_opt links nb with
+    | Some l -> l
+    | None ->
+        let l = link_to t domain nb in
+        Hashtbl.add links nb l;
+        l
+  in
+  List.filter_map
+    (fun r ->
+      Option.bind (covering_next_hop t ~domain r.prefix) link
+      |> Option.map (fun l -> (r.prefix, l)))
+    (rib t ~domain)
 
 let domain_path t ~src addr =
   match lookup t ~domain:src addr with

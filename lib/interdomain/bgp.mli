@@ -109,6 +109,14 @@ val egress_link : t -> domain:int -> Netcore.Prefix.t -> Topology.Internet.inter
     prefix uses (deterministically the lowest-numbered link to the
     next-hop domain); [None] for local or unreachable prefixes. *)
 
+val egress_links :
+  t -> domain:int -> (Netcore.Prefix.t * Topology.Internet.interlink) list
+(** Every prefix of the domain's {!rib}, in RIB order, paired with its
+    {!egress_link}; prefixes without one are left out. Equal to calling
+    {!egress_link} per prefix, but each neighbour's link is chosen once
+    — the per-domain half of FIB compilation (§3.2's data-plane
+    state). *)
+
 val domain_path : t -> src:int -> Netcore.Ipv4.t -> int list option
 (** The AS-level path from [src] to the address's best-matching prefix:
     [src] first, originator last. [None] when unreachable. *)

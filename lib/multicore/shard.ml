@@ -381,7 +381,7 @@ let inject_flow st (j : inj) =
   let encap =
     match j.i_packet.Packet.payload with
     | Packet.Data _ -> 0
-    | Packet.Encap vn -> len - (13 + String.length vn.Packet.body)
+    | Packet.Encap vn -> len - Wire.data_length (String.length vn.Packet.body)
   in
   walk st ~buf ~off ~len ~cls ~encap ~dst ~count:j.i_count j.i_entry ttl
 

@@ -146,6 +146,9 @@ let decode s =
 
 let header_bytes = 11
 
+(* header, u16 body length, body *)
+let data_length body_len = header_bytes + 2 + body_len
+
 let u32_at s off =
   (Char.code s.[off] lsl 24)
   lor (Char.code s.[off + 1] lsl 16)
@@ -173,11 +176,10 @@ let peek_kind s =
 
 let wire_length (p : Packet.t) =
   let ipvn_len a = if Ipvn.is_self a then 5 else 9 in
-  let header = 1 + 1 + 4 + 4 + 1 in
   match p.Packet.payload with
-  | Packet.Data body -> header + 2 + String.length body
+  | Packet.Data body -> data_length (String.length body)
   | Packet.Encap vn ->
-      header + 1 + 1
+      header_bytes + 1 + 1
       + ipvn_len vn.Packet.vsrc
       + ipvn_len vn.Packet.vdst
       + (match vn.Packet.dest_v4_hint with Some _ -> 5 | None -> 1)

@@ -33,6 +33,12 @@ val decode : string -> (Packet.t, string) result
 val wire_length : Packet.t -> int
 (** Encoded size in bytes, without encoding. *)
 
+val data_length : int -> int
+(** [data_length n] is the encoded size of a native data packet with
+    an [n]-byte body: the fixed 11-byte header, the u16 body length,
+    then the body. An encapsulated packet's {!wire_length} minus
+    [data_length] of its body is the §3.3.2 encapsulation overhead. *)
+
 (** {2 Header peeks}
 
     A forwarding element only needs the fixed 11-byte header to make

@@ -11,68 +11,76 @@ type t = { tables : action Lpm.t array }
 
 let host_prefix addr = Prefix.make addr 32
 
-let compile (env : Forward.env) =
+type compiler = {
+  env : Forward.env;
+  egress : (Prefix.t * Internet.interlink) list Lazy.t array;
+      (* per domain: each RIB prefix with its BGP egress interlink *)
+}
+
+(* Egress resolution depends only on the domain, so it runs once per
+   domain (on first use) and every router of the domain shares the
+   result. Self-originated prefixes have no egress; local entries
+   cover them. *)
+let compiler (env : Forward.env) =
+  {
+    env;
+    egress =
+      Array.init (Internet.num_domains env.Forward.inet) (fun domain ->
+          lazy (Bgp.egress_links env.Forward.bgp ~domain));
+  }
+
+let router_table c r =
+  let env = c.env in
   let inet = env.Forward.inet in
-  let n = Internet.num_routers inet in
-  let tables =
-    Array.init n (fun r ->
-        let router = Internet.router inet r in
-        let d = router.Internet.rdomain in
-        let igp = env.Forward.igps.(d) in
-        let table = ref Lpm.empty in
-        let add p a = table := Lpm.add p a !table in
-        (* 1. inter-domain routes (most generic; overwritten by
-           longer/equal local entries below) *)
-        List.iter
-          (fun route ->
-            let p = route.Bgp.prefix in
-            match Bgp.egress_link env.Forward.bgp ~domain:d p with
-            | None -> () (* self-originated: local entries cover it *)
-            | Some link ->
-                if link.Internet.a_router = r then
-                  add p (Next_hop link.Internet.b_router)
-                else (
-                  match
-                    Igp.next_hop igp ~src:r ~dst:link.Internet.a_router
-                  with
-                  | Some nh -> add p (Next_hop nh)
-                  | None -> ()))
-          (Bgp.rib env.Forward.bgp ~domain:d);
-        (* 2. anycast groups with members in this domain *)
-        List.iter
-          (fun g ->
-            match Igp.anycast_route igp ~src:r ~group:g with
-            | Some d when d.Igp.deliver -> add g Local
-            | Some d -> add g (Next_hop d.Igp.next_hop)
-            | None -> ())
-          (Igp.groups igp);
-        (* 3. intra-domain routers *)
-        Array.iter
-          (fun r2 ->
-            if r2 = r then add (host_prefix router.Internet.raddr) Local
-            else
-              match Igp.next_hop igp ~src:r ~dst:r2 with
-              | Some nh ->
-                  add (host_prefix (Internet.router inet r2).Internet.raddr)
-                    (Next_hop nh)
-              | None -> ())
-          (Internet.domain inet d).Internet.router_ids;
-        (* 4. intra-domain endhosts *)
-        Array.iter
-          (fun hid ->
-            let h = Internet.endhost inet hid in
-            if h.Internet.access_router = r then
-              add (host_prefix h.Internet.haddr) (Attached hid)
-            else
-              match
-                Igp.next_hop igp ~src:r ~dst:h.Internet.access_router
-              with
-              | Some nh -> add (host_prefix h.Internet.haddr) (Next_hop nh)
-              | None -> ())
-          (Internet.domain inet d).Internet.endhost_ids;
-        !table)
-  in
-  { tables }
+  let router = Internet.router inet r in
+  let d = router.Internet.rdomain in
+  let igp = env.Forward.igps.(d) in
+  let table = ref Lpm.empty in
+  let add p a = table := Lpm.add p a !table in
+  (* 1. inter-domain routes (most generic; overwritten by longer/equal
+     local entries below) *)
+  List.iter
+    (fun (p, link) ->
+      if link.Internet.a_router = r then add p (Next_hop link.Internet.b_router)
+      else
+        match Igp.next_hop igp ~src:r ~dst:link.Internet.a_router with
+        | Some nh -> add p (Next_hop nh)
+        | None -> ())
+    (Lazy.force c.egress.(d));
+  (* 2. anycast groups with members in this domain *)
+  List.iter
+    (fun g ->
+      match Igp.anycast_route igp ~src:r ~group:g with
+      | Some d when d.Igp.deliver -> add g Local
+      | Some d -> add g (Next_hop d.Igp.next_hop)
+      | None -> ())
+    (Igp.groups igp);
+  (* 3. intra-domain routers *)
+  Array.iter
+    (fun r2 ->
+      if r2 = r then add (host_prefix router.Internet.raddr) Local
+      else
+        match Igp.next_hop igp ~src:r ~dst:r2 with
+        | Some nh ->
+            add (host_prefix (Internet.router inet r2).Internet.raddr) (Next_hop nh)
+        | None -> ())
+    (Internet.domain inet d).Internet.router_ids;
+  (* 4. intra-domain endhosts *)
+  Array.iter
+    (fun hid ->
+      let h = Internet.endhost inet hid in
+      if h.Internet.access_router = r then
+        add (host_prefix h.Internet.haddr) (Attached hid)
+      else
+        match Igp.next_hop igp ~src:r ~dst:h.Internet.access_router with
+        | Some nh -> add (host_prefix h.Internet.haddr) (Next_hop nh)
+        | None -> ())
+    (Internet.domain inet d).Internet.endhost_ids;
+  !table
+
+let compile env =
+  let c = compiler env in
+  { tables = Array.init (Internet.num_routers env.Forward.inet) (router_table c) }
 
 let lookup t ~router addr = Lpm.lookup_value addr t.tables.(router)
 let table t ~router = t.tables.(router)

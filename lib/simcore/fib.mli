@@ -23,9 +23,30 @@ type action =
 type t
 (** A FIB snapshot for every router of the internet. *)
 
+type compiler
+(** The compile state for one control-plane snapshot: the env plus,
+    per domain, the RIB prefixes paired with their BGP egress
+    interlinks. Egress resolution ({!Interdomain.Bgp.egress_links})
+    depends only on the domain, so it runs once per domain — lazily,
+    on the first router of that domain compiled — and is shared by all
+    of the domain's routers. Build a fresh compiler after any routing
+    or deployment change; one is not safe to use from several domains
+    at once. *)
+
+val compiler : Forward.env -> compiler
+(** Start compiling the env's current control-plane state. Cheap: no
+    domain is resolved until one of its routers is compiled. *)
+
+val router_table : compiler -> int -> action Netcore.Lpm.t
+(** Compile one router's table. The per-router entry point of the
+    only compile path: {!compile} maps it over every router, and a
+    staged line-card refresh calls it for just the routers in the
+    batch, so its cost is proportional to the routers compiled (plus
+    one egress resolution per domain they span). *)
+
 val compile : Forward.env -> t
 (** Materialize all routers' tables from the current control-plane
-    state. *)
+    state: {!router_table} over every router of one {!compiler}. *)
 
 val lookup : t -> router:int -> Netcore.Ipv4.t -> action option
 (** The compiled forwarding decision; [None] = drop (no route). *)

@@ -372,6 +372,60 @@ let test_refresh_clears_caches () =
   check Alcotest.int "first post-refresh pass misses" hits_before
     t.Telemetry.cache_hits
 
+let same_bindings a b =
+  List.equal
+    (fun (p, x) (q, y) -> Netcore.Prefix.equal p q && Fib.action_equal x y)
+    (Netcore.Lpm.bindings a) (Netcore.Lpm.bindings b)
+
+(* A staged refresh touches exactly the routers it names: after a
+   control-plane change, [refresh ~routers:rs] moves the routers in
+   [rs] to the new snapshot with cold caches, and every other router
+   keeps its old table and its warm cache. *)
+let prop_partial_refresh =
+  QCheck.Test.make ~name:"refresh ~routers touches exactly the listed routers"
+    ~count:15
+    QCheck.(small_list (int_bound 10_000))
+    (fun picks ->
+      let inet, env, service = default_setup () in
+      let n = Internet.num_routers inet in
+      let rs = List.sort_uniq Int.compare (List.map (fun k -> k mod n) picks) in
+      let pump = Pump.create env in
+      let tel = Pump.telemetry pump in
+      (* a router's own address is Local there, so each probe is one
+         lookup at one router and touches only that router's cache *)
+      let probe_all () =
+        for r = 0 to n - 1 do
+          let dst = (Internet.router inet r).Internet.raddr in
+          ignore (Pump.inject pump (Packet.make_data ~src:Ipv4.any ~dst "probe") ~entry:r)
+        done
+      in
+      probe_all ();
+      let old_tables = Array.init n (fun router -> Pump.table pump ~router) in
+      Service.remove_participant service ~domain:5;
+      let fresh = Fib.compile env in
+      let hits_before =
+        Array.init n (fun r -> (Telemetry.router tel r).Telemetry.cache_hits)
+      in
+      Pump.refresh ~routers:rs pump;
+      probe_all ();
+      let routers = List.init n Fun.id in
+      (* the change must be visible, or "kept the old table" is vacuous *)
+      List.exists
+        (fun router ->
+          not (same_bindings old_tables.(router) (Fib.table fresh ~router)))
+        routers
+      && List.for_all
+           (fun router ->
+             let listed = List.mem router rs in
+             let warm_hit =
+               (Telemetry.router tel router).Telemetry.cache_hits
+               > hits_before.(router)
+             in
+             same_bindings (Pump.table pump ~router)
+               (if listed then Fib.table fresh ~router else old_tables.(router))
+             && warm_hit = not listed)
+           routers)
+
 (* ------------------------------------------------------------------ *)
 (* Linkq: finite-capacity link queues (DESIGN.md §13)                  *)
 
@@ -550,6 +604,7 @@ let () =
             test_refresh_tracks_control_plane;
           Alcotest.test_case "refresh clears caches" `Quick
             test_refresh_clears_caches;
+          QCheck_alcotest.to_alcotest prop_partial_refresh;
         ] );
       ( "linkq",
         [

@@ -314,6 +314,30 @@ let prop_lookup_consistent_with_route_to =
             (List.init n Fun.id))
         (List.init (min n 6) Fun.id))
 
+let prop_egress_links_per_prefix =
+  QCheck.Test.make ~name:"egress_links = egress_link per RIB prefix" ~count:10
+    QCheck.(int_bound 10000)
+    (fun seed ->
+      let params =
+        { Internet.default_params with Internet.seed = Int64.of_int seed }
+      in
+      let inet = Internet.build params in
+      let bgp = Bgp.create inet in
+      Bgp.originate_all_domain_prefixes bgp;
+      Bgp.originate bgp ~domain:(seed mod Internet.num_domains inet)
+        (Addressing.anycast_global ~group:8);
+      ignore (Bgp.converge bgp);
+      List.for_all
+        (fun domain ->
+          Bgp.egress_links bgp ~domain
+          = List.filter_map
+              (fun r ->
+                Option.map
+                  (fun l -> (r.Bgp.prefix, l))
+                  (Bgp.egress_link bgp ~domain r.Bgp.prefix))
+              (Bgp.rib bgp ~domain))
+        (List.init (Internet.num_domains inet) Fun.id))
+
 let () =
   Alcotest.run "interdomain"
     [
@@ -330,6 +354,7 @@ let () =
           Alcotest.test_case "egress link / domain path" `Quick
             test_egress_link_and_domain_path;
           qcheck prop_lookup_consistent_with_route_to;
+          qcheck prop_egress_links_per_prefix;
         ] );
       ( "bgp-anycast",
         [

@@ -440,18 +440,57 @@ let test_lsproto_link_failure_reconverges () =
 
 module Fib = Simcore.Fib
 
+let anycast_env () =
+  let env = Forward.make_env (Internet.build Internet.default_params) in
+  (* some anycast state so group entries are exercised too *)
+  let group = Addressing.anycast_global ~group:8 in
+  let dom = Internet.domain env.Forward.inet 5 in
+  Array.iter
+    (fun m -> Routing.Igp.advertise_anycast env.Forward.igps.(5) ~group ~member:m)
+    dom.Internet.router_ids;
+  Interdomain.Bgp.originate env.Forward.bgp ~domain:5 group;
+  ignore (Forward.reconverge env);
+  env
+
 let fib_env =
   lazy
-    (let env = Forward.make_env (Internet.build Internet.default_params) in
-     (* some anycast state so group entries are exercised too *)
-     let group = Addressing.anycast_global ~group:8 in
-     let dom = Internet.domain env.Forward.inet 5 in
-     Array.iter
-       (fun m -> Routing.Igp.advertise_anycast env.Forward.igps.(5) ~group ~member:m)
-       dom.Internet.router_ids;
-     Interdomain.Bgp.originate env.Forward.bgp ~domain:5 group;
-     ignore (Forward.reconverge env);
+    (let env = anycast_env () in
      (env, Fib.compile env))
+
+let test_fib_router_table_equals_compile () =
+  (* a private env: the membership change below must not leak into the
+     shared fixture *)
+  let env = anycast_env () in
+  let inet = env.Forward.inet in
+  let same_table what =
+    let fib = Fib.compile env and c = Fib.compiler env in
+    (* descending, so the shared per-domain egress lists are built from
+       a different router than in [compile] *)
+    for r = Internet.num_routers inet - 1 downto 0 do
+      check Alcotest.bool
+        (Printf.sprintf "%s: router %d" what r)
+        true
+        (List.equal
+           (fun (p, a) (q, b) -> Netcore.Prefix.equal p q && Fib.action_equal a b)
+           (Netcore.Lpm.bindings (Fib.router_table c r))
+           (Netcore.Lpm.bindings (Fib.table fib ~router:r)))
+    done
+  in
+  same_table "initial";
+  (* membership change: domain 5 loses half its members and domain 9
+     joins the group, so both IGP anycast and BGP entries move *)
+  let group = Addressing.anycast_global ~group:8 in
+  Array.iteri
+    (fun i m ->
+      if i mod 2 = 0 then
+        Routing.Igp.withdraw_anycast env.Forward.igps.(5) ~group ~member:m)
+    (Internet.domain inet 5).Internet.router_ids;
+  Array.iter
+    (fun m -> Routing.Igp.advertise_anycast env.Forward.igps.(9) ~group ~member:m)
+    (Internet.domain inet 9).Internet.router_ids;
+  Interdomain.Bgp.originate env.Forward.bgp ~domain:9 group;
+  ignore (Forward.reconverge env);
+  same_table "after membership change"
 
 let test_fib_agrees_with_decide () =
   let env, fib = Lazy.force fib_env in
@@ -1145,6 +1184,8 @@ let () =
           Alcotest.test_case "agrees with decide" `Quick test_fib_agrees_with_decide;
           Alcotest.test_case "sizes sane" `Quick test_fib_sizes_sane;
           Alcotest.test_case "forwarding delivers" `Quick test_fib_forward_delivers;
+          Alcotest.test_case "per-router compile = full compile" `Quick
+            test_fib_router_table_equals_compile;
         ] );
       ( "bgpdyn",
         [
