@@ -3,7 +3,7 @@
 build:        ## build everything (zero warnings expected)
 	dune build @all
 
-test:         ## ten alcotest suites + the lint pass
+test:         ## sixteen alcotest suites + the lint pass
 	dune runtest
 
 lint:         ## evolvelint: untyped + typed passes over the whole tree
@@ -26,10 +26,10 @@ explain:      ## print every lint rule's rationale and provenance
 catalog:      ## regenerate doc/LINT.md from the rule registry
 	dune exec tools/lint/main.exe -- --catalog > doc/LINT.md
 
-bench:        ## all figures, experiments E1-E32, microbenchmarks
+bench:        ## all figures, experiments E1-E37, microbenchmarks
 	dune exec bench/main.exe
 
-bench-json:   ## machine-readable numbers -> BENCH_{dataplane,faults,lint}.json
+bench-json:   ## machine-readable numbers -> BENCH_{dataplane,faults,lint,shard,drills,overload}.json
 	dune exec bench/main.exe -- --json
 
 report:       ## regenerate RESULTS.md

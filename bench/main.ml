@@ -44,44 +44,12 @@ let figures () =
   Format.printf "%a@." Scenario.pp_fig4 (Scenario.fig4 ())
 
 let experiments () =
-  section "Experiments (E1-E32)";
-  E.print_e1 (E.e1_deployment_sweep ());
-  E.print_e2 (E.e2_default_route_sweep ());
-  E.print_e3 (E.e3_egress_comparison ());
-  E.print_e4 (E.e3_egress_comparison ~deploy_fraction:0.15 ~pairs:80 ());
-  E.print_e5 (E.e5_state_scaling ());
-  E.print_e6 (E.e6_adoption ());
-  E.print_e7 (E.e7_robustness ());
-  E.print_e8 (E.e8_convergence ());
-  E.print_e9 (E.e9_host_advertised ());
-  E.print_e10 (E.e10_discovery_ablation ());
-  E.print_e11 (E.e11_congruence ());
-  E.print_e12 (E.e12_gia_sweep ());
-  E.print_e13 (E.e13_seed_stability ());
-  E.print_e14 (E.e14_proxy_alpha ());
-  E.print_e15 (E.e15_viability_sweep ());
-  E.print_e16 (E.e16_revenue_gravity ());
-  E.print_e17 (E.e17_bgpvn_scaling ());
-  E.print_e18 (E.e18_flooding_cost ());
-  E.print_e19 (E.e19_mrai_sweep ());
-  E.print_e20 (E.e20_anycast_resilience ());
-  E.print_e21 (E.e21_size_scaling ());
-  E.print_e22 (E.e22_fib_scaling ());
-  E.print_e23 (E.e23_topology_robustness ());
-  E.print_e24 (E.e24_flow_stability ());
-  E.print_e25 (E.e25_coalition_sweep ());
-  E.print_e26 (E.e26_encapsulation_overhead ());
-  E.print_e27 (E.e27_mixed_igp ());
-  E.print_e28 (E.e28_path_hunting ());
-  E.print_e29 (E.e29_dataplane_cost ());
-  E.print_e30 (E.e30_churn_traffic ());
-  E.print_e31 (E.e31_fault_convergence ());
-  E.print_e32 (E.e32_flap_traffic ());
-  E.print_e33 (E.e33_shard_invariance ());
-  E.print_e34 (E.e34_drill_catalog ());
-  E.print_e35 (E.e35_hijack_containment ());
-  E.print_e36 (E.e36_overload_response ());
-  E.print_e37 (E.e37_crash_recovery ())
+  section "Experiments";
+  List.iter
+    (fun (e : E.entry) ->
+      Evolve.Table.print ~title:(E.heading e) ~header:e.E.header
+        ~rows:(e.E.run Internet.default_params))
+    E.registry
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks                                                     *)
@@ -628,27 +596,49 @@ let write_shard_json path =
   in
   emit_json path json
 
+(* Every catalog drill, replayed once: BENCH_drills.json and the
+   overload_drills block of BENCH_overload.json both read this. *)
+type drill_result = {
+  book : Ops.Drillbook.t;
+  verdict : Ops.Slo.verdict;
+  ticks : Ops.Drill.tick_row list;
+  drops : Ops.Drill.drop_reasons;
+}
+
+let complete_catalog () =
+  List.map
+    (fun book ->
+      let r = Ops.Drill.complete book in
+      let d =
+        {
+          book;
+          verdict = Ops.Slo.evaluate r;
+          ticks = Ops.Drill.rows r;
+          drops = Ops.Drill.drop_reasons r;
+        }
+      in
+      Ops.Drill.close r;
+      d)
+    Ops.Drillbook.catalog
+
 (* The incident-drill scorecard: each catalog drill's recovery metrics
    and SLO verdict, plus the per-tick delivery and cumulative
    blackhole-seconds trajectories CI diffs across runs (the drills are
    deterministic, so any drift is a behaviour change). *)
-let write_drills_json path =
+let write_drills_json drills path =
   let fopt = function
     | None -> "null"
     | Some f -> num 4 f
   in
-  let drill_obj b =
-    let r = Ops.Drill.complete b in
-    let v = Ops.Slo.evaluate r in
+  let drill_obj d =
+    let v = d.verdict in
     let m = v.Ops.Slo.metrics in
-    let rows = Ops.Drill.rows r in
-    Ops.Drill.close r;
     let ok_traj =
       String.concat ", "
         (List.map
            (fun (row : Ops.Drill.tick_row) ->
              num 4 row.Ops.Drill.ok)
-           rows)
+           d.ticks)
     in
     let blackhole_traj =
       let acc = ref 0.0 in
@@ -657,7 +647,7 @@ let write_drills_json path =
            (fun (row : Ops.Drill.tick_row) ->
              acc := !acc +. row.Ops.Drill.lost;
              num 4 !acc)
-           rows)
+           d.ticks)
     in
     Printf.sprintf
       "    {\n\
@@ -671,7 +661,7 @@ let write_drills_json path =
       \      \"ok_trajectory\": [%s],\n\
       \      \"blackhole_cumulative_s\": [%s]\n\
       \    }"
-      b.Ops.Drillbook.name v.Ops.Slo.pass
+      d.book.Ops.Drillbook.name v.Ops.Slo.pass
       (fopt m.Ops.Slo.detection_s)
       (fopt m.Ops.Slo.reconverge_s)
       (num 4 m.Ops.Slo.blackhole_s) (num 4 m.Ops.Slo.stale_frac)
@@ -680,7 +670,7 @@ let write_drills_json path =
   in
   let json =
     Printf.sprintf "{\n  \"drills\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map drill_obj Ops.Drillbook.catalog))
+      (String.concat ",\n" (List.map drill_obj drills))
   in
   emit_json path json
 
@@ -689,7 +679,7 @@ let write_drills_json path =
    drop-reason breakdown, and what a supervised shard restart costs in
    wall time — detection (a millisecond-scale poll), respawn, and the
    victim's cold flow caches. *)
-let write_overload_json path =
+let write_overload_json drills path =
   let curve =
     String.concat ",\n"
       (List.map
@@ -704,19 +694,20 @@ let write_overload_json path =
              r.E.qdrop36 (num 4 r.E.ctrl_ok36) (num 4 r.E.delay36))
          (E.e36_overload_response ()))
   in
+  let overload_drill (b : Ops.Drillbook.t) =
+    let { drops = d; _ } =
+      List.find (fun r -> r.book.Ops.Drillbook.name = b.Ops.Drillbook.name) drills
+    in
+    Printf.sprintf
+      "    { \"name\": \"%s\", \"queue_full\": %d, \"shed_native\": \
+       %d, \"shed_encap\": %d, \"shed_control\": %d, \
+       \"fault_fabric\": %d }"
+      b.Ops.Drillbook.name d.Ops.Drill.queue_full d.Ops.Drill.shed_native
+      d.Ops.Drill.shed_encap d.Ops.Drill.shed_control d.Ops.Drill.fabric
+  in
   let drills =
     String.concat ",\n"
-      (List.map
-         (fun b ->
-           let r = Ops.Drill.complete b in
-           let d = Ops.Drill.drop_reasons r in
-           Ops.Drill.close r;
-           Printf.sprintf
-             "    { \"name\": \"%s\", \"queue_full\": %d, \"shed_native\": \
-              %d, \"shed_encap\": %d, \"shed_control\": %d, \
-              \"fault_fabric\": %d }"
-             b.Ops.Drillbook.name d.Ops.Drill.queue_full d.Ops.Drill.shed_native
-             d.Ops.Drill.shed_encap d.Ops.Drill.shed_control d.Ops.Drill.fabric)
+      (List.map overload_drill
          [ Ops.Drillbook.flash_crowd; Ops.Drillbook.slow_consumer ])
   in
   let inet, _, _, _, _ = Lazy.force dataplane_fixture in
@@ -782,8 +773,9 @@ let () =
     write write_faults_json "BENCH_faults.json";
     write write_lint_json "BENCH_lint.json";
     write write_shard_json "BENCH_shard.json";
-    write write_drills_json "BENCH_drills.json";
-    write write_overload_json "BENCH_overload.json"
+    let drills = complete_catalog () in
+    write (write_drills_json drills) "BENCH_drills.json";
+    write (write_overload_json drills) "BENCH_overload.json"
   end
   else begin
     figures ();

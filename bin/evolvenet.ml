@@ -33,101 +33,26 @@ let params_of ~seed ~transit ~stubs =
     stubs_per_transit = stubs;
   }
 
-(* one line per experiment, for `evolvenet exp list` *)
-let experiment_index =
-  [
-    ("e1", "anycast stretch vs deployment fraction (Option 1)");
-    ("e2", "default-route option: advertisers vs stretch and load");
-    ("e3", "egress strategies compared end to end");
-    ("e4", "egress comparison at sparse deployment");
-    ("e5", "routing-state scaling per domain class");
-    ("e6", "adoption dynamics of successive IP generations");
-    ("e7", "vN-Bone partition robustness (anchoring ablation)");
-    ("e8", "IGP convergence cost after membership changes");
-    ("e9", "host-advertised exit routes vs table growth");
-    ("e10", "member-discovery ablation (LSDB vs anycast walk)");
-    ("e11", "vN-Bone congruence with the physical topology");
-    ("e12", "GIA search-radius sweep");
-    ("e13", "claim stability across topology seeds");
-    ("e14", "proxy-advertising alpha sweep");
-    ("e15", "deployment viability across provider price gaps");
-    ("e16", "revenue gravity of early adopters");
-    ("e17", "BGPvN table scaling with membership");
-    ("e18", "link-state flooding cost and latency");
-    ("e19", "BGP MRAI sweep: churn vs convergence time");
-    ("e20", "anycast resilience to member failures");
-    ("e21", "claim scaling with internet size");
-    ("e22", "FIB size scaling per router class");
-    ("e23", "claims on a preferential-attachment topology");
-    ("e24", "flow stability under deployment churn");
-    ("e25", "coalition strategies for staged deployment");
-    ("e26", "encapsulation byte overhead on the wire");
-    ("e27", "mixed link-state/distance-vector IGPs");
-    ("e28", "BGP path hunting on withdrawal");
-    ("e29", "data-plane cost of the pump vs the oracle");
-    ("e30", "traffic through a control-plane convergence window");
-    ("e31", "protocol convergence under loss and crashes");
-    ("e32", "traffic delivery while links flap, recovery off/on");
-    ("e33", "shard-count invariance of the multicore data plane");
-    ("e34", "incident-drill catalog sweep (recovery SLOs)");
-    ("e35", "hijack containment vs deployment level");
-    ("e36", "overload response: goodput/delay/loss vs offered load");
-    ("e37", "shard crash recovery: zero verdict divergence");
-  ]
+module E = Evolve.Experiments
 
-let print_experiment_index () =
-  List.iter
-    (fun (id, doc) -> Printf.printf "%-5s %s\n" id doc)
-    experiment_index
+let show (e : E.entry) params =
+  Evolve.Table.print ~title:(E.heading e) ~header:e.E.header
+    ~rows:(e.E.run params)
 
 let run_exp name seed transit stubs =
-  let module E = Evolve.Experiments in
-  let params = params_of ~seed ~transit ~stubs in
   match String.lowercase_ascii name with
-  | "list" -> print_experiment_index ()
-  | "e1" -> E.print_e1 (E.e1_deployment_sweep ~params ())
-  | "e2" -> E.print_e2 (E.e2_default_route_sweep ~params ())
-  | "e3" -> E.print_e3 (E.e3_egress_comparison ~params ())
-  | "e4" ->
-      E.print_e4 (E.e3_egress_comparison ~params ~deploy_fraction:0.15 ~pairs:80 ())
-  | "e5" -> E.print_e5 (E.e5_state_scaling ~params ())
-  | "e6" -> E.print_e6 (E.e6_adoption ())
-  | "e7" -> E.print_e7 (E.e7_robustness ~params ())
-  | "e8" -> E.print_e8 (E.e8_convergence ~seed:(Int64.of_int seed) ())
-  | "e9" -> E.print_e9 (E.e9_host_advertised ~params ())
-  | "e10" -> E.print_e10 (E.e10_discovery_ablation ~params ())
-  | "e11" -> E.print_e11 (E.e11_congruence ~params ())
-  | "e12" -> E.print_e12 (E.e12_gia_sweep ~params ())
-  | "e13" -> E.print_e13 (E.e13_seed_stability ())
-  | "e14" -> E.print_e14 (E.e14_proxy_alpha ~params ())
-  | "e15" -> E.print_e15 (E.e15_viability_sweep ())
-  | "e16" -> E.print_e16 (E.e16_revenue_gravity ~params ())
-  | "e17" -> E.print_e17 (E.e17_bgpvn_scaling ~params ())
-  | "e18" -> E.print_e18 (E.e18_flooding_cost ~seed:(Int64.of_int seed) ())
-  | "e19" -> E.print_e19 (E.e19_mrai_sweep ~params ())
-  | "e20" -> E.print_e20 (E.e20_anycast_resilience ~params ())
-  | "e21" -> E.print_e21 (E.e21_size_scaling ())
-  | "e22" -> E.print_e22 (E.e22_fib_scaling ~params ())
-  | "e23" -> E.print_e23 (E.e23_topology_robustness ())
-  | "e24" -> E.print_e24 (E.e24_flow_stability ~params ())
-  | "e25" -> E.print_e25 (E.e25_coalition_sweep ())
-  | "e26" -> E.print_e26 (E.e26_encapsulation_overhead ~params ())
-  | "e27" -> E.print_e27 (E.e27_mixed_igp ~params ())
-  | "e28" -> E.print_e28 (E.e28_path_hunting ~params ())
-  | "e29" -> E.print_e29 (E.e29_dataplane_cost ~params ())
-  | "e30" -> E.print_e30 (E.e30_churn_traffic ~params ())
-  | "e31" -> E.print_e31 (E.e31_fault_convergence ~params ())
-  | "e32" -> E.print_e32 (E.e32_flap_traffic ~params ())
-  | "e33" -> E.print_e33 (E.e33_shard_invariance ~params ())
-  | "e34" -> E.print_e34 (E.e34_drill_catalog ~params ())
-  | "e35" -> E.print_e35 (E.e35_hijack_containment ~params ())
-  | "e36" -> E.print_e36 (E.e36_overload_response ~params ())
-  | "e37" -> E.print_e37 (E.e37_crash_recovery ~params ())
-  | other ->
-      usage_error
-        "no such experiment: %s\nusage: evolvenet exp <e1-e37>; run `evolvenet \
-         exp list` for one-line descriptions"
-        other
+  | "list" ->
+      List.iter
+        (fun (e : E.entry) -> Printf.printf "%-5s %s\n" e.E.id e.E.title)
+        E.registry
+  | id -> (
+      match List.find_opt (fun (e : E.entry) -> e.E.id = id) E.registry with
+      | Some e -> show e (params_of ~seed ~transit ~stubs)
+      | None ->
+          usage_error
+            "no such experiment: %s\nusage: evolvenet exp <e1-e%d>; run \
+             `evolvenet exp list` for one-line descriptions"
+            name (List.length E.registry))
 
 let default_seed = Int64.to_int Topology.Internet.default_params.Topology.Internet.seed
 let default_transit = Topology.Internet.default_params.Topology.Internet.transit_domains
@@ -136,8 +61,8 @@ let default_stubs = Topology.Internet.default_params.Topology.Internet.stubs_per
 let run_all () =
   List.iter run_fig [ 1; 2; 3; 4 ];
   List.iter
-    (fun e -> run_exp e default_seed default_transit default_stubs)
-    (List.map fst experiment_index)
+    (fun e -> show e Topology.Internet.default_params)
+    E.registry
 
 let run_demo () =
   let module Setup = Evolve.Setup in
@@ -397,7 +322,11 @@ let exp_cmd =
   in
   let seed =
     Arg.(value & opt int default_seed & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Topology seed for experiments built on a random internet.")
+           ~doc:
+             "Topology seed for experiments built on a random internet. \
+              e6, e8, e13, e15, e18, e21, e23 and e25 fix their own \
+              topologies or seeds and ignore it, as they ignore $(b,--transit) \
+              and $(b,--stubs); e34 and e35 keep their drill books' seeds.")
   in
   let transit =
     Arg.(value & opt int default_transit & info [ "transit" ] ~docv:"N"
@@ -407,7 +336,11 @@ let exp_cmd =
     Arg.(value & opt int default_stubs & info [ "stubs" ] ~docv:"N"
            ~doc:"Stub domains per transit.")
   in
-  Cmd.v (Cmd.info "exp" ~doc:"Run experiment EXP (e1-e37, or `list`)")
+  Cmd.v
+    (Cmd.info "exp"
+       ~doc:
+         (Printf.sprintf "Run experiment EXP (e1-e%d, or `list`)"
+            (List.length E.registry)))
     Term.(const run_exp $ exp_name $ seed $ transit $ stubs)
 
 let run_report path =

@@ -70,20 +70,14 @@ let e1_deployment_sweep ?(params = Internet.default_params)
       })
     fractions
 
-let print_e1 rows =
-  Table.print ~title:"E1: anycast stretch vs deployment fraction (Option 1)"
-    ~header:[ "fraction"; "domains"; "mean stretch"; "p95 stretch"; "delivery" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.fraction;
-             Table.fi r.deployed_domains;
-             Table.ff r.mean_stretch;
-             Table.ff r.p95_stretch;
-             Table.fpct r.delivery_rate;
-           ])
-         rows)
+let e1_cells (r : e1_row) =
+  [
+    Table.ff r.fraction;
+    Table.fi r.deployed_domains;
+    Table.ff r.mean_stretch;
+    Table.ff r.p95_stretch;
+    Table.fpct r.delivery_rate;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E2                                                                  *)
@@ -151,22 +145,14 @@ let e2_default_route_sweep ?(params = Internet.default_params)
   in
   List.rev (ref_row :: !rows)
 
-let print_e2 rows =
-  Table.print
-    ~title:"E2: Option 2 default routes, effect of peering advertisements"
-    ~header:
-      [ "scheme"; "advertisers"; "default share"; "mean stretch"; "delivery" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.label;
-             Table.fi r.advertisers;
-             Table.fpct r.default_share;
-             Table.ff r.mean_stretch2;
-             Table.fpct r.delivery2;
-           ])
-         rows)
+let e2_cells (r : e2_row) =
+  [
+    r.label;
+    Table.fi r.advertisers;
+    Table.fpct r.default_share;
+    Table.ff r.mean_stretch2;
+    Table.fpct r.delivery2;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E3 / E4                                                             *)
@@ -238,28 +224,15 @@ let e3_egress_comparison ?(params = Internet.default_params)
   in
   [ run Router.Exit_early; run Router.Bgp_aware; run Router.Proxy ]
 
-let print_strategy_rows title rows =
-  Table.print ~title
-    ~header:
-      [ "strategy"; "vN fraction"; "vN hops"; "exposure"; "total hops"; "delivery" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.strategy_name;
-             Table.ff r.mean_vn_fraction;
-             Table.ff r.mean_vn_hops;
-             Table.ff r.mean_exposure_hops;
-             Table.ff r.mean_total_hops;
-             Table.fpct r.journey_delivery;
-           ])
-         rows)
-
-let print_e3 rows =
-  print_strategy_rows "E3: egress selection (Fig 3 generalized)" rows
-
-let print_e4 rows =
-  print_strategy_rows "E4: advertising-by-proxy (Fig 4 generalized)" rows
+let strategy_cells (r : strategy_row) =
+  [
+    r.strategy_name;
+    Table.ff r.mean_vn_fraction;
+    Table.ff r.mean_vn_hops;
+    Table.ff r.mean_exposure_hops;
+    Table.ff r.mean_total_hops;
+    Table.fpct r.journey_delivery;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E5                                                                  *)
@@ -326,29 +299,15 @@ let e5_state_scaling ?(params = Internet.default_params) ?(max_generations = 6)
         baseline_rib = baseline;
       })
 
-let print_e5 rows =
-  Table.print ~title:"E5: inter-domain routing state vs concurrent IPvN generations"
-    ~header:
-      [
-        "generations";
-        "opt1 mean RIB";
-        "opt1 max RIB";
-        "opt2 mean RIB";
-        "opt2 max RIB";
-        "baseline";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.generations;
-             Table.ff r.opt1_mean_rib;
-             Table.fi r.opt1_max_rib;
-             Table.ff r.opt2_mean_rib;
-             Table.fi r.opt2_max_rib;
-             Table.fi r.baseline_rib;
-           ])
-         rows)
+let e5_cells (r : e5_row) =
+  [
+    Table.fi r.generations;
+    Table.ff r.opt1_mean_rib;
+    Table.fi r.opt1_max_rib;
+    Table.ff r.opt2_mean_rib;
+    Table.fi r.opt2_max_rib;
+    Table.fi r.baseline_rib;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E6                                                                  *)
@@ -392,19 +351,13 @@ let e6_adoption ?(seeds = [ 1L; 2L; 3L; 4L; 5L ]) ?(base = Adoption.default_para
   in
   [ run_mean true; run_mean false ]
 
-let print_e6 rows =
-  Table.print ~title:"E6: adoption dynamics (virtuous cycle vs chicken-and-egg)"
-    ~header:[ "scenario"; "final ISP adoption"; "final app adoption"; "tip step" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.scenario;
-             Table.fpct r.final_isp_fraction;
-             Table.fpct r.final_app_fraction;
-             (match r.tip_step with Some s -> Table.fi s | None -> "never");
-           ])
-         rows)
+let e6_cells (r : e6_row) =
+  [
+    r.scenario;
+    Table.fpct r.final_isp_fraction;
+    Table.fpct r.final_app_fraction;
+    (match r.tip_step with Some s -> Table.fi s | None -> "never");
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E7                                                                  *)
@@ -513,29 +466,14 @@ let e7_robustness ?(params = Internet.default_params) ?(deploy_domains = 8)
       })
     failure_fractions
 
-let print_e7 rows =
-  Table.print ~title:"E7: vN-Bone survivability under member failures"
-    ~header:
-      [
-        "failure fraction";
-        "survives (k=1)";
-        "survives (k=2)";
-        "survives (k=3)";
-        "repair tunnels";
-        "trials";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.failure_fraction;
-             Table.fpct r.survive_k1;
-             Table.fpct r.survive_k2;
-             Table.fpct r.survive_k3;
-             Table.ff r.mean_repair_tunnels;
-             Table.fi r.trials;
-           ])
-         rows)
+let e7_cells (r : e7_row) =
+  [
+    Table.ff r.failure_fraction;
+    Table.fpct r.survive_k1;
+    Table.fpct r.survive_k2;
+    Table.fpct r.survive_k3;
+    Table.ff r.mean_repair_tunnels;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E8                                                                  *)
@@ -594,19 +532,13 @@ let e8_convergence ?(sizes = [ 8; 16; 32; 64 ]) ?(seed = 5L) () =
       })
     sizes
 
-let print_e8 rows =
-  Table.print ~title:"E8: anycast convergence, link-state vs distance-vector"
-    ~header:[ "routers"; "LS flood rounds"; "DV join rounds"; "DV leave rounds" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.domain_routers;
-             Table.ff r.ls_mean_rounds;
-             Table.ff r.dv_join_rounds;
-             Table.ff r.dv_leave_rounds;
-           ])
-         rows)
+let e8_cells (r : e8_row) =
+  [
+    Table.fi r.domain_routers;
+    Table.ff r.ls_mean_rounds;
+    Table.ff r.dv_join_rounds;
+    Table.ff r.dv_leave_rounds;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E9                                                                  *)
@@ -697,27 +629,14 @@ let e9_host_advertised ?(params = Internet.default_params)
       })
     failures
 
-let print_e9 rows =
-  Table.print ~title:"E9: host-advertised routes vs proxy under member failures"
-    ~header:
-      [
-        "member failure";
-        "host-adv delivery";
-        "proxy delivery";
-        "host-adv exposure";
-        "proxy exposure";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.member_failure;
-             Table.fpct r.host_adv_delivery;
-             Table.fpct r.proxy_delivery;
-             Table.ff r.host_adv_exposure;
-             Table.ff r.proxy_exposure;
-           ])
-         rows)
+let e9_cells (r : e9_row) =
+  [
+    Table.ff r.member_failure;
+    Table.fpct r.host_adv_delivery;
+    Table.fpct r.proxy_delivery;
+    Table.ff r.host_adv_exposure;
+    Table.ff r.proxy_exposure;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E10                                                                 *)
@@ -755,20 +674,13 @@ let e10_discovery_ablation ?(params = Internet.default_params)
       (Fabric.build ~discovery:Fabric.Anycast_walk service);
   ]
 
-let print_e10 rows =
-  Table.print
-    ~title:"E10: member discovery ablation (LSDB k-closest vs DV anycast walk)"
-    ~header:[ "discovery"; "intra tunnels"; "vN stretch"; "connected" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.discovery_name;
-             Table.fi r.intra_tunnels;
-             Table.ff r.vn_stretch;
-             Table.fb r.connected10;
-           ])
-         rows)
+let e10_cells (r : e10_row) =
+  [
+    r.discovery_name;
+    Table.fi r.intra_tunnels;
+    Table.ff r.vn_stretch;
+    Table.fb r.connected10;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E11                                                                 *)
@@ -812,19 +724,13 @@ let e11_congruence ?(params = Internet.default_params)
       })
     fractions
 
-let print_e11 rows =
-  Table.print ~title:"E11: vN-Bone congruence with the physical topology"
-    ~header:[ "deploy fraction"; "members"; "vN stretch"; "inter tunnels" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.deploy_fraction11;
-             Table.fi r.members11;
-             Table.ff r.vn_stretch11;
-             Table.fi r.inter_tunnels11;
-           ])
-         rows)
+let e11_cells (r : e11_row) =
+  [
+    Table.ff r.deploy_fraction11;
+    Table.fi r.members11;
+    Table.ff r.vn_stretch11;
+    Table.fi r.inter_tunnels11;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E12                                                                 *)
@@ -879,22 +785,14 @@ let e12_gia_sweep ?(params = Internet.default_params) ?(participants = 5)
       run "option1 (global)" None Service.Option1;
     ]
 
-let print_e12 rows =
-  Table.print
-    ~title:"E12: GIA search radius, between Option 2 (r=0) and Option 1"
-    ~header:
-      [ "scheme"; "home share"; "mean stretch"; "delivery"; "mean RIB" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.scheme12;
-             Table.fpct r.home_share;
-             Table.ff r.mean_stretch12;
-             Table.fpct r.delivery12;
-             Table.ff r.mean_rib12;
-           ])
-         rows)
+let e12_cells (r : e12_row) =
+  [
+    r.scheme12;
+    Table.fpct r.home_share;
+    Table.ff r.mean_stretch12;
+    Table.fpct r.delivery12;
+    Table.ff r.mean_rib12;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E13                                                                 *)
@@ -939,21 +837,13 @@ let e13_seed_stability ?(seeds = [ 101L; 202L; 303L; 404L; 505L ])
       })
     names
 
-let print_e13 rows =
-  Table.print
-    ~title:"E13: egress-strategy results across independent internets (95% CI)"
-    ~header:[ "strategy"; "vN fraction"; "exposure hops"; "delivery"; "seeds" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.strategy13;
-             Stats.to_string r.vn_fraction_ci;
-             Stats.to_string r.exposure_ci;
-             Stats.to_string r.delivery_ci;
-             Table.fi r.seeds13;
-           ])
-         rows)
+let e13_cells (r : e13_row) =
+  [
+    r.strategy13;
+    Stats.to_string r.vn_fraction_ci;
+    Stats.to_string r.exposure_ci;
+    Stats.to_string r.delivery_ci;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E14                                                                 *)
@@ -1021,20 +911,13 @@ let e14_proxy_alpha ?(params = Internet.default_params)
       })
     alphas
 
-let print_e14 rows =
-  Table.print
-    ~title:"E14: proxy-metric ablation — weight of a vN hop vs an AS hop"
-    ~header:[ "alpha"; "vN fraction"; "exposure hops"; "total hops" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.alpha;
-             Table.ff r.alpha_vn_fraction;
-             Table.ff r.alpha_exposure;
-             Table.ff r.alpha_total_hops;
-           ])
-         rows)
+let e14_cells (r : e14_row) =
+  [
+    Table.ff r.alpha;
+    Table.ff r.alpha_vn_fraction;
+    Table.ff r.alpha_exposure;
+    Table.ff r.alpha_total_hops;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E15                                                                 *)
@@ -1067,20 +950,12 @@ let e15_viability_sweep ?(seeds = [ 11L; 22L; 33L ])
       { viability; ua_final = final true; gated_final = final false })
     thresholds
 
-let print_e15 rows =
-  Table.print
-    ~title:
-      "E15: adoption vs app-viability threshold (where the chicken-and-egg bites)"
-    ~header:[ "viability floor"; "UA final adoption"; "gated final adoption" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.viability;
-             Table.fpct r.ua_final;
-             Table.fpct r.gated_final;
-           ])
-         rows)
+let e15_cells (r : e15_row) =
+  [
+    Table.ff r.viability;
+    Table.fpct r.ua_final;
+    Table.fpct r.gated_final;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E16                                                                 *)
@@ -1131,22 +1006,13 @@ let e16_revenue_gravity ?(params = Internet.default_params) ?(deployers = 4)
     pick "smallest stubs" (fun stubs -> take deployers (List.rev stubs));
   ]
 
-let print_e16 rows =
-  Table.print
-    ~title:
-      "E16: traffic attraction under gravity workloads (assumption A4)"
-    ~header:
-      [ "deployers"; "population share"; "IPvN traffic share"; "premium" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.picker;
-             Table.fpct r.pop_share;
-             Table.fpct r.traffic_share;
-             Table.ff r.attraction_premium;
-           ])
-         rows)
+let e16_cells (r : e16_row) =
+  [
+    r.picker;
+    Table.fpct r.pop_share;
+    Table.fpct r.traffic_share;
+    Table.ff r.attraction_premium;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E17                                                                 *)
@@ -1186,19 +1052,13 @@ let e17_bgpvn_scaling ?(params = Internet.default_params)
       })
     domain_counts
 
-let print_e17 rows =
-  Table.print ~title:"E17: BGPvN convergence and per-member state"
-    ~header:[ "vN domains"; "members"; "rounds"; "mean table size" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.vn_domains;
-             Table.fi r.vn_members;
-             Table.fi r.bgpvn_rounds;
-             Table.ff r.mean_table;
-           ])
-         rows)
+let e17_cells (r : e17_row) =
+  [
+    Table.fi r.vn_domains;
+    Table.fi r.vn_members;
+    Table.fi r.bgpvn_rounds;
+    Table.ff r.mean_table;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E18                                                                 *)
@@ -1241,21 +1101,14 @@ let e18_flooding_cost ?(sizes = [ 8; 16; 32; 64 ]) ?(seed = 5L) () =
       })
     sizes
 
-let print_e18 rows =
-  Table.print ~title:"E18: message-level LSA flooding cost and latency"
-    ~header:
-      [ "routers"; "sync msgs"; "update msgs"; "update latency"; "eccentricity" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.ls_routers;
-             Table.fi r.sync_messages;
-             Table.fi r.update_messages;
-             Table.ff r.update_latency;
-             Table.fi r.eccentricity;
-           ])
-         rows)
+let e18_cells (r : e18_row) =
+  [
+    Table.fi r.ls_routers;
+    Table.fi r.sync_messages;
+    Table.fi r.update_messages;
+    Table.ff r.update_latency;
+    Table.fi r.eccentricity;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E19                                                                 *)
@@ -1295,30 +1148,15 @@ let e19_mrai_sweep ?(params = Internet.default_params)
       })
     mrais
 
-let print_e19 rows =
-  Table.print
-    ~title:"E19: asynchronous BGP — MRAI vs update load and convergence time"
-    ~header:
-      [
-        "MRAI";
-        "boot updates";
-        "boot time";
-        "anycast updates";
-        "anycast time";
-        "anycast churn";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.mrai;
-             Table.fi r.boot_updates;
-             Table.ff r.boot_time;
-             Table.fi r.anycast_updates;
-             Table.ff r.anycast_time;
-             Table.fi r.churn;
-           ])
-         rows)
+let e19_cells (r : e19_row) =
+  [
+    Table.ff r.mrai;
+    Table.fi r.boot_updates;
+    Table.ff r.boot_time;
+    Table.fi r.anycast_updates;
+    Table.ff r.anycast_time;
+    Table.fi r.churn;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E20                                                                 *)
@@ -1375,20 +1213,12 @@ let e20_anycast_resilience ?(params = Internet.default_params)
       })
     kill_steps
 
-let print_e20 rows =
-  Table.print
-    ~title:
-      "E20: service survival under member failures — anycast vs a single server"
-    ~header:[ "dead members"; "anycast delivery"; "single-server delivery" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.dead_members;
-             Table.fpct r.anycast_delivery;
-             Table.fpct r.unicast_delivery;
-           ])
-         rows)
+let e20_cells (r : e20_row) =
+  [
+    Table.fi r.dead_members;
+    Table.fpct r.anycast_delivery;
+    Table.fpct r.unicast_delivery;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E21                                                                 *)
@@ -1442,22 +1272,15 @@ let e21_size_scaling ?(transit_counts = [ 2; 4; 8; 12; 16 ]) () =
       })
     transit_counts
 
-let print_e21 rows =
-  Table.print ~title:"E21: behaviour and cost vs internet size"
-    ~header:
-      [ "domains"; "routers"; "BGP rounds"; "mean stretch"; "delivery"; "total RIB" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.domains21;
-             Table.fi r.routers21;
-             Table.fi r.bgp_rounds;
-             Table.ff r.mean_stretch21;
-             Table.fpct r.delivery21;
-             Table.fi r.total_rib;
-           ])
-         rows)
+let e21_cells (r : e21_row) =
+  [
+    Table.fi r.domains21;
+    Table.fi r.routers21;
+    Table.fi r.bgp_rounds;
+    Table.ff r.mean_stretch21;
+    Table.fpct r.delivery21;
+    Table.fi r.total_rib;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E22                                                                 *)
@@ -1513,22 +1336,14 @@ let e22_fib_scaling ?(params = Internet.default_params) ?(max_generations = 5)
       })
     (List.combine opt1 opt2)
 
-let print_e22 rows =
-  Table.print
-    ~title:"E22: compiled FIB size (data plane) vs concurrent IPvN generations"
-    ~header:
-      [ "generations"; "opt1 mean FIB"; "opt1 max FIB"; "opt2 mean FIB"; "opt2 max FIB" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.generations22;
-             Table.ff r.opt1_mean_fib;
-             Table.fi r.opt1_max_fib;
-             Table.ff r.opt2_mean_fib;
-             Table.fi r.opt2_max_fib;
-           ])
-         rows)
+let e22_cells (r : e22_row) =
+  [
+    Table.fi r.generations22;
+    Table.ff r.opt1_mean_fib;
+    Table.fi r.opt1_max_fib;
+    Table.ff r.opt2_mean_fib;
+    Table.fi r.opt2_max_fib;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E23                                                                 *)
@@ -1604,21 +1419,14 @@ let e23_topology_robustness ?(pairs = 80) () =
       (Internet.build_ba Internet.default_ba_params);
   ]
 
-let print_e23 rows =
-  Table.print
-    ~title:"E23: robustness of the claims to the topology model (~20% deployed)"
-    ~header:[ "model"; "domains"; "delivery"; "mean stretch"; "exposure drop" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.model;
-             Table.fi r.domains23;
-             Table.fpct r.delivery23;
-             Table.ff r.stretch23;
-             Table.fpct r.exposure_drop;
-           ])
-         rows)
+let e23_cells (r : e23_row) =
+  [
+    r.model;
+    Table.fi r.domains23;
+    Table.fpct r.delivery23;
+    Table.ff r.stretch23;
+    Table.fpct r.exposure_drop;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E24                                                                 *)
@@ -1683,20 +1491,12 @@ let e24_flow_stability ?(params = Internet.default_params) ?(stages = 8) () =
           })
     (List.init stages Fun.id)
 
-let print_e24 rows =
-  Table.print
-    ~title:
-      "E24: anycast flow stability during deployment churn (a known limitation)"
-    ~header:[ "domains deployed"; "ingress moved this stage"; "never moved" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.stage;
-             Table.fpct r.ingress_changed;
-             Table.fpct r.cumulative_stability;
-           ])
-         rows)
+let e24_cells (r : e24_row) =
+  [
+    Table.fi r.stage;
+    Table.fpct r.ingress_changed;
+    Table.fpct r.cumulative_stability;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E25                                                                 *)
@@ -1741,22 +1541,13 @@ let e25_coalition_sweep ?(seeds = [ 1L; 2L; 3L ])
       })
     coalitions
 
-let print_e25 rows =
-  Table.print
-    ~title:
-      "E25: acting in concert — coalition size needed without universal access"
-    ~header:
-      [ "coalition"; "market share"; "gated final adoption"; "UA final adoption" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.coalition;
-             Table.fpct r.coalition_share;
-             Table.fpct r.gated_final25;
-             Table.fpct r.ua_final25;
-           ])
-         rows)
+let e25_cells (r : e25_row) =
+  [
+    Table.fi r.coalition;
+    Table.fpct r.coalition_share;
+    Table.fpct r.gated_final25;
+    Table.fpct r.ua_final25;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E26                                                                 *)
@@ -1836,22 +1627,14 @@ let e26_encapsulation_overhead ?(params = Internet.default_params)
       })
     payloads
 
-let print_e26 rows =
-  Table.print
-    ~title:"E26: the byte cost of evolution (encapsulation + vN detours)"
-    ~header:
-      [ "payload B"; "native B*hops"; "evolved B*hops"; "overhead"; "header share" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.payload_bytes;
-             Table.ff r.native_bytes;
-             Table.ff r.evolved_bytes;
-             Table.fpct r.byte_overhead;
-             Table.fpct r.header_share;
-           ])
-         rows)
+let e26_cells (r : e26_row) =
+  [
+    Table.fi r.payload_bytes;
+    Table.ff r.native_bytes;
+    Table.ff r.evolved_bytes;
+    Table.fpct r.byte_overhead;
+    Table.fpct r.header_share;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E27                                                                 *)
@@ -1898,23 +1681,14 @@ let e27_mixed_igp ?(params = Internet.default_params)
       })
     dv_fractions
 
-let print_e27 rows =
-  Table.print
-    ~title:
-      "E27: heterogeneous IGPs — distance-vector domains in the deployment"
-    ~header:
-      [ "DV fraction"; "delivery"; "anycast stretch"; "walk domains"; "vN stretch" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.dv_fraction;
-             Table.fpct r.delivery27;
-             Table.ff r.stretch27;
-             Table.fi r.walk_domains;
-             Table.ff r.vn_stretch27;
-           ])
-         rows)
+let e27_cells (r : e27_row) =
+  [
+    Table.ff r.dv_fraction;
+    Table.fpct r.delivery27;
+    Table.ff r.stretch27;
+    Table.fi r.walk_domains;
+    Table.ff r.vn_stretch27;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E28                                                                 *)
@@ -1973,31 +1747,15 @@ let e28_path_hunting ?(params = Internet.default_params)
       })
     mrais
 
-let print_e28 rows =
-  Table.print
-    ~title:
-      "E28: withdrawing an anycast prefix — BGP path hunting vs announcement"
-    ~header:
-      [
-        "MRAI";
-        "announce msgs";
-        "announce churn";
-        "withdraw msgs";
-        "withdraw churn";
-        "hunt ratio";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.ff r.mrai28;
-             Table.fi r.announce_updates;
-             Table.fi r.announce_churn;
-             Table.fi r.withdraw_updates;
-             Table.fi r.withdraw_churn;
-             Table.ff r.hunt_ratio;
-           ])
-         rows)
+let e28_cells (r : e28_row) =
+  [
+    Table.ff r.mrai28;
+    Table.fi r.announce_updates;
+    Table.fi r.announce_churn;
+    Table.fi r.withdraw_updates;
+    Table.fi r.withdraw_churn;
+    Table.ff r.hunt_ratio;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E29                                                                 *)
@@ -2111,33 +1869,16 @@ let e29_dataplane_cost ?(params = Internet.default_params)
         fractions)
     strategies
 
-let print_e29 rows =
-  Table.print
-    ~title:
-      "E29: the data-plane cost of evolution (batched flows over compiled FIBs)"
-    ~header:
-      [
-        "option";
-        "fraction";
-        "delivery";
-        "mean stretch";
-        "p99 stretch";
-        "byte overhead";
-        "cache hits";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.option29;
-             Table.ff r.fraction29;
-             Table.fpct r.delivery29;
-             Table.ff r.mean_stretch29;
-             Table.ff r.p99_stretch29;
-             Table.fpct r.byte_overhead29;
-             Table.fpct r.cache_hit29;
-           ])
-         rows)
+let e29_cells (r : e29_row) =
+  [
+    r.option29;
+    Table.ff r.fraction29;
+    Table.fpct r.delivery29;
+    Table.ff r.mean_stretch29;
+    Table.ff r.p99_stretch29;
+    Table.fpct r.byte_overhead29;
+    Table.fpct r.cache_hit29;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E30                                                                 *)
@@ -2248,26 +1989,16 @@ let e30_churn_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
   ignore (Simcore.Engine.run engine);
   List.rev !rows
 
-let print_e30 rows =
-  Table.print
-    ~title:
-      "E30: traffic during churn — stale FIB snapshots across a membership \
-       change"
-    ~header:
-      [ "tick"; "phase"; "fresh FIBs"; "ok"; "stale"; "lost"; "looped" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.tick30;
-             r.phase30;
-             Table.fpct r.fresh30;
-             Table.fpct r.ok30;
-             Table.fpct r.stale30;
-             Table.fpct r.lost30;
-             Table.fpct r.looped30;
-           ])
-         rows)
+let e30_cells (r : e30_row) =
+  [
+    Table.fi r.tick30;
+    r.phase30;
+    Table.fpct r.fresh30;
+    Table.fpct r.ok30;
+    Table.fpct r.stale30;
+    Table.fpct r.lost30;
+    Table.fpct r.looped30;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E31                                                                 *)
@@ -2411,26 +2142,16 @@ let e31_fault_convergence ?(params = Internet.default_params)
   @ List.map (fun loss -> ls_run ~loss ~crash:false) losses
   @ [ ls_run ~loss:crash_loss ~crash:true ]
 
-let print_e31 rows =
-  Table.print
-    ~title:
-      "E31: control-plane convergence under loss, delay and crashes — final \
-       state vs the centralized oracle"
-    ~header:
-      [ "proto"; "loss"; "crashed"; "msgs"; "overhead"; "settle"; "oracle" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.proto31;
-             Table.fpct r.loss31;
-             Table.fi r.crashed31;
-             Table.fi r.msgs31;
-             Table.fi r.overhead31;
-             Table.ff r.settle31;
-             (if r.agrees31 then "agree" else "DISAGREE");
-           ])
-         rows)
+let e31_cells (r : e31_row) =
+  [
+    r.proto31;
+    Table.fpct r.loss31;
+    Table.fi r.crashed31;
+    Table.fi r.msgs31;
+    Table.fi r.overhead31;
+    Table.ff r.settle31;
+    (if r.agrees31 then "agree" else "DISAGREE");
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E32                                                                 *)
@@ -2599,26 +2320,16 @@ let e32_flap_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
   in
   run ~recovery:false @ run ~recovery:true
 
-let print_e32 rows =
-  Table.print
-    ~title:
-      "E32: traffic delivery while links flap — recovery off vs on (detour \
-       installed across a refresh window)"
-    ~header:
-      [ "tick"; "recovery"; "phase"; "ok"; "stale"; "lost"; "looped" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.tick32;
-             Table.fb r.recovery32;
-             r.phase32;
-             Table.fpct r.ok32;
-             Table.fpct r.stale32;
-             Table.fpct r.lost32;
-             Table.fpct r.looped32;
-           ])
-         rows)
+let e32_cells (r : e32_row) =
+  [
+    Table.fi r.tick32;
+    Table.fb r.recovery32;
+    r.phase32;
+    Table.fpct r.ok32;
+    Table.fpct r.stale32;
+    Table.fpct r.lost32;
+    Table.fpct r.looped32;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E33                                                                 *)
@@ -2682,38 +2393,18 @@ let e33_shard_invariance ?(params = Internet.default_params)
       })
     shard_counts
 
-let print_e33 rows =
-  Table.print
-    ~title:
-      "E33: shard-count invariance — the domain pool's delivery verdicts on \
-       one seed, one to eight shards"
-    ~header:
-      [
-        "shards";
-        "packets";
-        "hops";
-        "bytes";
-        "delivered";
-        "dropped";
-        "ttl";
-        "crossings";
-        "identical";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.shards33;
-             Table.fi r.packets33;
-             Table.fi r.hops33;
-             Table.fi r.bytes33;
-             Table.fi r.delivered33;
-             Table.fi r.dropped33;
-             Table.fi r.ttl33;
-             Table.fi r.crossings33;
-             Table.fb r.identical33;
-           ])
-         rows)
+let e33_cells (r : e33_row) =
+  [
+    Table.fi r.shards33;
+    Table.fi r.packets33;
+    Table.fi r.hops33;
+    Table.fi r.bytes33;
+    Table.fi r.delivered33;
+    Table.fi r.dropped33;
+    Table.fi r.ttl33;
+    Table.fi r.crossings33;
+    Table.fb r.identical33;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E34                                                                 *)
@@ -2752,29 +2443,16 @@ let e34_drill_catalog ?params ?(intensities = [ 1.0; 2.0 ]) () =
 
 let fopt34 = function None -> "n/a" | Some f -> Table.ff f
 
-let print_e34 rows =
-  Table.print
-    ~title:
-      "E34: incident-drill catalog sweep — recovery metrics per drill and \
-       fault intensity (SLO pass at intensity 1 is asserted in tests)"
-    ~header:
-      [
-        "drill"; "intensity"; "detect s"; "reconverge s"; "blackhole s";
-        "stale"; "slo pass";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.drill34;
-             Table.ff r.intensity34;
-             fopt34 r.detection34;
-             fopt34 r.reconverge34;
-             Table.ff r.blackhole34;
-             Table.ff r.stale34;
-             Table.fb r.pass34;
-           ])
-         rows)
+let e34_cells (r : e34_row) =
+  [
+    r.drill34;
+    Table.ff r.intensity34;
+    fopt34 r.detection34;
+    fopt34 r.reconverge34;
+    Table.ff r.blackhole34;
+    Table.ff r.stale34;
+    Table.fb r.pass34;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E35                                                                 *)
@@ -2814,24 +2492,14 @@ let e35_hijack_containment ?params ?(levels = [ 1; 2; 4; 8 ]) () =
       })
     levels
 
-let print_e35 rows =
-  Table.print
-    ~title:
-      "E35: hijack containment — delivery-to-rogue fraction vs IPvN \
-       deployment level (more members, less traffic the rogue attracts)"
-    ~header:
-      [ "deployed"; "hijack peak"; "hijack mean"; "ok in fault"; "reconverge s" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.deploy35;
-             Table.ff r.hijacked_peak35;
-             Table.ff r.hijacked_mean35;
-             Table.ff r.ok_fault35;
-             fopt34 r.reconverge35;
-           ])
-         rows)
+let e35_cells (r : e35_row) =
+  [
+    Table.fi r.deploy35;
+    Table.ff r.hijacked_peak35;
+    Table.ff r.hijacked_mean35;
+    Table.ff r.ok_fault35;
+    fopt34 r.reconverge35;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E36                                                                 *)
@@ -2937,41 +2605,19 @@ let e36_overload_response ?(params = Internet.default_params)
       })
     loads
 
-let print_e36 rows =
-  Table.print
-    ~title:
-      "E36: overload response — goodput, queueing delay and loss vs offered \
-       load through the finite link queues (graceful degradation, not a \
-       cliff; control rides the reserve)"
-    ~header:
-      [
-        "load/tick";
-        "offered";
-        "goodput";
-        "frac";
-        "ctrl ok";
-        "queue drop";
-        "shed";
-        "delay";
-        "queue hw";
-        "bounded";
-      ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.load36;
-             Table.fi r.offered36;
-             Table.fi r.goodput36;
-             Table.ff r.goodput_frac36;
-             Table.ff r.ctrl_ok36;
-             Table.fi r.qdrop36;
-             Table.fi r.shed36;
-             Table.ff r.delay36;
-             Table.fi r.queued_hw36;
-             Table.fb r.bounded36;
-           ])
-         rows)
+let e36_cells (r : e36_row) =
+  [
+    Table.fi r.load36;
+    Table.fi r.offered36;
+    Table.fi r.goodput36;
+    Table.ff r.goodput_frac36;
+    Table.ff r.ctrl_ok36;
+    Table.fi r.qdrop36;
+    Table.fi r.shed36;
+    Table.ff r.delay36;
+    Table.fi r.queued_hw36;
+    Table.fb r.bounded36;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* E37                                                                 *)
@@ -3037,13 +2683,214 @@ let e37_crash_recovery ?(params = Internet.default_params)
       row)
     shard_counts
 
-let print_e37 rows =
-  Table.print
-    ~title:
-      "E37: crash recovery — a worker dies mid-batch, the supervisor \
-       restarts it, and the delivery verdicts match a never-crashed run \
-       exactly (zero divergence, nothing shed)"
-    ~header:
+let e37_cells (r : e37_row) =
+  [
+    Table.fi r.shards37;
+    Table.fi r.restarts37;
+    Table.fi r.rounds37;
+    Table.fi r.delivered37;
+    Table.fi r.dropped37;
+    Table.fi r.ttl37;
+    Table.fi r.shed37;
+    Table.fb r.identical37;
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Registry                                                            *)
+
+type entry = {
+  id : string;
+  title : string;
+  header : string list;
+  run : Internet.params -> string list list;
+}
+
+let entry id title header cells rows =
+  { id; title; header; run = (fun params -> List.map cells (rows params)) }
+
+let heading e = String.uppercase_ascii e.id ^ " — " ^ e.title
+
+let registry =
+  [
+    entry "e1" "anycast stretch vs deployment fraction"
+      [ "fraction"; "domains"; "mean stretch"; "p95"; "delivery" ]
+      e1_cells (fun params -> e1_deployment_sweep ~params ());
+    entry "e2" "Option 2 default routes vs peering advertisements"
+      [ "scheme"; "advertisers"; "default share"; "stretch"; "delivery" ]
+      e2_cells (fun params -> e2_default_route_sweep ~params ());
+    entry "e3" "egress strategies (30% deployed)"
+      [ "strategy"; "vN fraction"; "vN hops"; "exposure"; "total"; "delivery" ]
+      strategy_cells (fun params -> e3_egress_comparison ~params ());
+    entry "e4" "egress strategies (15% deployed)"
+      [ "strategy"; "vN fraction"; "vN hops"; "exposure"; "total"; "delivery" ]
+      strategy_cells
+      (fun params -> e3_egress_comparison ~params ~deploy_fraction:0.15 ~pairs:80 ());
+    entry "e5" "RIB state vs concurrent generations"
+      [
+        "generations";
+        "opt1 mean";
+        "opt1 max";
+        "opt2 mean";
+        "opt2 max";
+        "baseline";
+      ]
+      e5_cells (fun params -> e5_state_scaling ~params ());
+    entry "e6" "adoption dynamics"
+      [ "scenario"; "final ISPs"; "final apps"; "tip step" ]
+      e6_cells (fun _ -> e6_adoption ());
+    entry "e7" "vN-Bone survivability"
+      [ "failure"; "k=1"; "k=2"; "k=3"; "repair tunnels" ]
+      e7_cells (fun params -> e7_robustness ~params ());
+    entry "e8" "anycast convergence (LS vs DV)"
+      [ "routers"; "LS rounds"; "DV join"; "DV leave" ]
+      e8_cells (fun _ -> e8_convergence ());
+    entry "e9" "host-advertised routes vs proxy"
+      [
+        "failure";
+        "host-adv delivery";
+        "proxy delivery";
+        "host-adv exposure";
+        "proxy exposure";
+      ]
+      e9_cells (fun params -> e9_host_advertised ~params ());
+    entry "e10" "discovery ablation"
+      [ "discovery"; "intra tunnels"; "vN stretch"; "connected" ]
+      e10_cells (fun params -> e10_discovery_ablation ~params ());
+    entry "e11" "congruence"
+      [ "fraction"; "members"; "vN stretch"; "inter tunnels" ]
+      e11_cells (fun params -> e11_congruence ~params ());
+    entry "e12" "GIA radius"
+      [ "scheme"; "home share"; "stretch"; "delivery"; "mean RIB" ]
+      e12_cells (fun params -> e12_gia_sweep ~params ());
+    entry "e13" "seed stability (95% CI)"
+      [ "strategy"; "vN fraction"; "exposure"; "delivery" ]
+      e13_cells (fun _ -> e13_seed_stability ());
+    entry "e14" "proxy-metric ablation"
+      [ "alpha"; "vN fraction"; "exposure"; "total" ]
+      e14_cells (fun params -> e14_proxy_alpha ~params ());
+    entry "e15" "viability threshold"
+      [ "floor"; "UA final"; "gated final" ]
+      e15_cells (fun _ -> e15_viability_sweep ());
+    entry "e16" "traffic attraction"
+      [ "deployers"; "population"; "traffic"; "premium" ]
+      e16_cells (fun params -> e16_revenue_gravity ~params ());
+    entry "e17" "BGPvN scaling"
+      [ "vN domains"; "members"; "rounds"; "table" ]
+      e17_cells (fun params -> e17_bgpvn_scaling ~params ());
+    entry "e18" "LSA flooding"
+      [ "routers"; "sync msgs"; "update msgs"; "latency"; "ecc" ]
+      e18_cells (fun _ -> e18_flooding_cost ());
+    entry "e19" "asynchronous BGP (MRAI)"
+      [
+        "MRAI";
+        "boot updates";
+        "boot time";
+        "anycast updates";
+        "anycast time";
+        "churn";
+      ]
+      e19_cells (fun params -> e19_mrai_sweep ~params ());
+    entry "e20" "anycast resilience"
+      [ "dead members"; "anycast"; "single server" ]
+      e20_cells (fun params -> e20_anycast_resilience ~params ());
+    entry "e21" "size scaling"
+      [ "domains"; "routers"; "BGP rounds"; "stretch"; "delivery"; "total RIB" ]
+      e21_cells (fun _ -> e21_size_scaling ());
+    entry "e22" "compiled FIB sizes"
+      [ "generations"; "opt1 mean"; "opt1 max"; "opt2 mean"; "opt2 max" ]
+      e22_cells (fun params -> e22_fib_scaling ~params ());
+    entry "e23" "topology-model robustness"
+      [ "model"; "domains"; "delivery"; "stretch"; "exposure drop" ]
+      e23_cells (fun _ -> e23_topology_robustness ());
+    entry "e24" "anycast flow stability"
+      [ "deployed"; "moved this stage"; "never moved" ]
+      e24_cells (fun params -> e24_flow_stability ~params ());
+    entry "e25" "acting in concert"
+      [ "coalition"; "market share"; "gated final"; "UA final" ]
+      e25_cells (fun _ -> e25_coalition_sweep ());
+    entry "e26" "the byte cost of evolution"
+      [ "payload B"; "native"; "evolved"; "overhead"; "header share" ]
+      e26_cells (fun params -> e26_encapsulation_overhead ~params ());
+    entry "e27" "heterogeneous IGPs"
+      [
+        "DV fraction";
+        "delivery";
+        "anycast stretch";
+        "walk domains";
+        "vN stretch";
+      ]
+      e27_cells (fun params -> e27_mixed_igp ~params ());
+    entry "e28" "path hunting on withdrawal"
+      [ "MRAI"; "ann msgs"; "ann churn"; "wd msgs"; "wd churn"; "hunt ratio" ]
+      e28_cells (fun params -> e28_path_hunting ~params ());
+    entry "e29" "the data-plane cost of evolution"
+      [
+        "option";
+        "fraction";
+        "delivery";
+        "mean stretch";
+        "p99 stretch";
+        "byte overhead";
+        "cache hits";
+      ]
+      e29_cells (fun params -> e29_dataplane_cost ~params ());
+    entry "e30" "traffic during churn"
+      [ "tick"; "phase"; "fresh FIBs"; "ok"; "stale"; "lost"; "looped" ]
+      e30_cells (fun params -> e30_churn_traffic ~params ());
+    entry "e31" "control-plane convergence under faults"
+      [ "proto"; "loss"; "crashed"; "msgs"; "overhead"; "settle"; "oracle" ]
+      e31_cells (fun params -> e31_fault_convergence ~params ());
+    entry "e32" "traffic delivery while links flap"
+      [ "tick"; "recovery"; "phase"; "ok"; "stale"; "lost"; "looped" ]
+      e32_cells (fun params -> e32_flap_traffic ~params ());
+    entry "e33" "shard-count invariance of the multicore data plane"
+      [
+        "shards";
+        "packets";
+        "hops";
+        "bytes";
+        "delivered";
+        "dropped";
+        "ttl";
+        "crossings";
+        "identical";
+      ]
+      e33_cells (fun params -> e33_shard_invariance ~params ());
+    entry "e34" "incident-drill catalog sweep"
+      [
+        "drill";
+        "intensity";
+        "detect s";
+        "reconverge s";
+        "blackhole s";
+        "stale";
+        "slo pass";
+      ]
+      e34_cells (fun params -> e34_drill_catalog ~params ());
+    entry "e35" "hijack containment vs deployment level"
+      [
+        "deployed";
+        "hijack peak";
+        "hijack mean";
+        "ok in fault";
+        "reconverge s";
+      ]
+      e35_cells (fun params -> e35_hijack_containment ~params ());
+    entry "e36" "overload response of the finite-queue data plane"
+      [
+        "load/tick";
+        "offered";
+        "goodput";
+        "frac";
+        "ctrl ok";
+        "queue drop";
+        "shed";
+        "delay";
+        "queue hw";
+        "bounded";
+      ]
+      e36_cells (fun params -> e36_overload_response ~params ());
+    entry "e37" "shard crash, supervised restart, zero verdict divergence"
       [
         "shards";
         "restarts";
@@ -3054,17 +2901,5 @@ let print_e37 rows =
         "shed";
         "identical";
       ]
-    ~rows:
-      (List.map
-         (fun r ->
-           [
-             Table.fi r.shards37;
-             Table.fi r.restarts37;
-             Table.fi r.rounds37;
-             Table.fi r.delivered37;
-             Table.fi r.dropped37;
-             Table.fi r.ttl37;
-             Table.fi r.shed37;
-             Table.fb r.identical37;
-           ])
-         rows)
+      e37_cells (fun params -> e37_crash_recovery ~params ());
+  ]

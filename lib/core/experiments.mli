@@ -1,10 +1,12 @@
-(** The quantitative experiments (E1–E28 of DESIGN.md).
+(** The quantitative experiments (E1–E37 of DESIGN.md).
 
-    Each function is deterministic given its arguments, returns typed
-    rows, and has a [pp_*]/[print_*] companion. [bench/main.ml] runs
-    them all; [bin/evolvenet] runs them individually. The expected
-    shapes (who wins, what grows, where the crossover is) are asserted
-    in test/test_experiments.ml and recorded in EXPERIMENTS.md. *)
+    Each function is deterministic given its arguments and returns
+    typed rows. {!registry} holds one entry per experiment: its
+    RESULTS.md heading, column names and formatted cells. The report,
+    [bin/evolvenet exp] and [bench/main.ml] all iterate it. The
+    expected shapes (who wins, what grows, where the crossover is) are
+    asserted in test/test_experiments.ml and recorded in
+    EXPERIMENTS.md. *)
 
 (** {1 E1 — anycast stretch vs deployment fraction (Fig 1 generalized)} *)
 
@@ -24,8 +26,6 @@ val e1_deployment_sweep :
 (** Deployment spreads over a fixed random internet (deployed sets are
     nested as the fraction grows, like the figure's staged story);
     stretch is measured over all endhosts. *)
-
-val print_e1 : e1_row list -> unit
 
 (** {1 E2 — Option 2 default routes vs peering advertisements (Fig 2
     generalized)} *)
@@ -47,8 +47,6 @@ val e2_default_route_sweep :
     participants advertise the anycast route to all their neighbors.
     The last row is the same deployment under Option 1 for reference. *)
 
-val print_e2 : e2_row list -> unit
-
 (** {1 E3/E4 — egress strategies (Figs 3 and 4 generalized)} *)
 
 type strategy_row = {
@@ -69,9 +67,6 @@ val e3_egress_comparison :
 (** All three strategies over random endhost pairs whose destination
     lives in a non-IPvN domain. *)
 
-val print_e3 : strategy_row list -> unit
-val print_e4 : strategy_row list -> unit
-
 (** {1 E5 — routing state: Option 1 vs Option 2} *)
 
 type e5_row = {
@@ -90,8 +85,6 @@ val e5_state_scaling :
   unit ->
   e5_row list
 
-val print_e5 : e5_row list -> unit
-
 (** {1 E6 — adoption dynamics: universal access on/off} *)
 
 type e6_row = {
@@ -105,8 +98,6 @@ type e6_row = {
 val e6_adoption :
   ?seeds:int64 list -> ?base:Adoption.params -> unit -> e6_row list
 (** UA on vs off, averaged over the seeds. *)
-
-val print_e6 : e6_row list -> unit
 
 (** {1 E7 — vN-Bone robustness under member failures}
 
@@ -135,8 +126,6 @@ val e7_robustness :
   unit ->
   e7_row list
 
-val print_e7 : e7_row list -> unit
-
 (** {1 E8 — LS vs DV anycast convergence} *)
 
 type e8_row = {
@@ -147,7 +136,6 @@ type e8_row = {
 }
 
 val e8_convergence : ?sizes:int list -> ?seed:int64 -> unit -> e8_row list
-val print_e8 : e8_row list -> unit
 
 (** {1 E9 — host-advertised routes: optimality vs fate-sharing}
 
@@ -174,8 +162,6 @@ val e9_host_advertised :
   unit ->
   e9_row list
 
-val print_e9 : e9_row list -> unit
-
 (** {1 E10 — vN-Bone discovery: LSDB vs anycast-walk (footnote 2)} *)
 
 type e10_row = {
@@ -187,8 +173,6 @@ type e10_row = {
 
 val e10_discovery_ablation :
   ?params:Topology.Internet.params -> ?deploy_domains:int -> unit -> e10_row list
-
-val print_e10 : e10_row list -> unit
 
 (** {1 E11 — congruence with the physical topology (§3.3.1)}
 
@@ -206,8 +190,6 @@ type e11_row = {
 
 val e11_congruence :
   ?params:Topology.Internet.params -> ?fractions:float list -> unit -> e11_row list
-
-val print_e11 : e11_row list -> unit
 
 (** {1 E12 — GIA search radius (§3.2, Katabi et al.)}
 
@@ -232,8 +214,6 @@ val e12_gia_sweep :
   unit ->
   e12_row list
 
-val print_e12 : e12_row list -> unit
-
 (** {1 E13 — seed stability of the egress comparison}
 
     E3's ordering must not be an artifact of one random internet: the
@@ -254,8 +234,6 @@ val e13_seed_stability :
   ?pairs:int ->
   unit ->
   e13_row list
-
-val print_e13 : e13_row list -> unit
 
 (** {1 E14 — proxy-metric ablation}
 
@@ -279,8 +257,6 @@ val e14_proxy_alpha :
   unit ->
   e14_row list
 
-val print_e14 : e14_row list -> unit
-
 (** {1 E15 — where the chicken-and-egg bites}
 
     Sweeping the app-viability floor (the user share below which
@@ -296,8 +272,6 @@ type e15_row = {
 
 val e15_viability_sweep :
   ?seeds:int64 list -> ?thresholds:float list -> unit -> e15_row list
-
-val print_e15 : e15_row list -> unit
 
 (** {1 E16 — traffic attraction under gravity workloads (A4)}
 
@@ -321,8 +295,6 @@ val e16_revenue_gravity :
   unit ->
   e16_row list
 
-val print_e16 : e16_row list -> unit
-
 (** {1 E17 — BGPvN convergence and state}
 
     The distributed vN routing protocol's cost: exchange rounds to the
@@ -344,8 +316,6 @@ val e17_bgpvn_scaling :
   unit ->
   e17_row list
 
-val print_e17 : e17_row list -> unit
-
 (** {1 E18 — message-level LSA flooding}
 
     The dynamics beneath E8's round counts: actual LSA transmissions
@@ -361,7 +331,6 @@ type e18_row = {
 }
 
 val e18_flooding_cost : ?sizes:int list -> ?seed:int64 -> unit -> e18_row list
-val print_e18 : e18_row list -> unit
 
 (** {1 E19 — asynchronous BGP dynamics}
 
@@ -382,8 +351,6 @@ type e19_row = {
 
 val e19_mrai_sweep :
   ?params:Topology.Internet.params -> ?mrais:float list -> unit -> e19_row list
-
-val print_e19 : e19_row list -> unit
 
 (** {1 E20 — anycast as a resilience mechanism}
 
@@ -406,8 +373,6 @@ val e20_anycast_resilience :
   unit ->
   e20_row list
 
-val print_e20 : e20_row list -> unit
-
 (** {1 E21 — behaviour and cost vs internet size}
 
     Sanity that the reproduction's claims are not an artifact of one
@@ -426,7 +391,6 @@ type e21_row = {
 }
 
 val e21_size_scaling : ?transit_counts:int list -> unit -> e21_row list
-val print_e21 : e21_row list -> unit
 
 (** {1 E22 — data-plane state: compiled FIB sizes}
 
@@ -449,8 +413,6 @@ val e22_fib_scaling :
   unit ->
   e22_row list
 
-val print_e22 : e22_row list -> unit
-
 (** {1 E23 — topology-model robustness}
 
     The headline claims (universal access, modest stretch, exposure
@@ -467,7 +429,6 @@ type e23_row = {
 }
 
 val e23_topology_robustness : ?pairs:int -> unit -> e23_row list
-val print_e23 : e23_row list -> unit
 
 (** {1 E24 — anycast flow stability under deployment churn}
 
@@ -486,8 +447,6 @@ type e24_row = {
 val e24_flow_stability :
   ?params:Topology.Internet.params -> ?stages:int -> unit -> e24_row list
 
-val print_e24 : e24_row list -> unit
-
 (** {1 E25 — acting in concert}
 
     The paper's diagnosis of the impasse: "since they all have to act
@@ -504,8 +463,6 @@ type e25_row = {
 
 val e25_coalition_sweep :
   ?seeds:int64 list -> ?coalitions:int list -> unit -> e25_row list
-
-val print_e25 : e25_row list -> unit
 
 (** {1 E26 — the byte cost of evolution}
 
@@ -531,8 +488,6 @@ val e26_encapsulation_overhead :
   unit ->
   e26_row list
 
-val print_e26 : e26_row list -> unit
-
 (** {1 E27 — heterogeneous IGPs end to end}
 
     Footnote 2 made operational: some domains run unmodified
@@ -556,8 +511,6 @@ val e27_mixed_igp :
   unit ->
   e27_row list
 
-val print_e27 : e27_row list -> unit
-
 (** {1 E28 — the cost of leaving}
 
     Evolution also means withdrawals: a participant ISP can stop
@@ -578,8 +531,6 @@ type e28_row = {
 
 val e28_path_hunting :
   ?params:Topology.Internet.params -> ?mrais:float list -> unit -> e28_row list
-
-val print_e28 : e28_row list -> unit
 
 (** {1 E29 — the data-plane cost of evolution}
 
@@ -606,8 +557,6 @@ val e29_dataplane_cost :
   ?flows:int ->
   unit ->
   e29_row list
-
-val print_e29 : e29_row list -> unit
 
 (** {1 E30 — traffic during churn}
 
@@ -637,8 +586,6 @@ val e30_churn_traffic :
   ?window:int ->
   unit ->
   e30_row list
-
-val print_e30 : e30_row list -> unit
 
 (** {1 E31 — control-plane convergence under faults}
 
@@ -671,8 +618,6 @@ val e31_fault_convergence :
   unit ->
   e31_row list
 
-val print_e31 : e31_row list -> unit
-
 (** {1 E32 — traffic delivery while links flap}
 
     E30's accounting, under link failures instead of membership churn:
@@ -701,8 +646,6 @@ val e32_flap_traffic :
   ?flap_links:int ->
   unit ->
   e32_row list
-
-val print_e32 : e32_row list -> unit
 
 (** {1 E33 — shard-count invariance of the multicore data plane}
 
@@ -737,8 +680,6 @@ val e33_shard_invariance :
   unit ->
   e33_row list
 
-val print_e33 : e33_row list -> unit
-
 (** {1 E34 — incident-drill catalog sweep}
 
     ROADMAP item 4 made replayable: every {!Ops.Drillbook.catalog}
@@ -766,8 +707,6 @@ val e34_drill_catalog :
   unit ->
   e34_row list
 
-val print_e34 : e34_row list -> unit
-
 (** {1 E35 — hijack containment vs deployment level}
 
     The flip side of §3.2's Option-1 anycast: any domain can originate
@@ -791,8 +730,6 @@ val e35_hijack_containment :
   ?levels:int list ->
   unit ->
   e35_row list
-
-val print_e35 : e35_row list -> unit
 
 (** {1 E36 — overload response of the finite-queue data plane}
 
@@ -833,8 +770,6 @@ val e36_overload_response :
   unit ->
   e36_row list
 
-val print_e36 : e36_row list -> unit
-
 (** {1 E37 — shard crash, supervised restart, zero verdict divergence}
 
     The supervision half of DESIGN.md §13: a worker of the sharded
@@ -867,4 +802,23 @@ val e37_crash_recovery :
   unit ->
   e37_row list
 
-val print_e37 : e37_row list -> unit
+(** {1 Registry} *)
+
+type entry = {
+  id : string;  (** ["e1"] .. ["e37"]; the [evolvenet exp] operand *)
+  title : string;  (** RESULTS.md heading text after ["EN — "] *)
+  header : string list;  (** column names *)
+  run : Topology.Internet.params -> string list list;
+      (** formatted cells, one list per row. E6, E8, E13, E15, E18,
+          E21, E23 and E25 ignore the params: they fix their own
+          topologies or seeds. E34 and E35 keep their drill books'
+          seeds. *)
+}
+
+val heading : entry -> string
+(** ["EN — title"]: the report's section heading and the [exp]
+    output's underlined title. *)
+
+val registry : entry list
+(** Every experiment, in order. [Report.generate] renders each with
+    [run Topology.Internet.default_params]. *)

@@ -29,547 +29,15 @@ let figure_section buf =
   heading buf 3 "Figure 4 — advertising-by-proxy";
   code buf (render Scenario.pp_fig4 (Scenario.fig4 ()))
 
-(* capture Table.print-style output by rebuilding with Table.render *)
-let table header rows = Table.render ~header ~rows
-
 let experiment_section buf =
   heading buf 2 "Experiments";
-  let add title body =
-    heading buf 3 title;
-    code buf body
-  in
-  add "E1 — anycast stretch vs deployment fraction"
-    (table
-       [ "fraction"; "domains"; "mean stretch"; "p95"; "delivery" ]
-       (List.map
-          (fun (r : E.e1_row) ->
-            [
-              Table.ff r.E.fraction;
-              Table.fi r.E.deployed_domains;
-              Table.ff r.E.mean_stretch;
-              Table.ff r.E.p95_stretch;
-              Table.fpct r.E.delivery_rate;
-            ])
-          (E.e1_deployment_sweep ())));
-  add "E2 — Option 2 default routes vs peering advertisements"
-    (table
-       [ "scheme"; "advertisers"; "default share"; "stretch"; "delivery" ]
-       (List.map
-          (fun (r : E.e2_row) ->
-            [
-              r.E.label;
-              Table.fi r.E.advertisers;
-              Table.fpct r.E.default_share;
-              Table.ff r.E.mean_stretch2;
-              Table.fpct r.E.delivery2;
-            ])
-          (E.e2_default_route_sweep ())));
-  let strategy_table rows =
-    table
-      [ "strategy"; "vN fraction"; "vN hops"; "exposure"; "total"; "delivery" ]
-      (List.map
-         (fun (r : E.strategy_row) ->
-           [
-             r.E.strategy_name;
-             Table.ff r.E.mean_vn_fraction;
-             Table.ff r.E.mean_vn_hops;
-             Table.ff r.E.mean_exposure_hops;
-             Table.ff r.E.mean_total_hops;
-             Table.fpct r.E.journey_delivery;
-           ])
-         rows)
-  in
-  add "E3 — egress strategies (30% deployed)"
-    (strategy_table (E.e3_egress_comparison ()));
-  add "E4 — egress strategies (15% deployed)"
-    (strategy_table (E.e3_egress_comparison ~deploy_fraction:0.15 ~pairs:80 ()));
-  add "E5 — RIB state vs concurrent generations"
-    (table
-       [ "generations"; "opt1 mean"; "opt1 max"; "opt2 mean"; "opt2 max"; "baseline" ]
-       (List.map
-          (fun (r : E.e5_row) ->
-            [
-              Table.fi r.E.generations;
-              Table.ff r.E.opt1_mean_rib;
-              Table.fi r.E.opt1_max_rib;
-              Table.ff r.E.opt2_mean_rib;
-              Table.fi r.E.opt2_max_rib;
-              Table.fi r.E.baseline_rib;
-            ])
-          (E.e5_state_scaling ())));
-  add "E6 — adoption dynamics"
-    (table
-       [ "scenario"; "final ISPs"; "final apps"; "tip step" ]
-       (List.map
-          (fun (r : E.e6_row) ->
-            [
-              r.E.scenario;
-              Table.fpct r.E.final_isp_fraction;
-              Table.fpct r.E.final_app_fraction;
-              (match r.E.tip_step with Some s -> Table.fi s | None -> "never");
-            ])
-          (E.e6_adoption ())));
-  add "E7 — vN-Bone survivability"
-    (table
-       [ "failure"; "k=1"; "k=2"; "k=3"; "repair tunnels" ]
-       (List.map
-          (fun (r : E.e7_row) ->
-            [
-              Table.ff r.E.failure_fraction;
-              Table.fpct r.E.survive_k1;
-              Table.fpct r.E.survive_k2;
-              Table.fpct r.E.survive_k3;
-              Table.ff r.E.mean_repair_tunnels;
-            ])
-          (E.e7_robustness ())));
-  add "E8 — anycast convergence (LS vs DV)"
-    (table
-       [ "routers"; "LS rounds"; "DV join"; "DV leave" ]
-       (List.map
-          (fun (r : E.e8_row) ->
-            [
-              Table.fi r.E.domain_routers;
-              Table.ff r.E.ls_mean_rounds;
-              Table.ff r.E.dv_join_rounds;
-              Table.ff r.E.dv_leave_rounds;
-            ])
-          (E.e8_convergence ())));
-  add "E9 — host-advertised routes vs proxy"
-    (table
-       [ "failure"; "host-adv delivery"; "proxy delivery"; "host-adv exposure"; "proxy exposure" ]
-       (List.map
-          (fun (r : E.e9_row) ->
-            [
-              Table.ff r.E.member_failure;
-              Table.fpct r.E.host_adv_delivery;
-              Table.fpct r.E.proxy_delivery;
-              Table.ff r.E.host_adv_exposure;
-              Table.ff r.E.proxy_exposure;
-            ])
-          (E.e9_host_advertised ())));
-  add "E10 — discovery ablation"
-    (table
-       [ "discovery"; "intra tunnels"; "vN stretch"; "connected" ]
-       (List.map
-          (fun (r : E.e10_row) ->
-            [
-              r.E.discovery_name;
-              Table.fi r.E.intra_tunnels;
-              Table.ff r.E.vn_stretch;
-              Table.fb r.E.connected10;
-            ])
-          (E.e10_discovery_ablation ())));
-  add "E11 — congruence"
-    (table
-       [ "fraction"; "members"; "vN stretch"; "inter tunnels" ]
-       (List.map
-          (fun (r : E.e11_row) ->
-            [
-              Table.ff r.E.deploy_fraction11;
-              Table.fi r.E.members11;
-              Table.ff r.E.vn_stretch11;
-              Table.fi r.E.inter_tunnels11;
-            ])
-          (E.e11_congruence ())));
-  add "E12 — GIA radius"
-    (table
-       [ "scheme"; "home share"; "stretch"; "delivery"; "mean RIB" ]
-       (List.map
-          (fun (r : E.e12_row) ->
-            [
-              r.E.scheme12;
-              Table.fpct r.E.home_share;
-              Table.ff r.E.mean_stretch12;
-              Table.fpct r.E.delivery12;
-              Table.ff r.E.mean_rib12;
-            ])
-          (E.e12_gia_sweep ())));
-  add "E13 — seed stability (95% CI)"
-    (table
-       [ "strategy"; "vN fraction"; "exposure"; "delivery" ]
-       (List.map
-          (fun (r : E.e13_row) ->
-            [
-              r.E.strategy13;
-              Stats.to_string r.E.vn_fraction_ci;
-              Stats.to_string r.E.exposure_ci;
-              Stats.to_string r.E.delivery_ci;
-            ])
-          (E.e13_seed_stability ())));
-  add "E14 — proxy-metric ablation"
-    (table
-       [ "alpha"; "vN fraction"; "exposure"; "total" ]
-       (List.map
-          (fun (r : E.e14_row) ->
-            [
-              Table.ff r.E.alpha;
-              Table.ff r.E.alpha_vn_fraction;
-              Table.ff r.E.alpha_exposure;
-              Table.ff r.E.alpha_total_hops;
-            ])
-          (E.e14_proxy_alpha ())));
-  add "E15 — viability threshold"
-    (table
-       [ "floor"; "UA final"; "gated final" ]
-       (List.map
-          (fun (r : E.e15_row) ->
-            [
-              Table.ff r.E.viability;
-              Table.fpct r.E.ua_final;
-              Table.fpct r.E.gated_final;
-            ])
-          (E.e15_viability_sweep ())));
-  add "E16 — traffic attraction"
-    (table
-       [ "deployers"; "population"; "traffic"; "premium" ]
-       (List.map
-          (fun (r : E.e16_row) ->
-            [
-              r.E.picker;
-              Table.fpct r.E.pop_share;
-              Table.fpct r.E.traffic_share;
-              Table.ff r.E.attraction_premium;
-            ])
-          (E.e16_revenue_gravity ())));
-  add "E17 — BGPvN scaling"
-    (table
-       [ "vN domains"; "members"; "rounds"; "table" ]
-       (List.map
-          (fun (r : E.e17_row) ->
-            [
-              Table.fi r.E.vn_domains;
-              Table.fi r.E.vn_members;
-              Table.fi r.E.bgpvn_rounds;
-              Table.ff r.E.mean_table;
-            ])
-          (E.e17_bgpvn_scaling ())));
-  add "E18 — LSA flooding"
-    (table
-       [ "routers"; "sync msgs"; "update msgs"; "latency"; "ecc" ]
-       (List.map
-          (fun (r : E.e18_row) ->
-            [
-              Table.fi r.E.ls_routers;
-              Table.fi r.E.sync_messages;
-              Table.fi r.E.update_messages;
-              Table.ff r.E.update_latency;
-              Table.fi r.E.eccentricity;
-            ])
-          (E.e18_flooding_cost ())));
-  add "E19 — asynchronous BGP (MRAI)"
-    (table
-       [ "MRAI"; "boot updates"; "boot time"; "anycast updates"; "anycast time"; "churn" ]
-       (List.map
-          (fun (r : E.e19_row) ->
-            [
-              Table.ff r.E.mrai;
-              Table.fi r.E.boot_updates;
-              Table.ff r.E.boot_time;
-              Table.fi r.E.anycast_updates;
-              Table.ff r.E.anycast_time;
-              Table.fi r.E.churn;
-            ])
-          (E.e19_mrai_sweep ())));
-  add "E20 — anycast resilience"
-    (table
-       [ "dead members"; "anycast"; "single server" ]
-       (List.map
-          (fun (r : E.e20_row) ->
-            [
-              Table.fi r.E.dead_members;
-              Table.fpct r.E.anycast_delivery;
-              Table.fpct r.E.unicast_delivery;
-            ])
-          (E.e20_anycast_resilience ())));
-  add "E21 — size scaling"
-    (table
-       [ "domains"; "routers"; "BGP rounds"; "stretch"; "delivery"; "total RIB" ]
-       (List.map
-          (fun (r : E.e21_row) ->
-            [
-              Table.fi r.E.domains21;
-              Table.fi r.E.routers21;
-              Table.fi r.E.bgp_rounds;
-              Table.ff r.E.mean_stretch21;
-              Table.fpct r.E.delivery21;
-              Table.fi r.E.total_rib;
-            ])
-          (E.e21_size_scaling ())));
-  add "E22 — compiled FIB sizes"
-    (table
-       [ "generations"; "opt1 mean"; "opt1 max"; "opt2 mean"; "opt2 max" ]
-       (List.map
-          (fun (r : E.e22_row) ->
-            [
-              Table.fi r.E.generations22;
-              Table.ff r.E.opt1_mean_fib;
-              Table.fi r.E.opt1_max_fib;
-              Table.ff r.E.opt2_mean_fib;
-              Table.fi r.E.opt2_max_fib;
-            ])
-          (E.e22_fib_scaling ())));
-  add "E23 — topology-model robustness"
-    (table
-       [ "model"; "domains"; "delivery"; "stretch"; "exposure drop" ]
-       (List.map
-          (fun (r : E.e23_row) ->
-            [
-              r.E.model;
-              Table.fi r.E.domains23;
-              Table.fpct r.E.delivery23;
-              Table.ff r.E.stretch23;
-              Table.fpct r.E.exposure_drop;
-            ])
-          (E.e23_topology_robustness ())));
-  add "E24 — anycast flow stability"
-    (table
-       [ "deployed"; "moved this stage"; "never moved" ]
-       (List.map
-          (fun (r : E.e24_row) ->
-            [
-              Table.fi r.E.stage;
-              Table.fpct r.E.ingress_changed;
-              Table.fpct r.E.cumulative_stability;
-            ])
-          (E.e24_flow_stability ())));
-  add "E25 — acting in concert"
-    (table
-       [ "coalition"; "market share"; "gated final"; "UA final" ]
-       (List.map
-          (fun (r : E.e25_row) ->
-            [
-              Table.fi r.E.coalition;
-              Table.fpct r.E.coalition_share;
-              Table.fpct r.E.gated_final25;
-              Table.fpct r.E.ua_final25;
-            ])
-          (E.e25_coalition_sweep ())));
-  add "E26 — the byte cost of evolution"
-    (table
-       [ "payload B"; "native"; "evolved"; "overhead"; "header share" ]
-       (List.map
-          (fun (r : E.e26_row) ->
-            [
-              Table.fi r.E.payload_bytes;
-              Table.ff r.E.native_bytes;
-              Table.ff r.E.evolved_bytes;
-              Table.fpct r.E.byte_overhead;
-              Table.fpct r.E.header_share;
-            ])
-          (E.e26_encapsulation_overhead ())));
-  add "E27 — heterogeneous IGPs"
-    (table
-       [ "DV fraction"; "delivery"; "anycast stretch"; "walk domains"; "vN stretch" ]
-       (List.map
-          (fun (r : E.e27_row) ->
-            [
-              Table.ff r.E.dv_fraction;
-              Table.fpct r.E.delivery27;
-              Table.ff r.E.stretch27;
-              Table.fi r.E.walk_domains;
-              Table.ff r.E.vn_stretch27;
-            ])
-          (E.e27_mixed_igp ())));
-  add "E28 — path hunting on withdrawal"
-    (table
-       [ "MRAI"; "ann msgs"; "ann churn"; "wd msgs"; "wd churn"; "hunt ratio" ]
-       (List.map
-          (fun (r : E.e28_row) ->
-            [
-              Table.ff r.E.mrai28;
-              Table.fi r.E.announce_updates;
-              Table.fi r.E.announce_churn;
-              Table.fi r.E.withdraw_updates;
-              Table.fi r.E.withdraw_churn;
-              Table.ff r.E.hunt_ratio;
-            ])
-          (E.e28_path_hunting ())));
-  add "E29 — the data-plane cost of evolution"
-    (table
-       [
-         "option";
-         "fraction";
-         "delivery";
-         "mean stretch";
-         "p99 stretch";
-         "byte overhead";
-         "cache hits";
-       ]
-       (List.map
-          (fun (r : E.e29_row) ->
-            [
-              r.E.option29;
-              Table.ff r.E.fraction29;
-              Table.fpct r.E.delivery29;
-              Table.ff r.E.mean_stretch29;
-              Table.ff r.E.p99_stretch29;
-              Table.fpct r.E.byte_overhead29;
-              Table.fpct r.E.cache_hit29;
-            ])
-          (E.e29_dataplane_cost ())));
-  add "E30 — traffic during churn"
-    (table
-       [ "tick"; "phase"; "fresh FIBs"; "ok"; "stale"; "lost"; "looped" ]
-       (List.map
-          (fun (r : E.e30_row) ->
-            [
-              Table.fi r.E.tick30;
-              r.E.phase30;
-              Table.fpct r.E.fresh30;
-              Table.fpct r.E.ok30;
-              Table.fpct r.E.stale30;
-              Table.fpct r.E.lost30;
-              Table.fpct r.E.looped30;
-            ])
-          (E.e30_churn_traffic ())));
-  add "E31 — control-plane convergence under faults"
-    (table
-       [ "proto"; "loss"; "crashed"; "msgs"; "overhead"; "settle"; "oracle" ]
-       (List.map
-          (fun (r : E.e31_row) ->
-            [
-              r.E.proto31;
-              Table.fpct r.E.loss31;
-              Table.fi r.E.crashed31;
-              Table.fi r.E.msgs31;
-              Table.fi r.E.overhead31;
-              Table.ff r.E.settle31;
-              (if r.E.agrees31 then "agree" else "DISAGREE");
-            ])
-          (E.e31_fault_convergence ())));
-  add "E32 — traffic delivery while links flap"
-    (table
-       [ "tick"; "recovery"; "phase"; "ok"; "stale"; "lost"; "looped" ]
-       (List.map
-          (fun (r : E.e32_row) ->
-            [
-              Table.fi r.E.tick32;
-              Table.fb r.E.recovery32;
-              r.E.phase32;
-              Table.fpct r.E.ok32;
-              Table.fpct r.E.stale32;
-              Table.fpct r.E.lost32;
-              Table.fpct r.E.looped32;
-            ])
-          (E.e32_flap_traffic ())));
-  add "E33 — shard-count invariance of the multicore data plane"
-    (table
-       [
-         "shards";
-         "packets";
-         "hops";
-         "bytes";
-         "delivered";
-         "dropped";
-         "ttl";
-         "crossings";
-         "identical";
-       ]
-       (List.map
-          (fun (r : E.e33_row) ->
-            [
-              Table.fi r.E.shards33;
-              Table.fi r.E.packets33;
-              Table.fi r.E.hops33;
-              Table.fi r.E.bytes33;
-              Table.fi r.E.delivered33;
-              Table.fi r.E.dropped33;
-              Table.fi r.E.ttl33;
-              Table.fi r.E.crossings33;
-              Table.fb r.E.identical33;
-            ])
-          (E.e33_shard_invariance ())));
-  let fopt = function None -> "n/a" | Some f -> Table.ff f in
-  add "E34 — incident-drill catalog sweep"
-    (table
-       [
-         "drill";
-         "intensity";
-         "detect s";
-         "reconverge s";
-         "blackhole s";
-         "stale";
-         "slo pass";
-       ]
-       (List.map
-          (fun (r : E.e34_row) ->
-            [
-              r.E.drill34;
-              Table.ff r.E.intensity34;
-              fopt r.E.detection34;
-              fopt r.E.reconverge34;
-              Table.ff r.E.blackhole34;
-              Table.ff r.E.stale34;
-              Table.fb r.E.pass34;
-            ])
-          (E.e34_drill_catalog ())));
-  add "E35 — hijack containment vs deployment level"
-    (table
-       [ "deployed"; "hijack peak"; "hijack mean"; "ok in fault"; "reconverge s" ]
-       (List.map
-          (fun (r : E.e35_row) ->
-            [
-              Table.fi r.E.deploy35;
-              Table.ff r.E.hijacked_peak35;
-              Table.ff r.E.hijacked_mean35;
-              Table.ff r.E.ok_fault35;
-              fopt r.E.reconverge35;
-            ])
-          (E.e35_hijack_containment ())));
-  add "E36 — overload response of the finite-queue data plane"
-    (table
-       [
-         "load/tick";
-         "offered";
-         "goodput";
-         "frac";
-         "ctrl ok";
-         "queue drop";
-         "shed";
-         "delay";
-         "queue hw";
-         "bounded";
-       ]
-       (List.map
-          (fun (r : E.e36_row) ->
-            [
-              Table.fi r.E.load36;
-              Table.fi r.E.offered36;
-              Table.fi r.E.goodput36;
-              Table.ff r.E.goodput_frac36;
-              Table.ff r.E.ctrl_ok36;
-              Table.fi r.E.qdrop36;
-              Table.fi r.E.shed36;
-              Table.ff r.E.delay36;
-              Table.fi r.E.queued_hw36;
-              Table.fb r.E.bounded36;
-            ])
-          (E.e36_overload_response ())));
-  add "E37 — shard crash, supervised restart, zero verdict divergence"
-    (table
-       [
-         "shards";
-         "restarts";
-         "rounds";
-         "delivered";
-         "dropped";
-         "ttl";
-         "shed";
-         "identical";
-       ]
-       (List.map
-          (fun (r : E.e37_row) ->
-            [
-              Table.fi r.E.shards37;
-              Table.fi r.E.restarts37;
-              Table.fi r.E.rounds37;
-              Table.fi r.E.delivered37;
-              Table.fi r.E.dropped37;
-              Table.fi r.E.ttl37;
-              Table.fi r.E.shed37;
-              Table.fb r.E.identical37;
-            ])
-          (E.e37_crash_recovery ())))
+  List.iter
+    (fun (e : E.entry) ->
+      heading buf 3 (E.heading e);
+      code buf
+        (Table.render ~header:e.E.header
+           ~rows:(e.E.run Topology.Internet.default_params)))
+    E.registry
 
 let generate () =
   let buf = Buffer.create 16384 in

@@ -6,8 +6,9 @@
     Deterministic: two runs produce identical text. *)
 
 val generate : unit -> string
-(** The full report as markdown. Takes a few seconds (it runs all of
-    E1–E23). *)
+(** The full report as markdown: the four figures, then one section
+    per {!Experiments.registry} entry, run on
+    [Topology.Internet.default_params]. Takes a few seconds. *)
 
 val write : path:string -> unit
 (** Render {!generate} to a file. *)

@@ -22,9 +22,15 @@ let render ~header ~rows =
   List.iter emit rows;
   Buffer.contents buf
 
+(* UTF-8 code points: every byte but the 10xxxxxx continuations *)
+let utf8_length s =
+  String.fold_left
+    (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1)
+    0 s
+
 let print ~title ~header ~rows =
   print_endline title;
-  print_endline (String.make (String.length title) '=');
+  print_endline (String.make (utf8_length title) '=');
   print_string (render ~header ~rows);
   print_newline ()
 

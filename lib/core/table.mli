@@ -7,7 +7,8 @@ val render : header:string list -> rows:string list list -> string
 
 val print : title:string -> header:string list -> rows:string list list -> unit
 (** Render to stdout with an underlined title and a trailing blank
-    line. *)
+    line. The underline has one ['='] per UTF-8 code point of the
+    title. *)
 
 val ff : float -> string
 (** Compact float: ["1.25"], ["inf"], ["-"] for nan. *)

@@ -67,6 +67,52 @@ let test_exp_list () =
     [ "e1"; "e33"; "e34"; "e35" ];
   check Alcotest.bool "describes the drill sweep" true (contains out "drill")
 
+(* --- exp prints RESULTS.md's tables ---------------------------------- *)
+
+let results_md =
+  lazy
+    (let path =
+       Filename.concat
+         (Filename.dirname Sys.executable_name)
+         (Filename.concat ".." "RESULTS.md")
+     in
+     let ic = open_in_bin path in
+     let body = really_input_string ic (in_channel_length ic) in
+     close_in ic;
+     body)
+
+(* `exp eN` prints "EN — title", its underline, the table and a blank
+   line; RESULTS.md holds the same heading and table as a markdown
+   section. E8 and E18 build their own single domain and must not take
+   the topology seed; E10 is built on the random internet. *)
+let test_exp_matches_results id () =
+  let code, out = run_out ("exp " ^ id) in
+  check Alcotest.int "exit code" 0 code;
+  match String.split_on_char '\n' out with
+  | heading :: _underline :: table ->
+      let table = String.concat "\n" table in
+      (* drop the trailing blank line Table.print adds *)
+      let table = String.sub table 0 (String.length table - 1) in
+      let results = Lazy.force results_md in
+      let occurs needle =
+        let nl = String.length needle in
+        let rec go i =
+          i + nl <= String.length results
+          && (String.sub results i nl = needle || go (i + 1))
+        in
+        go 0
+      in
+      check Alcotest.bool (id ^ " table is RESULTS.md's") true
+        (occurs ("```\n" ^ table ^ "```\n"));
+      check Alcotest.bool (id ^ " heading is RESULTS.md's") true
+        (occurs (Printf.sprintf "### %s\n\n```\n%s```\n" heading table))
+  | _ -> Alcotest.failf "exp %s: no heading" id
+
+let test_exp_seed_reaches_random_internet () =
+  let _, default = run_out "exp e10" in
+  let _, seeded = run_out "exp e10 --seed 7" in
+  check Alcotest.bool "--seed changes e10" false (String.equal default seeded)
+
 let test_unknown_figure () =
   let code, msg = run "fig 99" in
   check Alcotest.int "exit code" 2 code;
@@ -381,6 +427,17 @@ let () =
           Alcotest.test_case "unknown flag" `Quick test_unknown_flag;
           Alcotest.test_case "help exits 0" `Quick test_help_exits_zero;
           Alcotest.test_case "exp list" `Quick test_exp_list;
+        ] );
+      ( "exp",
+        [
+          Alcotest.test_case "e8 matches RESULTS.md" `Quick
+            (test_exp_matches_results "e8");
+          Alcotest.test_case "e18 matches RESULTS.md" `Quick
+            (test_exp_matches_results "e18");
+          Alcotest.test_case "e10 matches RESULTS.md" `Quick
+            (test_exp_matches_results "e10");
+          Alcotest.test_case "--seed reaches e10" `Quick
+            test_exp_seed_reaches_random_internet;
         ] );
       ( "drill",
         [

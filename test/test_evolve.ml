@@ -399,6 +399,22 @@ let test_report_deterministic_and_complete () =
   Unix.putenv "EVOLVENET_SHARDS" "4";
   let b = Evolve.Report.generate () in
   check Alcotest.bool "deterministic" true (a = b);
+  (* the committed RESULTS.md is the artifact readers check: it must be
+     what the code generates (resolved relative to this executable,
+     like the drill files in test_ops) *)
+  let committed =
+    let path =
+      Filename.concat
+        (Filename.dirname Sys.executable_name)
+        (Filename.concat ".." "RESULTS.md")
+    in
+    let ic = open_in_bin path in
+    let body = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    body
+  in
+  check Alcotest.bool "RESULTS.md is current (evolvenet report -o RESULTS.md)"
+    true (String.equal a committed);
   List.iter
     (fun needle ->
       check Alcotest.bool ("contains " ^ needle) true
@@ -426,6 +442,34 @@ let test_table_render () =
       let col s = String.index s (if s = header then 'l' else '1') in
       check Alcotest.int "aligned columns" (String.index header 'l') (col row)
   | _ -> Alcotest.fail "unexpected shape")
+
+(* Table.print's underline counts UTF-8 code points, not bytes: an em
+   dash (3 bytes) gets one '=' *)
+let test_table_print_underline () =
+  let title = "E14 \xE2\x80\x94 proxy-metric ablation" in
+  let tmp = Filename.temp_file "evolve_table" ".out" in
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stdout;
+  Unix.dup2 fd Unix.stdout;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved;
+      Unix.close fd)
+    (fun () -> Table.print ~title ~header:[ "alpha" ] ~rows:[ [ "0.00" ] ]);
+  let ic = open_in_bin tmp in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove tmp;
+  match String.split_on_char '\n' out with
+  | t :: underline :: _ ->
+      check Alcotest.string "title" title t;
+      check Alcotest.int "one '=' per code point" 27 (String.length underline);
+      check Alcotest.bool "only '='" true
+        (String.for_all (fun c -> c = '=') underline)
+  | _ -> Alcotest.fail "no underline"
 
 let test_table_formatting () =
   check Alcotest.string "ff" "1.25" (Table.ff 1.25);
@@ -500,6 +544,7 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "formatting" `Quick test_table_formatting;
+          Alcotest.test_case "print underline" `Quick test_table_print_underline;
         ] );
       ( "report",
         [

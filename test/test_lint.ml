@@ -156,50 +156,65 @@ let test_mli_with_section_word () =
 
 (* --- experiment completeness ---------------------------------------- *)
 
-(* e1 has all seven artifacts; e2 is missing cli, bench, report, docs
-   and test. *)
+(* e1 has all four artifacts. e2 has its row and a binding but is
+   missing its registration (an "e2" literal outside [registry] does
+   not count), its EXPERIMENTS.md entry and its test suite. e3 exists
+   only as a registry id, as E4 does in the real tree, so its missing
+   row record is still found. *)
 let fixture_sources =
   {
     L.experiments_ml =
       ( "lib/core/experiments.ml",
         "type e1_row = { x : int }\n\
          let e1_sweep () = []\n\
-         let print_e1 _ = ()\n\
          type e2_row = { y : int }\n\
-         let e2_sweep () = []\n\
-         let print_e2 _ = ()\n" );
-    L.bin_ml =
-      ("bin/evolvenet.ml", "let run = function \"e1\" -> () | _ -> ()\n");
-    L.bench_ml = ("bench/main.ml", "let () = print_e1 []\n");
-    L.report_ml = ("lib/core/report.ml", "let s = \"E1 \xE2\x80\x94 sweep\"\n");
-    L.test_ml = ("test/test_experiments.ml", "let suites = [ (\"e1\", []) ]\n");
-    L.experiments_md = ("EXPERIMENTS.md", "## E1 \xE2\x80\x94 the sweep\n");
+         let e2_sweep () = [ \"e2\" ]\n\
+         let registry = [ (\"e1\", \"the sweep\"); (\"e3\", \"registry only\") ]\n" );
+    L.test_ml =
+      ( "test/test_experiments.ml",
+        "let suites = [ (\"e1\", []); (\"e3\", []) ]\n" );
+    L.experiments_md =
+      ( "EXPERIMENTS.md",
+        "## E1 \xE2\x80\x94 the sweep\n## E3 \xE2\x80\x94 registry only\n" );
   }
 
 let test_experiment_completeness () =
   let diags = L.check_experiments ~allow:empty fixture_sources in
-  let mentions n =
-    List.length
-      (List.filter
-         (fun (d : L.diag) ->
-           d.L.rule = "experiment-artifacts"
-           &&
-           let pre = Printf.sprintf "e%d is missing" n in
-           String.length d.L.msg >= String.length pre
-           && String.sub d.L.msg 0 (String.length pre) = pre)
-         diags)
+  (* the artifact names of "eN is missing its ARTIFACT artifact: ..." *)
+  let missing n =
+    let pre = Printf.sprintf "e%d is missing its " n in
+    let pl = String.length pre in
+    List.filter_map
+      (fun (d : L.diag) ->
+        let m = d.L.msg in
+        if
+          d.L.rule = "experiment-artifacts"
+          && String.length m > pl
+          && String.sub m 0 pl = pre
+        then
+          Some
+            (List.hd
+               (String.split_on_char ' ' (String.sub m pl (String.length m - pl))))
+        else None)
+      diags
+    |> List.sort compare
   in
-  check Alcotest.int "e1 complete" 0 (mentions 1);
-  check Alcotest.int "e2 missing five artifacts" 5 (mentions 2)
+  check Alcotest.(list string) "e1 complete" [] (missing 1);
+  check
+    Alcotest.(list string)
+    "e2 unregistered, undocumented, untested"
+    [ "docs"; "registered"; "test" ]
+    (missing 2);
+  check Alcotest.(list string) "registry-only e3 needs its row" [ "row" ]
+    (missing 3)
 
 let test_experiment_allowlist () =
   let allow =
     L.Allowlist.parse ~path:"allowlist"
-      "experiment-artifacts lib/core/experiments.ml:e2.cli\n\
-       experiment-artifacts lib/core/experiments.ml:e2.bench\n\
-       experiment-artifacts lib/core/experiments.ml:e2.report\n\
+      "experiment-artifacts lib/core/experiments.ml:e2.registered\n\
        experiment-artifacts lib/core/experiments.ml:e2.docs\n\
-       experiment-artifacts lib/core/experiments.ml:e2.test\n"
+       experiment-artifacts lib/core/experiments.ml:e2.test\n\
+       experiment-artifacts lib/core/experiments.ml:e3.row\n"
   in
   let diags = L.check_experiments ~allow fixture_sources in
   check Alcotest.int "all exemptions honoured" 0

@@ -69,12 +69,13 @@ let rules =
        'Section'). Provenance: CLAUDE.md conventions ('doc comments tying \
        it to the paper section it implements')." );
     ( "experiment-artifacts",
-      "Every experiment eN defined in lib/core/experiments.ml must ship all \
-       seven artifacts: a typed row record (eN_row), a print_eN, a CLI hook \
-       in bin/evolvenet.ml, a bench hook in bench/main.ml, a Report \
-       section (\"EN — ...\"), an EXPERIMENTS.md entry (\"## EN\") and a \
-       shape-asserting suite (\"eN\") in test/test_experiments.ml. \
-       Provenance: CLAUDE.md seven-artifact rule." );
+      "Every experiment eN of lib/core/experiments.ml (an eN_* binding or \
+       an \"eN\" id in its registry) must ship four artifacts: a typed row \
+       record (eN_row), a registry entry (the \"eN\" id literal inside the \
+       `registry` binding), an EXPERIMENTS.md entry (\"## EN\") and a \
+       shape-asserting suite (\"eN\") in test/test_experiments.ml. The \
+       report, the CLI and the bench all iterate the registry, so one \
+       entry wires all three. Provenance: CLAUDE.md experiment rule." );
     ( "parse-error",
       "Every .ml/.mli in lib/, bin/, bench/ and test/ and every lib/*/dune \
        must parse; the other rules are only as good as the parse." );
@@ -834,9 +835,6 @@ let check_mli_doc ~path src =
 
 type exp_sources = {
   experiments_ml : string * string;
-  bin_ml : string * string;
-  bench_ml : string * string;
-  report_ml : string * string;
   test_ml : string * string;
   experiments_md : string * string;
 }
@@ -861,11 +859,9 @@ let prefixed_num ~prefix name =
   then int_of_string_opt (String.sub name pl (String.length name - pl))
   else None
 
-(* All string constants in expressions and patterns, plus every
-   referenced identifier's flattened path. *)
-let scan_impl structure =
+(* All string constants in expressions and patterns. *)
+let string_constants structure =
   let strings = Hashtbl.create 64 in
-  let idents = Hashtbl.create 64 in
   let open Ast_iterator in
   let iter =
     {
@@ -875,10 +871,6 @@ let scan_impl structure =
           (match e.pexp_desc with
           | Pexp_constant (Pconst_string (s, _, _)) ->
               Hashtbl.replace strings s ()
-          | Pexp_ident { txt; _ } ->
-              List.iter
-                (fun c -> Hashtbl.replace idents c ())
-                (flatten_lident txt)
           | _ -> ());
           default_iterator.expr it e);
       pat =
@@ -891,16 +883,17 @@ let scan_impl structure =
     }
   in
   iter.structure iter structure;
-  (strings, idents)
+  strings
 
 let check_experiments ~allow sources =
   let exp_path, exp_src = sources.experiments_ml in
   match parse_impl ~filename:exp_path exp_src with
   | Error d -> [ d ]
   | Ok structure ->
-      (* inventory of experiments.ml: row types, value bindings *)
+      (* inventory of experiments.ml: row types, the eN_* bindings, and
+         the "eN" id literals inside the [registry] binding *)
       let row_types = Hashtbl.create 32 in
-      let values = Hashtbl.create 64 in
+      let registered = Hashtbl.create 64 in
       let exp_line : (int, int) Hashtbl.t = Hashtbl.create 32 in
       let note_line n line =
         if not (Hashtbl.mem exp_line n) then Hashtbl.replace exp_line n line
@@ -916,16 +909,21 @@ let check_experiments ~allow sources =
           | Pstr_value (_, vbs) ->
               List.iter
                 (fun (vb : Parsetree.value_binding) ->
+                  let line = fst (loc_pos vb.pvb_loc) in
                   match vb.pvb_pat.ppat_desc with
-                  | Ppat_var { txt; _ } ->
-                      Hashtbl.replace values txt ();
-                      let line = fst (loc_pos vb.pvb_loc) in
-                      (match exp_num_of_name txt with
+                  | Ppat_var { txt = "registry"; _ } ->
+                      Hashtbl.iter
+                        (fun s () ->
+                          match prefixed_num ~prefix:"e" s with
+                          | Some n ->
+                              Hashtbl.replace registered n ();
+                              note_line n line
+                          | None -> ())
+                        (string_constants [ item ])
+                  | Ppat_var { txt; _ } -> (
+                      match exp_num_of_name txt with
                       | Some n -> note_line n line
-                      | None -> (
-                          match prefixed_num ~prefix:"print_e" txt with
-                          | Some n -> note_line n line
-                          | None -> ()))
+                      | None -> ())
                   | _ -> ())
                 vbs
           | _ -> ())
@@ -934,42 +932,13 @@ let check_experiments ~allow sources =
         List.sort_uniq compare
           (Hashtbl.fold (fun n _ acc -> n :: acc) exp_line [])
       in
-      let scan (path, src) =
-        match parse_impl ~filename:path src with
-        | Error d -> Error d
-        | Ok s -> Ok (scan_impl s)
+      let test_path, test_src = sources.test_ml in
+      let test_strings, parse_diags =
+        match parse_impl ~filename:test_path test_src with
+        | Error d -> (None, [ d ])
+        | Ok s -> (Some (string_constants s), [])
       in
-      let parse_diags = ref [] in
-      let scan_opt src =
-        match scan src with
-        | Error d ->
-            parse_diags := d :: !parse_diags;
-            None
-        | Ok x -> Some x
-      in
-      let bin = scan_opt sources.bin_ml in
-      let bench = scan_opt sources.bench_ml in
-      let report = scan_opt sources.report_ml in
-      let test = scan_opt sources.test_ml in
       let md_lines = split_lines (snd sources.experiments_md) in
-      let has_string scanned s =
-        match scanned with
-        | None -> true (* parse error already reported; don't cascade *)
-        | Some (strings, _) -> Hashtbl.mem strings s
-      in
-      let string_with_word scanned w =
-        match scanned with
-        | None -> true
-        | Some (strings, _) ->
-            Hashtbl.fold
-              (fun s () acc -> acc || has_word s w)
-              strings false
-      in
-      let has_ident scanned i =
-        match scanned with
-        | None -> true
-        | Some (_, idents) -> Hashtbl.mem idents i
-      in
       let md_has_entry n =
         List.exists
           (fun line ->
@@ -986,29 +955,20 @@ let check_experiments ~allow sources =
                 ( "row",
                   Hashtbl.mem row_types (Printf.sprintf "e%d_row" n),
                   Printf.sprintf "no `e%d_row` record type in %s" n exp_path );
-                ( "print",
-                  Hashtbl.mem values (Printf.sprintf "print_e%d" n),
-                  Printf.sprintf "no `print_e%d` in %s" n exp_path );
-                ( "cli",
-                  has_string bin (Printf.sprintf "e%d" n),
-                  Printf.sprintf "no \"e%d\" CLI hook in %s" n
-                    (fst sources.bin_ml) );
-                ( "bench",
-                  has_ident bench (Printf.sprintf "print_e%d" n),
-                  Printf.sprintf "no print_e%d bench hook in %s" n
-                    (fst sources.bench_ml) );
-                ( "report",
-                  string_with_word report (Printf.sprintf "E%d" n),
-                  Printf.sprintf "no \"E%d — ...\" section in %s" n
-                    (fst sources.report_ml) );
+                ( "registered",
+                  Hashtbl.mem registered n,
+                  Printf.sprintf "no \"e%d\" entry in the `registry` of %s" n
+                    exp_path );
                 ( "docs",
                   md_has_entry n,
                   Printf.sprintf "no \"## E%d\" entry in %s" n
                     (fst sources.experiments_md) );
                 ( "test",
-                  has_string test (Printf.sprintf "e%d" n),
-                  Printf.sprintf "no \"e%d\" shape-test suite in %s" n
-                    (fst sources.test_ml) );
+                  (match test_strings with
+                  | None -> true (* parse error already reported *)
+                  | Some strings -> Hashtbl.mem strings (Printf.sprintf "e%d" n)),
+                  Printf.sprintf "no \"e%d\" shape-test suite in %s" n test_path
+                );
               ]
             in
             List.filter_map
@@ -1033,7 +993,7 @@ let check_experiments ~allow sources =
               checks)
           ids
       in
-      List.rev !parse_diags @ missing
+      parse_diags @ missing
 
 (* ------------------------------------------------------------------ *)
 (* Output formats                                                      *)
@@ -1320,24 +1280,11 @@ let run_untyped ~root ~allow =
   in
   (match
      ( source "lib/core/experiments.ml",
-       source "bin/evolvenet.ml",
-       source "bench/main.ml",
-       source "lib/core/report.ml",
        source "test/test_experiments.ml",
        source "EXPERIMENTS.md" )
    with
-  | Some experiments_ml, Some bin_ml, Some bench_ml, Some report_ml,
-    Some test_ml, Some experiments_md ->
-      add
-        (check_experiments ~allow
-           {
-             experiments_ml;
-             bin_ml;
-             bench_ml;
-             report_ml;
-             test_ml;
-             experiments_md;
-           })
+  | Some experiments_ml, Some test_ml, Some experiments_md ->
+      add (check_experiments ~allow { experiments_ml; test_ml; experiments_md })
   | _ -> ());
   List.sort compare_diag !diags
 

@@ -106,17 +106,14 @@ val check_mli_doc : path:string -> string -> diag list
 
 type exp_sources = {
   experiments_ml : string * string;
-  bin_ml : string * string;
-  bench_ml : string * string;
-  report_ml : string * string;
   test_ml : string * string;
   experiments_md : string * string;
 }
 
 val check_experiments : allow:Allowlist.t -> exp_sources -> diag list
-(** The seven-artifact rule: every [eN] in experiments.ml has a row
-    record, [print_eN], CLI hook, bench hook, Report section,
-    EXPERIMENTS.md entry and shape-test suite. *)
+(** The experiment rule: every [eN] of experiments.ml (an [eN_*]
+    binding or an ["eN"] literal in [registry]) has a row record, a
+    registry entry, an EXPERIMENTS.md entry and a shape-test suite. *)
 
 val typed_pass : decls:Typed.decls -> Typed.modinfo list -> diag list
 (** The typed rule packs over an already-loaded module set: build the
