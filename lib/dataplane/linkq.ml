@@ -75,9 +75,9 @@ let of_internet ?control_reserve ~rate ~depth inet =
   in
   create ?control_reserve ~routers ~rate ~depth links
 
-(* Hot path (reachable from Pump.inject/Pump.step): no allocation —
-   the dense array probe returns an existing [Some] cell and every
-   verdict is a constant constructor. *)
+(* Hot path (reachable from Pump.inject through the Hop kernel): no
+   allocation — the dense array probe returns an existing [Some] cell
+   and every verdict is a constant constructor. *)
 let admit t ~src ~dst ~cls ~bytes =
   match t.slots.((src * t.routers) + dst) with
   | None -> Admitted (* unregistered link: infinite pipe, as before *)
@@ -103,9 +103,6 @@ let admit t ~src ~dst ~cls ~bytes =
         q.drops_full <- q.drops_full + 1;
         Rejected_full
       end
-
-let admit_opt o ~src ~dst ~cls ~bytes =
-  match o with None -> Admitted | Some t -> admit t ~src ~dst ~cls ~bytes
 
 let tick t =
   Array.iter

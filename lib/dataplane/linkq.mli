@@ -18,8 +18,9 @@
     (deliberate, class-precedence loss), never the other way round:
     control is never shed before data.
 
-    A [Linkq] attaches to a {!Pump} ({!Pump.attach_linkq}); forwarding
-    then consults {!admit} on every router-to-router transmission. *)
+    A [Linkq] attaches to a {!Pump} ({!Pump.attach_linkq}); the {!Hop}
+    kernel then consults {!admit} on every router-to-router
+    transmission. *)
 
 type t
 
@@ -51,11 +52,6 @@ val of_internet : ?control_reserve:int -> rate:int -> depth:int -> Topology.Inte
 val admit : t -> src:int -> dst:int -> cls:Telemetry.cls -> bytes:int -> verdict
 (** Try to enqueue [bytes] on the [src -> dst] queue. Unregistered
     links always admit (they stay infinite pipes). Allocation-free. *)
-
-val admit_opt :
-  t option -> src:int -> dst:int -> cls:Telemetry.cls -> bytes:int -> verdict
-(** [admit] through an optional queue set; [None] always admits. The
-    form the {!Pump} hot path uses. *)
 
 val tick : t -> unit
 (** Serve every queue: drain up to [rate] bytes from each. *)

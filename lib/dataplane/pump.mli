@@ -6,9 +6,11 @@
     ROADMAP's "heavy traffic" goal needs. It holds one compiled
     {!Simcore.Fib} table per router (a snapshot — §3.2's data-plane
     state), fronts each with a {!Flowcache}, performs real {!Wire}
-    encode at injection / header peeks per hop / decode-and-decap at
-    delivery (the IPvN-in-IPv4 encapsulation of §3.3.2), and records
-    every event into a {!Telemetry}.
+    encode at injection / a header peek / decode-and-decap at delivery
+    (the IPvN-in-IPv4 encapsulation of §3.3.2), and records every
+    event into a {!Telemetry}. The hops themselves are the {!Hop}
+    kernel's, walked one packet at a time over a block spanning every
+    router — the same decision the sharded pool makes per flowlet.
 
     Tables are snapshots: after a deployment or routing change the
     control plane moves on but the pump keeps forwarding on stale
@@ -26,9 +28,6 @@ val create : ?use_cache:bool -> ?cache_slots:int -> Simcore.Forward.env -> t
 
 val env : t -> Simcore.Forward.env
 val telemetry : t -> Telemetry.t
-
-val cached : t -> bool
-(** Whether flow caches are enabled. *)
 
 val cache_hit_rate : t -> float
 (** Aggregate flow-cache hit rate since creation. *)
@@ -56,8 +55,6 @@ val attach_linkq : t -> Linkq.t -> unit
 val detach_linkq : t -> unit
 (** Back to infinite pipes (the default). *)
 
-val linkq : t -> Linkq.t option
-
 val refresh : ?routers:int list -> t -> unit
 (** Recompile the FIB from the env's current control-plane state and
     install it at the given routers (default: all), invalidating their
@@ -74,8 +71,8 @@ val table : t -> router:int -> Simcore.Fib.action Netcore.Lpm.t
 val inject :
   ?cls:Telemetry.cls -> t -> Netcore.Packet.t -> entry:int -> Simcore.Forward.trace
 (** Push one packet hop by hop from router [entry] over the installed
-    tables: encode once, peek the destination from the header bytes at
-    each hop, look up through the flow cache, decode/decapsulate on
+    tables: encode once, peek the destination from the header bytes,
+    walk it through {!Hop.walk} with count 1, decode/decapsulate on
     delivery. Returns the same trace shape as {!Simcore.Forward.forward}.
     [cls] overrides the telemetry class derived from the payload —
     operational probes inject as {!Telemetry.Control} so the overload
@@ -89,40 +86,6 @@ val run_flow : t -> Workload.flow -> unit
 (** Send all of a flow's packets natively, for the telemetry. *)
 
 val run_batch : t -> Workload.flow list -> unit
-
-(** {2 Arena entry points} — the zero-copy path of the sharded data
-    plane (DESIGN.md §11). Packet bytes live in a pre-allocated
-    {!Netcore.Arena} slab; forwarding reads the fixed header straight
-    out of the slab (§3.3.2's opaque-payload rule) and builds no
-    trace, so a steady-state batch does zero GC work. *)
-
-val step :
-  t ->
-  buf:Netcore.Arena.buf ->
-  off:int ->
-  len:int ->
-  cls:Telemetry.cls ->
-  encap_bytes:int ->
-  entry:int ->
-  Simcore.Forward.outcome
-(** Forward one encoded packet — the [(off, len)] view of [buf], as
-    produced by {!Netcore.Wire.encode_into} — hop by hop from router
-    [entry]. Telemetry-equivalent to {!inject} on the decoded packet
-    (asserted by the test-suite); differs only in building no trace
-    and skipping the delivery-side decode. A malformed view reads a
-    zero destination and TTL and is dropped accordingly. *)
-
-type buffer = Heap | Slab of Netcore.Arena.t
-    (** Buffer provider for batch runs: [Heap] is the classic
-        {!run_batch} path (encode to a fresh string per packet);
-        [Slab] rewinds and reuses the given arena, keeping the whole
-        batch off the OCaml heap. Both record identical telemetry. *)
-
-val run_flow_in : t -> buffer -> Workload.flow -> unit
-(** {!run_flow} parameterized over the buffer provider. *)
-
-val run_batch_in : t -> buffer -> Workload.flow list -> unit
-(** {!run_batch} parameterized over the buffer provider. *)
 
 (** {2 IPvN journeys} — the §3.3.2 universal-access data path
     (access anycast leg, vN-Bone tunnel legs, IPv(N-1) exit leg),

@@ -45,42 +45,12 @@ let cls_index = function Native -> 0 | Encap -> 1 | Control -> 2
 let router t r = t.per_router.(r)
 let cls t c = t.per_class.(cls_index c)
 
-(* The bump helpers live at top level with the amounts as arguments:
-   a nested [let bump x = ...] capturing them would heap-allocate a
+(* Count-weighted recorders: a walk of [count] byte-identical packets
+   of one flow (DESIGN.md §11) bumps each counter once with the
+   multiplier, field for field what [count] single-packet events would
+   leave. They live at top level with the amounts as arguments: a
+   nested [let bump x = ...] capturing them would heap-allocate a
    closure on every recorded hop (hot-path-alloc). *)
-let bump_hop (x : counters) ~bytes ~encap_bytes =
-  x.packets <- x.packets + 1;
-  x.bytes <- x.bytes + bytes;
-  x.encap_bytes <- x.encap_bytes + encap_bytes
-
-let record_hop t ~router ~cls:c ~bytes ~encap_bytes =
-  bump_hop t.per_router.(router) ~bytes ~encap_bytes;
-  bump_hop (cls t c) ~bytes ~encap_bytes
-
-let record_delivered t ~router ~cls:c =
-  t.per_router.(router).delivered <- t.per_router.(router).delivered + 1;
-  (cls t c).delivered <- (cls t c).delivered + 1
-
-let record_drop t ~router ~cls:c =
-  t.per_router.(router).dropped <- t.per_router.(router).dropped + 1;
-  (cls t c).dropped <- (cls t c).dropped + 1
-
-let record_ttl_expired t ~router ~cls:c =
-  t.per_router.(router).ttl_expired <- t.per_router.(router).ttl_expired + 1;
-  (cls t c).ttl_expired <- (cls t c).ttl_expired + 1
-
-let record_queue_drop t ~router ~cls:c =
-  t.per_router.(router).queue_dropped <- t.per_router.(router).queue_dropped + 1;
-  (cls t c).queue_dropped <- (cls t c).queue_dropped + 1
-
-let record_shed t ~router ~cls:c =
-  t.per_router.(router).shed <- t.per_router.(router).shed + 1;
-  (cls t c).shed <- (cls t c).shed + 1
-
-(* Count-weighted variants for flowlet batching (DESIGN.md §11): a
-   shard walks [count] byte-identical packets of one flow as a unit
-   and bumps each counter once with the multiplier. Field-for-field
-   equal to calling the per-packet recorder [count] times. *)
 let bump_hop_n (x : counters) ~bytes ~encap_bytes ~count =
   x.packets <- x.packets + count;
   x.bytes <- x.bytes + (bytes * count);
@@ -111,14 +81,6 @@ let record_queue_drop_n t ~router ~cls:c ~count =
 let record_shed_n t ~router ~cls:c ~count =
   t.per_router.(router).shed <- t.per_router.(router).shed + count;
   (cls t c).shed <- (cls t c).shed + count
-
-let bump_cache (x : counters) ~hit =
-  if hit then x.cache_hits <- x.cache_hits + 1
-  else x.cache_misses <- x.cache_misses + 1
-
-let record_cache t ~router ~cls:c ~hit =
-  bump_cache t.per_router.(router) ~hit;
-  bump_cache (cls t c) ~hit
 
 let bump_cache_n (x : counters) ~hits ~misses =
   x.cache_hits <- x.cache_hits + hits;
@@ -166,32 +128,3 @@ let cache_hit_rate t =
   let lookups = acc.cache_hits + acc.cache_misses in
   if lookups = 0 then 0.0
   else float_of_int acc.cache_hits /. float_of_int lookups
-
-(* The scratch ref is a local of this binding, so the effect-summary
-   engine proves the writes instance-owned — no allowlist entry needed
-   even if the scan ever lands on a reachable path. *)
-let busiest t =
-  let best = ref (-1) in
-  Array.iteri
-    (fun i c ->
-      if !best < 0 || c.packets > t.per_router.(!best).packets then best := i)
-    t.per_router;
-  if !best >= 0 && t.per_router.(!best).packets > 0 then Some !best else None
-
-let pp fmt t =
-  let line name (c : counters) =
-    Format.fprintf fmt
-      "  %-8s %8d pkts  %10d B  %8d encap B  %6d dlv  %4d drop  %4d ttl  \
-       %4d qdrop  %4d shed@."
-      name c.packets c.bytes c.encap_bytes c.delivered c.dropped c.ttl_expired
-      c.queue_dropped c.shed
-  in
-  Format.fprintf fmt "telemetry (%d routers):@." (num_routers t);
-  line "native" (cls t Native);
-  line "encap" (cls t Encap);
-  line "control" (cls t Control);
-  match busiest t with
-  | Some b ->
-      Format.fprintf fmt "  busiest router: %d (%d pkts, %.1f%% cache hits)@."
-        b t.per_router.(b).packets (100.0 *. cache_hit_rate t)
-  | None -> ()

@@ -27,7 +27,7 @@ type counters = {
   mutable bytes : int;  (** wire bytes handled *)
   mutable encap_bytes : int;  (** encapsulation-overhead bytes handled *)
   mutable delivered : int;
-  mutable dropped : int;  (** No_route + Stuck drops *)
+  mutable dropped : int;  (** No_route, Stuck and Link_down drops *)
   mutable ttl_expired : int;
   mutable queue_dropped : int;
       (** droptail losses at a finite-capacity link queue ([Linkq]) *)
@@ -60,26 +60,12 @@ val cache_hit_rate : t -> float
 (** [cache_hits / (cache_hits + cache_misses)] over all routers; 0
     before any lookup. *)
 
-val busiest : t -> int option
-(** Router that handled the most packets; [None] when no router has
-    handled any. Its scratch state is local, so the evolvelint effect
-    summaries prove the scan instance-owned. *)
-
-(** {2 Recording} — called by the traffic engine, one event each. *)
-
-val record_hop : t -> router:int -> cls:cls -> bytes:int -> encap_bytes:int -> unit
-val record_delivered : t -> router:int -> cls:cls -> unit
-val record_drop : t -> router:int -> cls:cls -> unit
-val record_ttl_expired : t -> router:int -> cls:cls -> unit
-val record_queue_drop : t -> router:int -> cls:cls -> unit
-val record_shed : t -> router:int -> cls:cls -> unit
-val record_cache : t -> router:int -> cls:cls -> hit:bool -> unit
-
-(** {2 Count-weighted recording} — the flowlet-batched sharded data
-    plane (DESIGN.md §11) walks the [count] byte-identical packets of
-    one flow as a unit and records each event once with the
-    multiplier. Each [_n] recorder leaves the counters exactly as
-    [count] calls of its per-packet sibling would. *)
+(** {2 Recording} — called by the {!Hop} kernel, which walks the
+    [count] byte-identical packets of one flow as a unit (1 for the
+    serial pump, a flowlet's width in the sharded pool, DESIGN.md
+    §11) and records each event once with the multiplier. Each
+    recorder leaves the counters exactly as [count] single-packet
+    events would. *)
 
 val record_hop_n :
   t -> router:int -> cls:cls -> bytes:int -> encap_bytes:int -> count:int -> unit
@@ -99,7 +85,3 @@ val record_cache_n : t -> router:int -> cls:cls -> hits:int -> misses:int -> uni
 val merge : t -> t -> t
 (** Field-wise sum; inputs are unchanged.
     @raise Invalid_argument when router counts differ. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact human-readable summary (per-class lines + busiest
-    router). *)

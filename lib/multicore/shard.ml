@@ -1,11 +1,9 @@
 module Wire = Netcore.Wire
 module Arena = Netcore.Arena
 module Ipv4 = Netcore.Ipv4
-module Lpm = Netcore.Lpm
 module Packet = Netcore.Packet
 module Rng = Topology.Rng
-module Fib = Simcore.Fib
-module Flowcache = Dataplane.Flowcache
+module Hop = Dataplane.Hop
 module Telemetry = Dataplane.Telemetry
 
 (* A cross-shard handoff: an (off, len) view into the producing
@@ -42,13 +40,11 @@ type inj = { i_packet : Packet.t; i_entry : int; i_count : int }
 
 type t = {
   sid : int;
-  lo : int;
-  hi : int;
   map : Shardmap.t;
-  tables : Fib.action Lpm.t array;
-      (* shared read-only snapshots — Lpm is persistent, safe across domains *)
-  caches : Fib.action Flowcache.t array; (* own block only, index [r - lo] *)
-  telemetry : Telemetry.t;
+  hop : Hop.t;
+      (* kernel state: the shared read-only FIB snapshots (Lpm is
+         persistent, safe across domains), the caches of this shard's
+         block and its telemetry *)
   rng : Rng.t; (* per-shard stream, split from the pool seed *)
   arena : Arena.t;
   pending : inj Queue.t;
@@ -104,12 +100,8 @@ let create ?(spill_cap = 65536) ?(shed_eager = false)
   Unix.set_nonblock wake_w;
   {
     sid;
-    lo;
-    hi;
     map;
-    tables;
-    caches = Array.init (hi - lo) (fun _ -> Flowcache.create ~slots:cache_slots);
-    telemetry = Telemetry.create ~routers:(Shardmap.routers map);
+    hop = Hop.create ~tables ~lo ~hi ~cache_slots:(Some cache_slots);
     rng;
     arena = Arena.create ~bytes:0;
     pending = Queue.create ();
@@ -172,7 +164,7 @@ let close t =
 let naps t = t.naps
 let passes t = t.passes
 let sid t = t.sid
-let telemetry t = t.telemetry
+let telemetry t = Hop.telemetry t.hop
 let crossings t = t.crossings
 let arena t = t.arena
 let rng t = t.rng
@@ -205,32 +197,7 @@ let crash_exit t = Atomic.set t.dead true
 let revive t =
   Atomic.set t.dead false;
   t.crash_at <- -1;
-  Array.iter Flowcache.clear t.caches
-
-(* One forwarding decision at owned router [r] for a flowlet of
-   [count] byte-identical packets: probe the flow cache once, account
-   for every packet. A miss followed by an insert makes the remaining
-   [count - 1] packets hits — exactly the statistics the per-packet
-   serial pump records, since nothing else touches this router's cache
-   between the packets of one flow (mirrors Pump.lookup_action). *)
-let lookup_n st r ~cls ~count dst =
-  let c = st.caches.(r - st.lo) in
-  match Flowcache.lookup c dst with
-  | Some _ as hit ->
-      Telemetry.record_cache_n st.telemetry ~router:r ~cls ~hits:count
-        ~misses:0;
-      hit
-  | None -> (
-      match Lpm.lookup_value dst st.tables.(r) with
-      | Some a as res ->
-          Telemetry.record_cache_n st.telemetry ~router:r ~cls
-            ~hits:(count - 1) ~misses:1;
-          Flowcache.insert c dst a;
-          res
-      | None ->
-          Telemetry.record_cache_n st.telemetry ~router:r ~cls ~hits:0
-            ~misses:count;
-          None)
+  Hop.clear_caches t.hop
 
 (* Ring shard [c]'s doorbell. Nonblocking: a full pipe just means the
    consumer already has plenty of reasons to wake, so the byte can be
@@ -268,8 +235,8 @@ let spill_append st m =
    them next, and retired from the live count so the pool terminates. *)
 let shed_msg st (m : msg) =
   st.shed_count <- st.shed_count + m.m_count;
-  Telemetry.record_shed_n st.telemetry ~router:m.m_router ~cls:m.m_cls
-    ~count:m.m_count;
+  Telemetry.record_shed_n (Hop.telemetry st.hop) ~router:m.m_router
+    ~cls:m.m_cls ~count:m.m_count;
   retire st m.m_count
 
 (* Make room for a control-class message by shedding the newest
@@ -313,53 +280,36 @@ let offer st c (m : msg) =
     spill_append st m
   else shed_msg st m
 
-(* Walk a flowlet — [count] byte-identical packets of one flow — from
-   owned router [r] until it terminates or reaches a router owned by
-   another shard. The packets of a flow take the same route (the FIB
-   snapshot is immutable during a run), so one walk with count-weighted
-   telemetry leaves every counter exactly as [count] per-packet walks
-   would. Terminal outcomes retire the flowlet from the pool-wide live
-   count; a handoff does not. Same decisions as Pump's hop loop (minus
-   the link filter — the pool forwards with every link up). *)
-let rec walk st ~buf ~off ~len ~cls ~encap ~dst ~count r ttl =
-  Telemetry.record_hop_n st.telemetry ~router:r ~cls ~bytes:len
-    ~encap_bytes:encap ~count;
-  match lookup_n st r ~cls ~count dst with
-  | None ->
-      Telemetry.record_drop_n st.telemetry ~router:r ~cls ~count;
-      retire st count
-  | Some Fib.Local | Some (Fib.Attached _) ->
-      Telemetry.record_delivered_n st.telemetry ~router:r ~cls ~count;
-      retire st count
-  | Some (Fib.Next_hop nh) ->
-      if ttl <= 1 then begin
-        Telemetry.record_ttl_expired_n st.telemetry ~router:r ~cls ~count;
-        retire st count
-      end
-      else if nh = r then begin
-        Telemetry.record_drop_n st.telemetry ~router:r ~cls ~count;
-        retire st count
-      end
-      else if nh >= st.lo && nh < st.hi then
-        (* ownership is a block test — no division on the per-hop path *)
-        walk st ~buf ~off ~len ~cls ~encap ~dst ~count nh (ttl - 1)
-      else begin
-        st.crossings <- st.crossings + 1;
-        let m =
-          {
-            m_buf = buf;
-            m_off = off;
-            m_len = len;
-            m_dst = dst;
-            m_ttl = ttl - 1;
-            m_router = nh;
-            m_cls = cls;
-            m_encap = encap;
-            m_count = count;
-          }
-        in
-        offer st (Shardmap.shard_of st.map nh) m
-      end
+(* Walk a flowlet — [count] byte-identical packets of one flow —
+   through the kernel from owned router [r] until it terminates or
+   reaches a router owned by another shard. The packets of a flow take
+   the same route (the FIB snapshot is immutable during a run), so one
+   count-weighted walk leaves every counter exactly as [count]
+   per-packet walks would. Terminal verdicts retire the flowlet from
+   the pool-wide live count; a handoff does not. *)
+let walk st ~buf ~off ~len ~cls ~encap ~dst ~count r ttl =
+  match
+    Hop.walk st.hop ~cls ~dst ~bytes:len ~encap_bytes:encap ~count ~entry:r
+      ~ttl
+  with
+  | Hop.Handoff ->
+      st.crossings <- st.crossings + 1;
+      let nh = Hop.router st.hop in
+      let m =
+        {
+          m_buf = buf;
+          m_off = off;
+          m_len = len;
+          m_dst = dst;
+          m_ttl = Hop.ttl st.hop;
+          m_router = nh;
+          m_cls = cls;
+          m_encap = encap;
+          m_count = count;
+        }
+      in
+      offer st (Shardmap.shard_of st.map nh) m
+  | Hop.Local | Hop.Attached | Hop.Dropped _ -> retire st count
 
 let handle st (m : msg) =
   st.handled <- st.handled + 1;
@@ -372,18 +322,9 @@ let inject_flow st (j : inj) =
   let off = Wire.encode_into j.i_packet st.arena in
   let buf = Arena.buf st.arena in
   let dst = Wire.peek_dst_big buf ~off ~len ~default:j.i_packet.Packet.dst in
-  let ttl = j.i_packet.Packet.ttl in
-  let cls =
-    match j.i_packet.Packet.payload with
-    | Packet.Data _ -> Telemetry.Native
-    | Packet.Encap _ -> Telemetry.Encap
-  in
-  let encap =
-    match j.i_packet.Packet.payload with
-    | Packet.Data _ -> 0
-    | Packet.Encap vn -> len - Wire.data_length (String.length vn.Packet.body)
-  in
-  walk st ~buf ~off ~len ~cls ~encap ~dst ~count:j.i_count j.i_entry ttl
+  walk st ~buf ~off ~len ~cls:(Hop.cls_of j.i_packet)
+    ~encap:(Hop.encap_of j.i_packet ~len) ~dst ~count:j.i_count j.i_entry
+    j.i_packet.Packet.ttl
 
 (* Retry stalled handoffs in strict FIFO order; stop at the first
    still-full ring. Returns whether anything moved. *)

@@ -2,14 +2,18 @@
     flow caches and telemetry, and the run loop that forwards packets
     until the pool-wide live count drains (DESIGN.md §11).
 
-    Each shard owns every piece of state it writes — caches for its
-    router block, its own {!Dataplane.Telemetry}, arena, rng stream
-    and counters — which is what lets the evolvelint domain-safety
-    pack prove the sharded hot path race-free from the {!run} root,
-    the same §9.4 proof that covers the serial pump. Routing state is
-    shared read-only: compiled {!Simcore.Fib} snapshots (§3.2's
-    per-router data-plane state) are persistent maps, safe across
-    domains without locks. *)
+    Each shard owns every piece of state it writes — the
+    {!Dataplane.Hop} kernel state of its router block (flow caches and
+    its own {!Dataplane.Telemetry}), arena, rng stream and counters —
+    which is what lets the evolvelint domain-safety pack prove the
+    sharded hot path race-free from the {!run} root, the same §9.4
+    proof that covers the serial pump. Routing state is shared
+    read-only: compiled {!Simcore.Fib} snapshots (§3.2's per-router
+    data-plane state) are persistent maps, safe across domains without
+    locks. A shard walks each flowlet through the same kernel as the
+    serial pump, with the flowlet's count, every link up and no link
+    queues, and hands it to the owning shard when the next hop leaves
+    its block. *)
 
 type msg
 (** A cross-shard handoff: an arena view plus pre-peeked header

@@ -157,22 +157,10 @@ let u32_at s off =
 
 let peek_ok s = String.length s >= header_bytes && Char.code s.[0] = format_version
 
-let peek_dst s = if peek_ok s then Some (Ipv4.of_int (u32_at s 6)) else None
-
-(* Allocation-free variant for the per-packet path: the caller supplies
-   the fallback instead of matching on an option (hot-path-alloc). *)
+(* The caller supplies the fallback instead of matching on an option,
+   so the per-packet path allocates nothing (hot-path-alloc). *)
 let peek_dst_or s ~default =
   if peek_ok s then Ipv4.of_int (u32_at s 6) else default
-let peek_src s = if peek_ok s then Some (Ipv4.of_int (u32_at s 2)) else None
-let peek_ttl s = if peek_ok s then Some (Char.code s.[10]) else None
-
-let peek_kind s =
-  if not (peek_ok s) then None
-  else
-    match Char.code s.[1] with
-    | 0 -> Some `Data
-    | 1 -> Some `Encap
-    | _ -> None
 
 let wire_length (p : Packet.t) =
   let ipvn_len a = if Ipvn.is_self a then 5 else 9 in

@@ -43,28 +43,15 @@ val data_length : int -> int
 
     A forwarding element only needs the fixed 11-byte header to make
     its per-hop decision (§3.3.2: tunnel transit routers treat the
-    IPvN payload as opaque bytes). These peeks read single header
-    fields straight out of the encoded string without allocating or
-    parsing the payload — the data-plane hot path. Each returns
-    [None] when the string is shorter than the fixed header or not
-    format version 1. *)
-
-val peek_dst : string -> Ipv4.t option
-(** IPv4 destination (bytes 6-9) of an encoded packet. *)
+    IPvN payload as opaque bytes). A peek reads one header field
+    straight out of the encoded bytes without allocating or parsing
+    the payload — the data-plane hot path. *)
 
 val peek_dst_or : string -> default:Ipv4.t -> Ipv4.t
-(** Like {!peek_dst} but returns [default] instead of [None], so the
-    per-packet forwarding loop reads the destination without
-    allocating an option cell. *)
-
-val peek_src : string -> Ipv4.t option
-(** IPv4 source (bytes 2-5) of an encoded packet. *)
-
-val peek_ttl : string -> int option
-(** TTL (byte 10) of an encoded packet. *)
-
-val peek_kind : string -> [ `Data | `Encap ] option
-(** Payload kind (byte 1): plain data or encapsulated IPvN. *)
+(** IPv4 destination (bytes 6-9) of an encoded packet, or [default]
+    when the string is shorter than the fixed header or not format
+    version 1. Returning the fallback instead of an option lets the
+    per-packet path read the destination without allocating. *)
 
 (** {2 Arena views}
 

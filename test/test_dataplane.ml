@@ -16,6 +16,7 @@ module Linkq = Dataplane.Linkq
 module Workload = Dataplane.Workload
 module Telemetry = Dataplane.Telemetry
 module Pump = Dataplane.Pump
+module Hop = Dataplane.Hop
 module Packet = Netcore.Packet
 module Ipv4 = Netcore.Ipv4
 
@@ -291,15 +292,16 @@ let test_workload_total_packets () =
 
 let test_telemetry_counters_and_merge () =
   let a = Telemetry.create ~routers:4 in
-  Telemetry.record_hop a ~router:1 ~cls:Telemetry.Native ~bytes:100
-    ~encap_bytes:0;
-  Telemetry.record_hop a ~router:2 ~cls:Telemetry.Encap ~bytes:120
-    ~encap_bytes:20;
-  Telemetry.record_delivered a ~router:2 ~cls:Telemetry.Encap;
-  Telemetry.record_cache a ~router:1 ~cls:Telemetry.Native ~hit:true;
+  Telemetry.record_hop_n a ~router:1 ~cls:Telemetry.Native ~bytes:100
+    ~encap_bytes:0 ~count:1;
+  Telemetry.record_hop_n a ~router:2 ~cls:Telemetry.Encap ~bytes:120
+    ~encap_bytes:20 ~count:1;
+  Telemetry.record_delivered_n a ~router:2 ~cls:Telemetry.Encap ~count:1;
+  Telemetry.record_cache_n a ~router:1 ~cls:Telemetry.Native ~hits:1
+    ~misses:0;
   let b = Telemetry.create ~routers:4 in
-  Telemetry.record_drop b ~router:3 ~cls:Telemetry.Native;
-  Telemetry.record_ttl_expired b ~router:0 ~cls:Telemetry.Encap;
+  Telemetry.record_drop_n b ~router:3 ~cls:Telemetry.Native ~count:1;
+  Telemetry.record_ttl_expired_n b ~router:0 ~cls:Telemetry.Encap ~count:1;
   let m = Telemetry.merge a b in
   let t = Telemetry.total m in
   check Alcotest.int "packets" 2 t.Telemetry.packets;
@@ -333,6 +335,68 @@ let test_pump_telemetry_counts () =
   check Alcotest.int "native class only" 0
     (Telemetry.cls (Pump.telemetry pump) Telemetry.Encap).Telemetry.packets;
   check Alcotest.bool "delivered recorded" true (t.Telemetry.delivered = 1)
+
+(* ------------------------------------------------------------------ *)
+(* Hop kernel                                                          *)
+
+(* The flowlet invariant (DESIGN.md §11.2): one walk of count k leaves
+   the verdict and every per-router and per-class counter exactly as k
+   walks of count 1 do, on a generated internet with a random set of
+   dead links. Each side starts from fresh kernel state. *)
+let prop_flowlet_equals_singles =
+  QCheck.Test.make ~name:"kernel: a count-k walk equals k single walks"
+    ~count:100
+    QCheck.(
+      quad (int_bound 1_000) (pair (int_bound 10_000) (int_bound 10_000))
+        (int_range 1 16) (int_bound 1_000))
+    (fun (net_seed, (entry, host), k, kill_seed) ->
+      let inet =
+        Internet.build
+          {
+            Internet.default_params with
+            transit_domains = 2;
+            stubs_per_transit = 2;
+            seed = Int64.of_int net_seed;
+          }
+      in
+      let env = Forward.make_env inet in
+      let fib = Fib.compile env in
+      let n = Internet.num_routers inet in
+      let tables = Array.init n (fun router -> Fib.table fib ~router) in
+      (* kill about an eighth of the links, both directions *)
+      let dead = Array.make_matrix n n false in
+      let rng = Rng.create (Int64.of_int kill_seed) in
+      List.iter
+        (fun (a, b, _) ->
+          if Rng.int rng 8 = 0 then begin
+            dead.(a).(b) <- true;
+            dead.(b).(a) <- true
+          end)
+        (Topology.Graph.edges inet.Internet.graph);
+      let fresh () =
+        let st = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots:(Some 64) in
+        Hop.set_link_filter st (Some (fun a b -> not dead.(a).(b)));
+        st
+      in
+      let dst =
+        (Internet.endhost inet (host mod Array.length inet.Internet.endhosts))
+          .Internet.haddr
+      in
+      let walk st count =
+        Hop.walk st ~cls:Telemetry.Native ~dst ~bytes:100 ~encap_bytes:0
+          ~count ~entry:(entry mod n) ~ttl:64
+      in
+      let flowlet = fresh () and singles = fresh () in
+      let v = walk flowlet k in
+      let vs = List.init k (fun _ -> walk singles 1) in
+      let tf = Hop.telemetry flowlet and ts = Hop.telemetry singles in
+      List.for_all (fun v' -> v' = v) vs
+      && List.for_all
+           (fun r -> Telemetry.router tf r = Telemetry.router ts r)
+           (List.init n Fun.id)
+      && List.for_all
+           (fun c -> Telemetry.cls tf c = Telemetry.cls ts c)
+           [ Telemetry.Native; Telemetry.Encap; Telemetry.Control ])
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot semantics                                                  *)
@@ -598,6 +662,7 @@ let () =
           Alcotest.test_case "pump records hops" `Quick
             test_pump_telemetry_counts;
         ] );
+      ("kernel", [ QCheck_alcotest.to_alcotest prop_flowlet_equals_singles ]);
       ( "snapshots",
         [
           Alcotest.test_case "refresh tracks control plane" `Quick

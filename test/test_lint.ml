@@ -1069,6 +1069,36 @@ let test_proven_dump_on_tree () =
           (contains_sub line " proven"))
     (String.split_on_char '\n' p1)
 
+(* The root lists must name real bindings: a fixture graph holding
+   every declared root but Wire.decode_big yields exactly one
+   stale-root finding, naming it, and the committed tree none. *)
+let test_stale_root () =
+  let fixture =
+    [
+      ("Pump", "let inject x = x\n");
+      ("Flowcache", "let lookup x = x\n");
+      ("Wire", "let peek_dst_or x = x\nlet encode_into x = x\nlet big_peek_ok x = x\n");
+      ("Shard", "let run x = x\n");
+      ("Ring", "let push x = x\nlet pop x = x\n");
+    ]
+  in
+  let mods =
+    List.map
+      (fun (modname, src) ->
+        let filename = "lib/fixture/" ^ String.lowercase_ascii modname ^ ".ml" in
+        match Lintcore.Typed.of_string ~filename ~modname src with
+        | Ok m -> m
+        | Error d -> Alcotest.failf "fixture rejected: %s" (L.to_string d))
+      fixture
+  in
+  let diags = L.stale_roots (CG.build mods) in
+  check Alcotest.int "one stale root" 1 (count_rule "stale-root" diags);
+  check Alcotest.bool "it names the missing root" true
+    (List.for_all (fun (d : L.diag) -> contains_sub d.L.msg "Wire.decode_big") diags);
+  let tree = Lintcore.Typed.load_tree ~root:repo_root in
+  check Alcotest.(list string) "the committed tree has none" []
+    (List.map L.to_string (L.stale_roots (CG.build tree.Lintcore.Typed.tmods)))
+
 let () =
   Alcotest.run "lint"
     [
@@ -1241,5 +1271,7 @@ let () =
             test_summary_dump_deterministic;
           Alcotest.test_case "proven dump licenses every unsafe site" `Quick
             test_proven_dump_on_tree;
+          Alcotest.test_case "stale root fires on a missing binding" `Quick
+            test_stale_root;
         ] );
     ]

@@ -224,30 +224,6 @@ let test_arena_exhaustion () =
     (Invalid_argument "Arena.ensure: arena in use") (fun () ->
       Arena.ensure a ~bytes:1024)
 
-let test_pump_slab_equals_heap () =
-  (* the arena-backed pump path must leave telemetry exactly where the
-     string path does — same verdicts, same cache statistics *)
-  let inet = Internet.build Internet.default_params in
-  let env = Forward.make_env inet in
-  let wl =
-    Workload.create inet (Workload.Gravity { zipf_s = 1.2 }) ~seed:5L
-      ~packets_per_flow:4
-  in
-  let flows = Workload.batch wl ~count:64 in
-  let heap = Pump.create env in
-  Pump.run_batch_in heap Pump.Heap flows;
-  let slab = Pump.create env in
-  Pump.run_batch_in slab (Pump.Slab (Arena.create ~bytes:0)) flows;
-  let th = Pump.telemetry heap and ts = Pump.telemetry slab in
-  check Alcotest.int "router counts" (Telemetry.num_routers th)
-    (Telemetry.num_routers ts);
-  for r = 0 to Telemetry.num_routers th - 1 do
-    check Alcotest.bool
-      (Printf.sprintf "router %d counters equal" r)
-      true
-      (Telemetry.router th r = Telemetry.router ts r)
-  done
-
 (* ---------------------------------------------------------------- *)
 (* Domainpool vs the serial pump oracle                              *)
 
@@ -264,14 +240,16 @@ let pool_fixture =
      Pump.run_batch pump flows;
      (env, flows, pump))
 
-let verdict t =
-  let c = Telemetry.total t in
+(* the counters a route decides, independent of cache order *)
+let routed (c : Telemetry.counters) =
   ( c.Telemetry.packets,
     c.Telemetry.bytes,
     c.Telemetry.encap_bytes,
     c.Telemetry.delivered,
     c.Telemetry.dropped,
     c.Telemetry.ttl_expired )
+
+let verdict t = routed (Telemetry.total t)
 
 let test_pool_one_shard_equals_pump () =
   let env, flows, pump = Lazy.force pool_fixture in
@@ -340,6 +318,47 @@ let test_pool_telemetry_accumulates () =
   Domainpool.close twice;
   check Alcotest.bool "all counters doubled" true
     ((p2, b2, e2, d2, r2, t2) = (2 * p1, 2 * b1, 2 * e1, 2 * d1, 2 * r1, 2 * t1))
+
+(* The same comparison over generated internets, workloads and shard
+   counts: every per-router counter a route decides equals the serial
+   pump's, and at one shard every counter does, cache statistics
+   included. *)
+let prop_pool_equals_pump =
+  QCheck.Test.make ~name:"domainpool: pool = pump on generated internets"
+    ~count:30
+    QCheck.(
+      quad (int_range 2 4) (int_range 1 4) (int_bound 10_000)
+        (pair bool (int_range 1 4)))
+    (fun (transits, stubs, seed, (gravity, shards)) ->
+      let seed = Int64.of_int seed in
+      let inet =
+        Internet.build
+          {
+            Internet.default_params with
+            transit_domains = transits;
+            stubs_per_transit = stubs;
+            seed;
+          }
+      in
+      let env = Forward.make_env inet in
+      let model =
+        if gravity then Workload.Gravity { zipf_s = 1.2 } else Workload.Uniform
+      in
+      let flows = Workload.batch (Workload.create inet model ~seed) ~count:64 in
+      let pump = Pump.create env in
+      Pump.run_batch pump flows;
+      let pool = Domainpool.create env ~shards ~seed in
+      Domainpool.run pool flows;
+      Domainpool.close pool;
+      let pt = Domainpool.telemetry pool and st = Pump.telemetry pump in
+      List.for_all
+        (fun r ->
+          let a = Telemetry.router pt r and b = Telemetry.router st r in
+          if shards = 1 then a = b else routed a = routed b)
+        (List.init (Telemetry.num_routers st) Fun.id)
+      && (shards > 1
+         || Telemetry.cls pt Telemetry.Native = Telemetry.cls st Telemetry.Native
+         ))
 
 (* ---------------------------------------------------------------- *)
 (* Overload: bounded spill, shedding, supervision (DESIGN.md §13)    *)
@@ -537,8 +556,6 @@ let () =
           Alcotest.test_case "wire roundtrip" `Quick test_arena_roundtrip;
           Alcotest.test_case "exhaustion and reset" `Quick
             test_arena_exhaustion;
-          Alcotest.test_case "pump slab equals heap" `Quick
-            test_pump_slab_equals_heap;
         ] );
       ( "domainpool",
         [
@@ -550,6 +567,7 @@ let () =
             test_pool_env_shard_count;
           Alcotest.test_case "telemetry accumulates" `Quick
             test_pool_telemetry_accumulates;
+          qcheck prop_pool_equals_pump;
         ] );
       ( "overload",
         [

@@ -119,9 +119,9 @@ let rules =
        with doc comments')." );
     ( "hot-path-alloc",
       "Functions transitively reachable from the data-plane roots \
-       (Pump.inject/Pump.step, Flowcache.lookup, Wire.peek_*, and the \
-       sharded pool's Shard.run worker loop with its Ring.push/Ring.pop \
-       handoffs) must not \
+       (Pump.inject, Flowcache.lookup, Wire.peek_*, and the sharded \
+       pool's Shard.run worker loop with its Ring.push/Ring.pop \
+       handoffs; both reach the Hop forwarding kernel) must not \
        allocate per call: capturing closures, tuple/option/list cells and \
        partial applications are flagged, one aggregated diagnostic per \
        function. Deliberate allocations (the trace a function exists to \
@@ -143,8 +143,8 @@ let rules =
        inventory-only (`--summaries`). Provenance: DESIGN.md \u{00A7}9.4; \
        ROADMAP item 1." );
     ( "domain-unsafe-write",
-      "Functions reachable from the pump entry points (Pump.inject / \
-       Pump.step, Flowcache.lookup) and the multicore worker roots \
+      "Functions reachable from the pump entry points (Pump.inject, \
+       Flowcache.lookup) and the multicore worker roots \
        (Shard.run, Ring.push, Ring.pop — the code one domain per shard \
        executes concurrently) must not write state that is not \
        provably owned by a single pump instance. The summary engine traces \
@@ -229,6 +229,12 @@ let rules =
        entry with a written justification, stands behind it. \
        Provenance: DESIGN.md \u{00A7}9.5; CLAUDE.md (unsafe accesses \
        are lint-licensed only)." );
+    ( "stale-root",
+      "Every entry of the hot-path, domain-safety and bounds-proof root \
+       lists must name at least one binding of the call graph. A root \
+       that names nothing — its function deleted or renamed — silently \
+       narrows the gate it seeds, so the whole-tree run reports it; \
+       rename or delete the entry in tools/lint/lint.ml." );
     ( "stale-baseline",
       "A baseline entry that no longer matches any finding means the debt \
        it recorded was paid; delete the line so the baseline only shrinks. \
@@ -243,14 +249,13 @@ let rules =
   ]
 
 (* Roots of the data-plane hot path for the allocation lint; a
-   trailing '*' is a prefix wildcard. Pump.step is the paper-facing
-   alias kept for forward compatibility. Shard.run is the multicore
-   worker loop (one per domain) and Ring.push/Ring.pop the SPSC
-   handoff it drives — per-packet code, so alloc-free. *)
+   trailing '*' is a prefix wildcard. Pump.inject and Shard.run (the
+   multicore worker loop, one per domain) both reach the Hop
+   forwarding kernel; Ring.push/Ring.pop are the SPSC handoff the
+   worker drives — per-packet code, so alloc-free. *)
 let hot_path_roots =
   [
     "Pump.inject";
-    "Pump.step";
     "Flowcache.lookup";
     "Wire.peek_*";
     "Shard.run";
@@ -267,7 +272,6 @@ let hot_path_roots =
 let domain_safety_roots =
   [
     "Pump.inject";
-    "Pump.step";
     "Flowcache.lookup";
     "Shard.run";
     "Ring.push";
@@ -335,13 +339,12 @@ let atomic_scope (m : Typed.modinfo) =
          | None -> false)
        atomic_roles
 
-(* Roots of the bounds-proof obligation set: the per-packet entry
-   points plus the Wire slab codecs they drive. Wire.big_peek_ok is
+(* Roots of the bounds-proof obligation set: the arena-walking worker
+   loop plus the Wire slab codecs it drives. Wire.big_peek_ok is
    named explicitly — the peek_* wildcard does not cover it, and its
    &&-chain is the postcondition the peek proofs instantiate. *)
 let bounds_roots =
   [
-    "Pump.run_batch_in";
     "Shard.run";
     "Wire.peek_*";
     "Wire.encode_into";
@@ -1185,8 +1188,7 @@ let files_with_suffix root dir suffix =
    allocation) and the whole-graph v3 packs (shared-state inventory,
    domain-safety, determinism taint). Shared by [run] and the fixture
    tests (which build one-module trees). *)
-let typed_pass ~decls mods =
-  let cg = Callgraph.build mods in
+let typed_pass_on ~decls cg mods =
   let sums = Summary.compute cg in
   let hot = Callgraph.reachable cg ~roots:hot_path_roots in
   (* closures handed to Domain.spawn execute on a child domain, so
@@ -1209,6 +1211,30 @@ let typed_pass ~decls mods =
   @ Rules_taint.check ~sums cg
   @ Rules_atomic.check ~roles:atomic_roles ~scope:atomic_scope sums cg mods
   @ snd (Rules_bounds.analyze ~roots:bounds_roots cg)
+
+let typed_pass ~decls mods = typed_pass_on ~decls (Callgraph.build mods) mods
+
+(* Root-list entries that name no binding of [cg]. Whole-tree only:
+   the fixture runs of [typed_pass] hold a module or two, so most
+   roots are legitimately absent there. *)
+let stale_roots cg =
+  List.concat_map
+    (fun (list, roots) ->
+      List.filter_map
+        (fun r ->
+          if Callgraph.expand_roots cg [ r ] <> [] then None
+          else
+            Some
+              (diag ~file:"tools/lint/lint.ml" ~rule:"stale-root"
+                 (Printf.sprintf
+                    "%s entry `%s` names no binding; rename or delete it"
+                    list r)))
+        roots)
+    [
+      ("hot_path_roots", hot_path_roots);
+      ("domain_safety_roots", domain_safety_roots);
+      ("bounds_roots", bounds_roots);
+    ]
 
 (* Two diagnostics at the same rule+site — one from the untyped pass,
    one from the typed pass — are the same finding worded twice; keep
@@ -1295,9 +1321,11 @@ let run ~root ~allow ~baseline =
      allocation, effect summaries and the v3 packs over the .cmt tree *)
   let tree = Typed.load_tree ~root in
   add tree.Typed.tdiags;
+  let cg = Callgraph.build tree.Typed.tmods in
+  add (stale_roots cg);
   add
     (filter_suppressed ~allow ~baseline
-       (typed_pass ~decls:tree.Typed.tdecls tree.Typed.tmods));
+       (typed_pass_on ~decls:tree.Typed.tdecls cg tree.Typed.tmods));
   add (Allowlist.stale allow);
   add (Allowlist.stale ~rule:"stale-baseline" baseline);
   dedupe_diags !diags

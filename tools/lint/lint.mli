@@ -147,6 +147,12 @@ val run_untyped : root:string -> allow:Allowlist.t -> diag list
     experiment artifacts), sorted. Marks allowlist entries used;
     staleness is checked by {!run} once every pass has run. *)
 
+val stale_roots : Callgraph.t -> diag list
+(** One [stale-root] finding per entry of {!hot_path_roots},
+    {!domain_safety_roots} or {!bounds_roots} that names no binding of
+    the call graph. {!run} applies it to the whole tree; fixture runs
+    of {!typed_pass} do not. *)
+
 val run : root:string -> allow:Allowlist.t -> baseline:Allowlist.t -> diag list
 (** Both passes over a repo checkout; sorted, deduplicated. The typed
     pass needs [dune build] artifacts (in-tree or under

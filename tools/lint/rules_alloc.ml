@@ -1,7 +1,7 @@
 (* Hot-path allocation lint.
 
    For every top-level function transitively reachable (per
-   Callgraph) from the data-plane roots — Pump.inject / Pump.step,
+   Callgraph) from the data-plane roots — Pump.inject, Shard.run,
    Flowcache.lookup, Wire.peek_* — flag per-call allocation in its
    body:
 

@@ -1,9 +1,10 @@
 (* Domain-safety race detector.
 
    Any function reachable from the data-plane entry points
-   (Pump.inject / Pump.step, Flowcache.lookup) that writes state not
-   provably owned by a single pump instance is a finding. The proof is
-   the summary engine's ownership trace (Summary.scan): a mutation
+   (Pump.inject, Flowcache.lookup, and the multicore worker roots)
+   that writes state not provably owned by a single pump instance is a
+   finding. The proof is the summary engine's ownership trace
+   (Summary.scan): a mutation
    rooted in a function parameter, a local let or a fresh value is
    instance-owned and stays quiet — today's telemetry bumps and cache
    hit counters pass this way, not via allowlist — while a mutation

@@ -43,7 +43,7 @@ let rec path_components p acc =
   | Path.Pextra_ty (p, _) -> path_components p acc
 
 (* Last two components of a path, as a (module, value) pair with any
-   wrapped-library prefix stripped: [Dataplane.Telemetry.record_hop]
+   wrapped-library prefix stripped: [Dataplane.Telemetry.record_hop_n]
    and [Netcore__Ipv4.to_int] both normalize to their plain module.
    Single-component (local) paths return [None]. *)
 let norm_target p =
