@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-json lint-sarif summaries explain catalog bench bench-json report
+.PHONY: build test lint lint-json lint-sarif summaries explain catalog bench report
 
 build:        ## build everything (zero warnings expected)
 	dune build @all
@@ -28,9 +28,6 @@ catalog:      ## regenerate doc/LINT.md from the rule registry
 
 bench:        ## all figures, experiments E1-E37, microbenchmarks
 	dune exec bench/main.exe
-
-bench-json:   ## machine-readable numbers -> BENCH_{dataplane,faults,lint,shard,drills,overload}.json
-	dune exec bench/main.exe -- --json
 
 report:       ## regenerate RESULTS.md
 	dune exec bin/evolvenet.exe -- report -o RESULTS.md

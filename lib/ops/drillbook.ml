@@ -43,7 +43,18 @@ type t = {
   slo : slo;
 }
 
+(* The range checks below are [<]/[>] tests, which a NaN passes, so
+   every float is first required to be finite. *)
+let finite fn what x =
+  if not (Float.is_finite x) then
+    invalid_arg (Printf.sprintf "Drillbook.%s: non-finite %s" fn what)
+
 let slo ~detection ~reconverge ~blackhole ~stale ~hijacked =
+  finite "slo" "detection" detection;
+  finite "slo" "reconverge" reconverge;
+  finite "slo" "blackhole" blackhole;
+  finite "slo" "stale" stale;
+  finite "slo" "hijacked" hijacked;
   if detection < 0.0 || reconverge < 0.0 || blackhole < 0.0 then
     invalid_arg "Drillbook.slo: negative time budget";
   if stale < 0.0 || stale > 1.0 || hijacked < 0.0 || hijacked > 1.0 then
@@ -61,6 +72,11 @@ let make ~name ?(seed = 42L) ?(transit = 4) ?(stubs = 6) ?(deploy_domains = 4)
     ?(loss = 0.05) ?(jitter = 0.2) ?(recovery = true) ?(detection_delay = 0.3)
     ~slo kind =
   if String.length name = 0 then invalid_arg "Drillbook.make: empty name";
+  finite "make" "fault_at" fault_at;
+  finite "make" "fault_until" fault_until;
+  finite "make" "loss" loss;
+  finite "make" "jitter" jitter;
+  finite "make" "detection_delay" detection_delay;
   if transit <= 0 || stubs <= 0 || deploy_domains <= 0 then
     invalid_arg "Drillbook.make: non-positive topology size";
   if probes <= 0 || ticks <= 0 then
@@ -84,6 +100,8 @@ let make ~name ?(seed = 42L) ?(transit = 4) ?(stubs = 6) ?(deploy_domains = 4)
   | Provider_flap { stub_rank; cycles; period; down_for } ->
       if stub_rank < 0 then invalid_arg "Drillbook.make: negative stub rank";
       if cycles <= 0 then invalid_arg "Drillbook.make: cycles <= 0";
+      finite "make" "period" period;
+      finite "make" "down_for" down_for;
       if down_for <= 0.0 || down_for > period then
         invalid_arg "Drillbook.make: down_for outside (0, period]"
   | Flash_crowd { rate; depth; reserve; burst } ->
@@ -231,6 +249,7 @@ let find name =
   List.find_opt (fun b -> String.equal b.name name) catalog
 
 let with_intensity b intensity =
+  finite "with_intensity" "intensity" intensity;
   if intensity <= 0.0 then invalid_arg "Drillbook.with_intensity: <= 0";
   let scale_i n = max 1 (int_of_float (Float.round (float_of_int n *. intensity))) in
   let kind =

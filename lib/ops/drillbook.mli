@@ -93,8 +93,8 @@ val slo :
   hijacked:float ->
   slo
 (** Validating constructor.
-    @raise Invalid_argument on negative budgets or fractions outside
-    [0,1]. *)
+    @raise Invalid_argument on a non-finite value, negative budgets or
+    fractions outside [0,1]. *)
 
 val make :
   name:string ->
@@ -116,9 +116,9 @@ val make :
 (** Validating builder; defaults give a default-params-sized internet,
     40 probes over 12 ticks with the fault in [\[3, 7\]].
     @raise Invalid_argument when any field is out of range (empty
-    name, non-positive sizes, fault window outside [\[0, ticks\]],
-    loss outside [0,1], or a kind-specific violation such as
-    [down_for] outside [(0, period]]). *)
+    name, a non-finite float, non-positive sizes, fault window outside
+    [\[0, ticks\]], loss outside [0,1], or a kind-specific violation
+    such as [down_for] outside [(0, period]]). *)
 
 val equal : t -> t -> bool
 (** Structural equality (explicit per field — no polymorphic compare),
@@ -155,7 +155,8 @@ val with_intensity : t -> float -> t
     knob (blackout link count, flap cycle count, flash-crowd burst,
     slow-consumer slowdown) are multiplied by the factor (loss capped
     at 0.9). Intensity 1.0 is the identity; E34 sweeps it.
-    @raise Invalid_argument when the factor is not positive. *)
+    @raise Invalid_argument when the factor is not positive and
+    finite. *)
 
 (** {2 File format} *)
 

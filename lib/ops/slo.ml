@@ -64,68 +64,48 @@ let measure r =
   in
   { detection_s; reconverge_s; blackhole_s; stale_frac; hijacked_peak }
 
+(* One graded line per budget. A metric holds only when it was measured
+   and [d <= budget] is true, so a NaN on either side misses rather than
+   slipping past a [>] test; [evaluate] and [render] both read [ok]
+   from here. *)
+type line = { label : string; value : string; budget : string; ok : bool }
+
+let lines (s : Drillbook.slo) m =
+  let secs = Printf.sprintf "%.2fs" and frac = Printf.sprintf "%.3f" in
+  let line label fmt value budget =
+    {
+      label;
+      value = (match value with None -> "n/a" | Some d -> fmt d);
+      budget = fmt budget;
+      ok = (match value with None -> false | Some d -> d <= budget);
+    }
+  in
+  [
+    line "detection" secs m.detection_s s.Drillbook.max_detection;
+    line "reconvergence" secs m.reconverge_s s.Drillbook.max_reconverge;
+    line "blackhole" secs (Some m.blackhole_s) s.Drillbook.max_blackhole;
+    line "stale" frac (Some m.stale_frac) s.Drillbook.max_stale;
+    line "hijacked" frac (Some m.hijacked_peak) s.Drillbook.max_hijacked;
+  ]
+
 let evaluate r =
-  let b = Drill.book r in
-  let s = b.Drillbook.slo in
   let m = measure r in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun msg -> failures := msg :: !failures) fmt in
-  (match m.detection_s with
-  | None -> fail "incident never detected (budget %.2fs)" s.Drillbook.max_detection
-  | Some d ->
-      if d > s.Drillbook.max_detection then
-        fail "detection %.2fs over budget %.2fs" d s.Drillbook.max_detection);
-  (match m.reconverge_s with
-  | None -> fail "never reconverged (budget %.2fs)" s.Drillbook.max_reconverge
-  | Some d ->
-      if d > s.Drillbook.max_reconverge then
-        fail "reconvergence %.2fs over budget %.2fs" d
-          s.Drillbook.max_reconverge);
-  if m.blackhole_s > s.Drillbook.max_blackhole then
-    fail "blackhole %.2fs over budget %.2fs" m.blackhole_s
-      s.Drillbook.max_blackhole;
-  if m.stale_frac > s.Drillbook.max_stale then
-    fail "stale fraction %.3f over budget %.3f" m.stale_frac
-      s.Drillbook.max_stale;
-  if m.hijacked_peak > s.Drillbook.max_hijacked then
-    fail "hijacked peak %.3f over budget %.3f" m.hijacked_peak
-      s.Drillbook.max_hijacked;
-  let failures = List.rev !failures in
+  let failures =
+    List.filter_map
+      (fun l ->
+        if l.ok then None
+        else Some (Printf.sprintf "%s %s (budget %s)" l.label l.value l.budget))
+      (lines (Drill.book r).Drillbook.slo m)
+  in
   { metrics = m; pass = (match failures with [] -> true | _ -> false); failures }
 
-let fopt = function None -> "n/a" | Some f -> Printf.sprintf "%.2fs" f
-
 let render b v =
-  let s = b.Drillbook.slo in
-  let m = v.metrics in
-  let line name value budget ok =
-    Printf.sprintf "  %-13s %-8s (budget %-8s) %s" name value budget
-      (if ok then "ok" else "MISS")
-  in
-  let bud f = Printf.sprintf "%.2fs" f in
-  let within opt budget =
-    match opt with None -> false | Some d -> d <= budget
-  in
   String.concat "\n"
-    [
-      Printf.sprintf "SLO verdict for %s: %s" b.Drillbook.name
-        (if v.pass then "PASS" else "FAIL");
-      line "detection" (fopt m.detection_s)
-        (bud s.Drillbook.max_detection)
-        (within m.detection_s s.Drillbook.max_detection);
-      line "reconvergence" (fopt m.reconverge_s)
-        (bud s.Drillbook.max_reconverge)
-        (within m.reconverge_s s.Drillbook.max_reconverge);
-      line "blackhole"
-        (Printf.sprintf "%.2fs" m.blackhole_s)
-        (bud s.Drillbook.max_blackhole)
-        (m.blackhole_s <= s.Drillbook.max_blackhole);
-      line "stale"
-        (Printf.sprintf "%.3f" m.stale_frac)
-        (Printf.sprintf "%.3f" s.Drillbook.max_stale)
-        (m.stale_frac <= s.Drillbook.max_stale);
-      line "hijacked"
-        (Printf.sprintf "%.3f" m.hijacked_peak)
-        (Printf.sprintf "%.3f" s.Drillbook.max_hijacked)
-        (m.hijacked_peak <= s.Drillbook.max_hijacked);
-    ]
+    (Printf.sprintf "SLO verdict for %s: %s" b.Drillbook.name
+       (if v.pass then "PASS" else "FAIL")
+    :: List.map
+         (fun l ->
+           Printf.sprintf "  %-13s %-8s (budget %-8s) %s" l.label l.value
+             l.budget
+             (if l.ok then "ok" else "MISS"))
+         (lines b.Drillbook.slo v.metrics))

@@ -32,9 +32,11 @@ val measure : Drill.run -> metrics
 
 val evaluate : Drill.run -> verdict
 (** {!measure}, then compare each metric against the book's
-    {!Drillbook.slo} budgets. [failures] lists every miss in a stable
-    human-readable form. *)
+    {!Drillbook.slo} budgets. A metric holds only when it was measured
+    and is [<=] its budget, so a NaN budget is a miss. [failures] lists
+    every miss in a stable human-readable form. *)
 
 val render : Drillbook.t -> verdict -> string
 (** Stable multi-line report ([evolvenet drill] prints it; its exit
-    status is the verdict). *)
+    status is the verdict): the verdict's headline, then one line per
+    budget whose ok/MISS is the comparison {!evaluate} makes. *)

@@ -209,211 +209,6 @@ let test_lint_unknown_format () =
   check Alcotest.int "exit code" 2 code;
   check Alcotest.bool "points at usage" true (contains msg "usage")
 
-(* --- bench --json emission: schema shape ---------------------------- *)
-
-(* `bench/main.exe --json` is a CI artifact generator: it must exit 0
-   and leave four well-shaped documents behind — every expected key
-   present, every numeric value finite. Runs once from _build/default
-   (where write_lint_json's root detection expects the tree) and all
-   four schema tests read its output. *)
-
-let abs p = if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
-
-let bench_dir = abs (Filename.concat (Filename.dirname Sys.executable_name) "..")
-
-let bench_binary =
-  Filename.concat bench_dir (Filename.concat "bench" "main.exe")
-
-let bench_run =
-  lazy
-    (Sys.command
-       (Printf.sprintf "cd %s && %s --json > /dev/null 2>&1"
-          (Filename.quote bench_dir)
-          (Filename.quote bench_binary)))
-
-let read_bench name =
-  check Alcotest.int "bench --json exits 0" 0 (Lazy.force bench_run);
-  let path = Filename.concat bench_dir name in
-  check Alcotest.bool (name ^ " written") true (Sys.file_exists path);
-  let ic = open_in path in
-  let body = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  body
-
-(* extract the raw token after ["key":] up to the next ',' or '}' *)
-let field body key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let pl = String.length pat and bl = String.length body in
-  let rec find i =
-    if i + pl > bl then None
-    else if String.sub body i pl = pat then Some (i + pl)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < bl && (match body.[!stop] with ',' | '}' -> false | _ -> true)
-      do
-        incr stop
-      done;
-      Some (String.trim (String.sub body start (!stop - start)))
-
-let check_schema name ~strings ~numbers =
-  let body = read_bench name in
-  check Alcotest.bool (name ^ " is one object") true
-    (String.length (String.trim body) > 2
-    && (String.trim body).[0] = '{'
-    && (let t = String.trim body in
-        t.[String.length t - 1] = '}'));
-  List.iter
-    (fun key ->
-      match field body key with
-      | None -> Alcotest.failf "%s: missing key %S" name key
-      | Some v ->
-          check Alcotest.bool
-            (Printf.sprintf "%s: %S is a string" name key)
-            true
-            (String.length v >= 2 && v.[0] = '\"' && v.[String.length v - 1] = '\"'))
-    strings;
-  List.iter
-    (fun key ->
-      match field body key with
-      | None -> Alcotest.failf "%s: missing key %S" name key
-      | Some v -> (
-          match float_of_string_opt v with
-          | Some f when Float.is_finite f -> ()
-          | Some _ -> Alcotest.failf "%s: %S is non-finite" name key
-          | None -> Alcotest.failf "%s: %S is not numeric (%S)" name key v))
-    numbers
-
-let test_bench_dataplane_schema () =
-  check_schema "BENCH_dataplane.json" ~strings:[ "topology" ]
-    ~numbers:
-      [
-        "packets_per_sec";
-        "cache_hit_rate";
-        "ns_per_lookup_uncached";
-        "ns_per_lookup_cached";
-        "lookup_speedup";
-        "ns_per_packet_uncached";
-        "ns_per_packet_cached";
-      ]
-
-let test_bench_faults_schema () =
-  check_schema "BENCH_faults.json" ~strings:[]
-    ~numbers:
-      [
-        "ns_per_fault_send";
-        "ls_loss";
-        "ls_messages";
-        "ls_acks";
-        "ls_retransmits";
-        "ls_flood_ms";
-        "bgp_loss";
-        "bgp_updates";
-        "bgp_resets";
-        "bgp_boot_ms";
-      ]
-
-let test_bench_lint_schema () =
-  check_schema "BENCH_lint.json" ~strings:[]
-    ~numbers:
-      [
-        "untyped_ms";
-        "typed_ms";
-        "fixpoint_ms";
-        "bindings";
-        "untyped_findings";
-        "typed_findings_raw";
-        "findings";
-      ]
-
-let test_bench_shard_schema () =
-  check_schema "BENCH_shard.json" ~strings:[ "topology"; "mode" ]
-    ~numbers:
-      [
-        "packets_per_batch";
-        "baseline_pump_pps";
-        "pps_domains_1";
-        "pps_domains_2";
-        "pps_domains_4";
-        "pps_domains_8";
-        "speedup_domains_4";
-      ];
-  (* the curve must be a real measurement, not zeros *)
-  let body = read_bench "BENCH_shard.json" in
-  List.iter
-    (fun key ->
-      match field body key with
-      | Some v ->
-          check Alcotest.bool
-            (Printf.sprintf "%s positive" key)
-            true
-            (float_of_string v > 0.0)
-      | None -> Alcotest.failf "missing key %S" key)
-    [ "baseline_pump_pps"; "pps_domains_1"; "pps_domains_4" ]
-
-let test_bench_drills_schema () =
-  let body = read_bench "BENCH_drills.json" in
-  List.iter
-    (fun n ->
-      check Alcotest.bool (n ^ " present") true (contains body ("\"" ^ n ^ "\"")))
-    [
-      "regional-blackout";
-      "provider-depeer";
-      "prefix-hijack";
-      "flapping-provider";
-      "flash-crowd";
-      "slow-consumer";
-    ];
-  (* the committed artifact doubles as a regression gate: every
-     catalog drill must be green in it *)
-  check Alcotest.bool "drills pass" true (contains body "\"pass\": true");
-  check Alcotest.bool "no drill fails" false (contains body "\"pass\": false");
-  check Alcotest.bool "has recovery trajectories" true
-    (contains body "ok_trajectory");
-  check Alcotest.bool "has blackhole trajectories" true
-    (contains body "blackhole_cumulative_s");
-  List.iter
-    (fun key ->
-      match field body key with
-      | None -> Alcotest.failf "missing key %S" key
-      | Some v -> (
-          match float_of_string_opt v with
-          | Some f when Float.is_finite f && f >= 0.0 -> ()
-          | _ -> Alcotest.failf "%S is not a finite number (%S)" key v))
-    [ "blackhole_s"; "stale_frac"; "hijacked_peak" ]
-
-let test_bench_overload_schema () =
-  let body = read_bench "BENCH_overload.json" in
-  check_schema "BENCH_overload.json" ~strings:[]
-    ~numbers:
-      [
-        "uncrashed_run_ms"; "crashed_run_ms"; "recovery_overhead_ms"; "restarts";
-      ];
-  check Alcotest.bool "has the goodput-vs-load curve" true
-    (contains body "goodput_vs_load");
-  check Alcotest.bool "has per-drill drop reasons" true
-    (contains body "overload_drills");
-  check Alcotest.bool "both overload drills present" true
-    (contains body "flash-crowd" && contains body "slow-consumer");
-  (* the supervised restart really happened, and it was cheap enough
-     to measure rather than hang *)
-  (match field body "restarts" with
-  | Some v -> check Alcotest.bool "restarts fired" true (float_of_string v >= 1.0)
-  | None -> Alcotest.failf "missing key \"restarts\"");
-  (match field body "recovery_overhead_ms" with
-  | Some v ->
-      check Alcotest.bool "recovery overhead non-negative and finite" true
-        (let f = float_of_string v in
-         Float.is_finite f && f >= 0.0)
-  | None -> Alcotest.failf "missing key \"recovery_overhead_ms\"");
-  (* control never shed before data anywhere on the curve *)
-  check Alcotest.bool "control rides the reserve" false
-    (contains body "\"ctrl_ok\": 0.")
-
 let () =
   Alcotest.run "cli"
     [
@@ -459,19 +254,5 @@ let () =
             test_lint_summaries_rejects_sarif;
           Alcotest.test_case "unknown format exits 2" `Quick
             test_lint_unknown_format;
-        ] );
-      ( "bench-json",
-        [
-          Alcotest.test_case "BENCH_dataplane schema" `Slow
-            test_bench_dataplane_schema;
-          Alcotest.test_case "BENCH_faults schema" `Slow
-            test_bench_faults_schema;
-          Alcotest.test_case "BENCH_lint schema" `Slow test_bench_lint_schema;
-          Alcotest.test_case "BENCH_shard schema" `Slow
-            test_bench_shard_schema;
-          Alcotest.test_case "BENCH_drills schema" `Slow
-            test_bench_drills_schema;
-          Alcotest.test_case "BENCH_overload schema" `Slow
-            test_bench_overload_schema;
         ] );
     ]

@@ -74,7 +74,8 @@ let test_with_intensity () =
   let inferno = Drillbook.with_intensity b 1000.0 in
   check (Alcotest.float 1e-9) "loss capped below certainty" 0.9
     inferno.Drillbook.loss;
-  invalid (fun () -> ignore (Drillbook.with_intensity b 0.0))
+  invalid (fun () -> ignore (Drillbook.with_intensity b 0.0));
+  invalid (fun () -> ignore (Drillbook.with_intensity b nan))
 
 (* --- drillbook: s-expression loader -------------------------------- *)
 
@@ -128,7 +129,35 @@ let test_malformed_drill_files () =
   expect_error
     "(drill (name x) (seed 1) (ticks 5) (fault (at 3) (until 9)) (kind \
      (depeer (stub-rank 0))) (slo (detection 1) (reconverge 8) (blackhole 4) \
-     (stale 0.5) (hijacked 0)))"
+     (stale 0.5) (hijacked 0)))";
+  (* NaN passes every [<]/[>] range check and inf every lower bound, so
+     a catalog book with one field made non-finite must be refused *)
+  let b = Drillbook.prefix_hijack in
+  let slo = b.Drillbook.slo in
+  let flap = Drillbook.flapping_provider in
+  List.iter
+    (fun b -> expect_error (Drillbook.to_sexp b))
+    [
+      { b with Drillbook.slo = { slo with Drillbook.max_detection = nan } };
+      { b with Drillbook.slo = { slo with Drillbook.max_stale = nan } };
+      { b with Drillbook.loss = nan };
+      { b with Drillbook.jitter = infinity };
+      { b with Drillbook.fault_at = nan };
+      { b with Drillbook.fault_until = nan };
+      { b with Drillbook.detection_delay = nan };
+      {
+        flap with
+        Drillbook.kind =
+          Drillbook.Provider_flap
+            { stub_rank = 0; cycles = 2; period = infinity; down_for = 1.0 };
+      };
+      {
+        flap with
+        Drillbook.kind =
+          Drillbook.Provider_flap
+            { stub_rank = 0; cycles = 2; period = 2.0; down_for = nan };
+      };
+    ]
 
 (* --- drill replay --------------------------------------------------- *)
 
@@ -217,6 +246,34 @@ let test_catalog_slos_hold () =
         Alcotest.failf "%s misses its SLOs:\n%s" b.Drillbook.name
           (String.concat "\n" v.Slo.failures))
     runs
+
+let test_nan_budget_fails () =
+  (* the slo record is public, so a record update can hand [evaluate] a
+     budget that [Drillbook.slo] refuses; it must grade as a miss, and
+     the rendered headline must agree with the rendered lines *)
+  let b = Drillbook.prefix_hijack in
+  let b =
+    {
+      b with
+      Drillbook.slo = { b.Drillbook.slo with Drillbook.max_detection = nan };
+    }
+  in
+  let r = Drill.complete ~params:small_params b in
+  let v = Slo.evaluate r in
+  Drill.close r;
+  check Alcotest.bool "verdict fails" false v.Slo.pass;
+  check Alcotest.int "one miss" 1 (List.length v.Slo.failures);
+  match String.split_on_char '\n' (Slo.render b v) with
+  | headline :: lines ->
+      check Alcotest.string "headline" "SLO verdict for prefix-hijack: FAIL"
+        headline;
+      let missed =
+        List.filter (fun l -> String.ends_with ~suffix:"MISS" l) lines
+      in
+      check Alcotest.int "lines agree with the verdict" 1 (List.length missed);
+      check Alcotest.bool "the detection line misses" true
+        (String.starts_with ~prefix:"  detection " (List.hd missed))
+  | [] -> Alcotest.fail "empty render"
 
 let test_no_recovery_is_graded_worse_or_equal () =
   (* switching the playbook off can never improve the blackhole
@@ -309,6 +366,7 @@ let () =
           Alcotest.test_case "every drill detects" `Slow
             test_every_drill_detects;
           Alcotest.test_case "catalog SLOs hold" `Slow test_catalog_slos_hold;
+          Alcotest.test_case "NaN budget fails" `Slow test_nan_budget_fails;
           Alcotest.test_case "recovery never hurts" `Slow
             test_no_recovery_is_graded_worse_or_equal;
         ] );

@@ -216,8 +216,8 @@ let rules =
        decode cursor and the ring's masked indexing rely on runtime \
        checks. Provenance: DESIGN.md \u{00A7}9.5; the paper's \
        \u{00A7}3 requirement that the cost of a data-plane change be \
-       measured, which the unsafe flip's pps delta quantifies \
-       (BENCH_shard.json)." );
+       measured, which the unsafe flip's delta in bench/perf's \
+       `ops_per_s` on the pool workloads quantifies." );
     ( "unsafe-unproven",
       "The license that makes `unsafe_get`/`unsafe_set` a proof \
        artifact instead of a judgment call: any unsafe access in lib/ \
@@ -1250,9 +1250,9 @@ let dedupe_diags diags =
          match acc with p :: _ when same p d -> acc | _ -> d :: acc)
        [] sorted)
 
-(* The untyped pass alone — sections 1-4 of [run]; also timed
-   separately by `bench --json`. Marks [allow] entries used, so the
-   staleness check belongs to the caller once every pass has run. *)
+(* The untyped pass alone — sections 1-4 of [run]. Marks [allow]
+   entries used, so the staleness check belongs to the caller once
+   every pass has run. *)
 let run_untyped ~root ~allow =
   let read rel = read_file (Filename.concat root rel) in
   let diags = ref [] in

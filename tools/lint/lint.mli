@@ -142,11 +142,6 @@ val catalog_md : unit -> string
     committed file matches, so the catalog cannot drift from
     {!rules}. *)
 
-val run_untyped : root:string -> allow:Allowlist.t -> diag list
-(** The untyped pass alone (layering, determinism, interfaces,
-    experiment artifacts), sorted. Marks allowlist entries used;
-    staleness is checked by {!run} once every pass has run. *)
-
 val stale_roots : Callgraph.t -> diag list
 (** One [stale-root] finding per entry of {!hot_path_roots},
     {!domain_safety_roots} or {!bounds_roots} that names no binding of
