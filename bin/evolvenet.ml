@@ -132,14 +132,18 @@ let run_sim strategy_s deploy_s src dst egress_s seed verbose =
       in
       let setup = Evolve.Setup.create ~params ~version:8 ~strategy () in
       let inet = Evolve.Setup.internet setup in
+      let num_domains = Topology.Internet.num_domains inet in
       let domains =
-        String.split_on_char ',' deploy_s
-        |> List.filter_map int_of_string_opt
-        |> List.filter (fun d -> d >= 0 && d < Topology.Internet.num_domains inet)
+        List.map
+          (fun tok ->
+            match int_of_string_opt (String.trim tok) with
+            | Some d when d >= 0 && d < num_domains -> d
+            | _ ->
+                usage_error "--deploy: %S is not a domain id in [0, %d)" tok
+                  num_domains)
+          (String.split_on_char ',' deploy_s)
       in
-      (match domains with
-      | [] -> usage_error "no valid domains to deploy"
-      | _ -> List.iter (fun d -> Evolve.Setup.deploy setup ~domain:d) domains);
+      List.iter (fun d -> Evolve.Setup.deploy setup ~domain:d) domains;
       let hn = Array.length inet.Topology.Internet.endhosts in
       if src < 0 || src >= hn || dst < 0 || dst >= hn || src = dst then
         usage_error "endhosts must be distinct ids in [0, %d)" hn
@@ -152,7 +156,8 @@ let run_sim strategy_s deploy_s src dst egress_s seed verbose =
                 ~endhost:dst));
         let j = Evolve.Setup.send setup ~strategy:egress ~src ~dst () in
         let module T = Vnbone.Transport in
-        Printf.printf "strategy %s, deployed domains %s\n" strategy_s deploy_s;
+        Printf.printf "strategy %s, deployed domains %s\n" strategy_s
+          (String.concat "," (List.map string_of_int domains));
         Printf.printf "endhost %d (domain %d) -> endhost %d (domain %d)\n" src
           (Topology.Internet.endhost inet src).Topology.Internet.hdomain dst
           (Topology.Internet.endhost inet dst).Topology.Internet.hdomain;

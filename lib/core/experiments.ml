@@ -1835,18 +1835,27 @@ let e29_dataplane_cost ?(params = Internet.default_params)
                   (Netcore.Packet.make_data ~src:hs.Internet.haddr
                      ~dst:hd.Internet.haddr payload)
               in
-              let d =
-                Pump.send_vn pump vrouter ~strategy:Router.Bgp_aware
-                  ~src:f.Workload.src ~dst:f.Workload.dst ~payload
+              let j =
+                Transport.send_over vrouter ~forward:(Pump.inject pump)
+                  ~strategy:Router.Bgp_aware ~src:f.Workload.src
+                  ~dst:f.Workload.dst ~payload
               in
-              if Pump.vn_delivered d then begin
+              if Transport.delivered j then begin
                 incr n_del;
+                let vn_hops = Transport.total_hops j in
                 if Forward.delivered nat && nat_hops > 0 then
                   stretches :=
-                    (float_of_int d.Pump.vn_hops /. float_of_int nat_hops)
+                    (float_of_int vn_hops /. float_of_int nat_hops)
                     :: !stretches;
+                (* every leg carries the packet in one IPv4 header, and
+                   the header's addresses do not change its length *)
+                let vn_len =
+                  Netcore.Wire.wire_length
+                    (Netcore.Packet.encapsulate ~src:Netcore.Ipv4.any
+                       ~dst:Netcore.Ipv4.any j.Transport.packet)
+                in
                 native_bytes := !native_bytes + (nat_hops * nat_len);
-                evolved_bytes := !evolved_bytes + d.Pump.vn_bytes
+                evolved_bytes := !evolved_bytes + (vn_hops * vn_len)
               end)
             sample;
           {
@@ -2233,37 +2242,20 @@ let e32_flap_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
       arr
     in
     let refreshed = ref n_routers in
-    let recompute_domains () =
-      let ds =
-        List.sort_uniq Int.compare
-          (List.map
-             (fun (a, _, _) -> (Internet.router inet a).Internet.rdomain)
-             victims)
-      in
-      List.iter
-        (fun d ->
-          let old = env.Forward.igps.(d) in
-          let fresh = Igp.compute inet ~domain:d ~flavor:(Igp.flavor old) in
-          List.iter
-            (fun grp ->
-              match Igp.anycast_members old ~group:grp with
-              | Some ms ->
-                  List.iter
-                    (fun m -> Igp.advertise_anycast fresh ~group:grp ~member:m)
-                    ms
-              | None -> ())
-            (Igp.groups old);
-          env.Forward.igps.(d) <- fresh)
-        ds
+    let victim_domains =
+      List.sort_uniq Int.compare
+        (List.map
+           (fun (a, _, _) -> (Internet.router inet a).Internet.rdomain)
+           victims)
     in
     if recovery then begin
       Simcore.Engine.schedule_at engine ~time:(down_t +. 0.3) (fun _ ->
           List.iter (fun (a, b, _) -> Graph.remove_edge g a b) victims;
-          recompute_domains ();
+          Forward.recompute_igps env ~domains:victim_domains;
           refreshed := 0);
       Simcore.Engine.schedule_at engine ~time:(up_t +. 0.3) (fun _ ->
           List.iter (fun (a, b, w) -> Graph.add_edge g a b w) victims;
-          recompute_domains ();
+          Forward.recompute_igps env ~domains:victim_domains;
           refreshed := 0)
     end;
     let window = 3 in

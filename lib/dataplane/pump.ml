@@ -3,10 +3,6 @@ module Wire = Netcore.Wire
 module Internet = Topology.Internet
 module Forward = Simcore.Forward
 module Fib = Simcore.Fib
-module Service = Anycast.Service
-module Router = Vnbone.Router
-module Fabric = Vnbone.Fabric
-module Transport = Vnbone.Transport
 
 type t = { env : Forward.env; hop : Hop.t }
 
@@ -85,112 +81,3 @@ let run_flow t (f : Workload.flow) =
   done
 
 let run_batch t flows = List.iter (run_flow t) flows
-
-(* --- the IPvN journey over compiled tables -------------------------- *)
-
-type vn_outcome =
-  | Vn_delivered
-  | Vn_no_ingress
-  | Vn_unreachable
-  | Vn_exit_failed
-  | Vn_vttl_expired
-
-let vn_outcome_to_string = function
-  | Vn_delivered -> "delivered"
-  | Vn_no_ingress -> "no ingress"
-  | Vn_unreachable -> "vn unreachable"
-  | Vn_exit_failed -> "exit failed"
-  | Vn_vttl_expired -> "vttl expired"
-
-type vn_delivery = {
-  traces : Forward.trace list; (* access, tunnel legs, exit — in order *)
-  vn_outcome : vn_outcome;
-  vn_hops : int; (* underlay transmissions over all legs *)
-  vn_bytes : int; (* wire bytes x transmissions over all legs *)
-}
-
-let send_vn t router ~strategy ~src ~dst ~payload =
-  let fabric = Router.fabric router in
-  let service = Fabric.service fabric in
-  let inet = t.env.Forward.inet in
-  let hsrc = Internet.endhost inet src and hdst = Internet.endhost inet dst in
-  let version = Service.version service in
-  let vsrc = Transport.vn_address_of_endhost service ~endhost:src in
-  let vdst = Transport.vn_address_of_endhost service ~endhost:dst in
-  let packet =
-    Packet.make_vn ~version ~vsrc ~vdst ~dest_v4_hint:hdst.Internet.haddr
-      payload
-  in
-  let hops = ref 0 and bytes = ref 0 in
-  let track p (tr : Forward.trace) =
-    let h = Forward.hop_count tr in
-    hops := !hops + h;
-    bytes := !bytes + (h * Wire.wire_length p);
-    tr
-  in
-  let finish traces vn_outcome =
-    { traces = List.rev traces; vn_outcome; vn_hops = !hops; vn_bytes = !bytes }
-  in
-  (* 1. access leg: encapsulate toward the anycast address *)
-  let access_packet =
-    Packet.encapsulate ~src:hsrc.Internet.haddr ~dst:(Service.address service)
-      packet
-  in
-  let access =
-    track access_packet
-      (inject t access_packet ~entry:hsrc.Internet.access_router)
-  in
-  match access.Forward.outcome with
-  | Forward.Endhost_accepted _ | Forward.Dropped _ ->
-      finish [ access ] Vn_no_ingress
-  | Forward.Router_accepted ingress -> (
-      let traces = [ access ] in
-      (* 2. pick the egress *)
-      let egress =
-        if Service.is_participant service ~domain:hdst.Internet.hdomain then
-          Router.egress_to_vn_domain router ~ingress
-            ~domain:hdst.Internet.hdomain
-        else Router.egress_for router ~strategy ~ingress ~dest:hdst.Internet.haddr
-      in
-      match egress with
-      | None -> finish traces Vn_unreachable
-      | Some egress -> (
-          (* 3. vN-Bone tunnel legs, hop by hop over compiled tables *)
-          match Fabric.vn_path fabric ingress egress with
-          | None -> finish traces Vn_unreachable
-          | Some vn_nodes -> (
-              let rec tunnels traces vttl = function
-                | a :: (b :: _ as rest) ->
-                    if vttl <= 1 then Error (traces, Vn_vttl_expired)
-                    else
-                      let p =
-                        Packet.encapsulate
-                          ~src:(Internet.router inet a).Internet.raddr
-                          ~dst:(Internet.router inet b).Internet.raddr packet
-                      in
-                      let tr = track p (inject t p ~entry:a) in
-                      if Forward.delivered tr then
-                        tunnels (tr :: traces) (vttl - 1) rest
-                      else Error (tr :: traces, Vn_unreachable)
-                | [ _ ] | [] -> Ok traces
-              in
-              match tunnels traces packet.Packet.vttl vn_nodes with
-              | Error (traces, f) -> finish traces f
-              | Ok traces -> (
-                  (* 4. exit leg over IPv(N-1) *)
-                  let exit_packet =
-                    Packet.encapsulate
-                      ~src:(Internet.router inet egress).Internet.raddr
-                      ~dst:hdst.Internet.haddr packet
-                  in
-                  let tr = track exit_packet (inject t exit_packet ~entry:egress) in
-                  let traces = tr :: traces in
-                  match tr.Forward.outcome with
-                  | Forward.Endhost_accepted h when h = dst ->
-                      finish traces Vn_delivered
-                  | Forward.Endhost_accepted _ | Forward.Router_accepted _
-                  | Forward.Dropped _ ->
-                      finish traces Vn_exit_failed))))
-
-let vn_delivered d =
-  match d.vn_outcome with Vn_delivered -> true | _ -> false

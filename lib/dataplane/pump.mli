@@ -12,6 +12,12 @@
     kernel's, walked one packet at a time over a block spanning every
     router — the same decision the sharded pool makes per flowlet.
 
+    The pump forwards IPv4 packets only. Experiment E29 runs IPvN
+    journeys over it by passing {!inject} as the forwarder of the
+    vN-Bone transport's [send_over], which walks the access, tunnel and
+    exit legs; the data plane itself knows nothing of anycast or the
+    vN-Bone.
+
     Tables are snapshots: after a deployment or routing change the
     control plane moves on but the pump keeps forwarding on stale
     tables until {!refresh} — exactly the convergence window experiment
@@ -86,38 +92,3 @@ val run_flow : t -> Workload.flow -> unit
 (** Send all of a flow's packets natively, for the telemetry. *)
 
 val run_batch : t -> Workload.flow list -> unit
-
-(** {2 IPvN journeys} — the §3.3.2 universal-access data path
-    (access anycast leg, vN-Bone tunnel legs, IPv(N-1) exit leg),
-    with every underlay leg forwarded by {!inject} instead of the
-    control-plane oracle {!Vnbone.Transport.send} uses. *)
-
-type vn_outcome =
-  | Vn_delivered
-  | Vn_no_ingress  (** anycast redirection failed *)
-  | Vn_unreachable  (** no egress or no vN-Bone path *)
-  | Vn_exit_failed
-  | Vn_vttl_expired
-
-val vn_outcome_to_string : vn_outcome -> string
-
-type vn_delivery = {
-  traces : Simcore.Forward.trace list;
-      (** access, tunnel and exit underlay traces, in order *)
-  vn_outcome : vn_outcome;
-  vn_hops : int;  (** underlay transmissions over all legs *)
-  vn_bytes : int;  (** wire bytes crossing links (bytes x transmissions) *)
-}
-
-val send_vn :
-  t ->
-  Vnbone.Router.t ->
-  strategy:Vnbone.Router.strategy ->
-  src:int ->
-  dst:int ->
-  payload:string ->
-  vn_delivery
-(** End-to-end IPvN send between endhost ids over the pump's tables.
-    The router must be built over the same env as the pump. *)
-
-val vn_delivered : vn_delivery -> bool

@@ -16,7 +16,7 @@ type t = {
   restarts : int array; (* per-shard revive count, bumped by the supervisor *)
 }
 
-let create ?(cache_slots = 256) ?(ring_capacity = 1024) ?spill_cap ?shed_eager
+let create ?(cache_slots = 256) ?(ring_capacity = 1024) ?spill_cap
     ?inject_per_pass (env : Forward.env) ~shards ~seed =
   let n = Internet.num_routers env.Forward.inet in
   let map = Shardmap.create ~routers:n ~shards in
@@ -26,8 +26,8 @@ let create ?(cache_slots = 256) ?(ring_capacity = 1024) ?spill_cap ?shed_eager
   let pool_rng = Rng.create seed in
   let ss =
     Array.init shards (fun sid ->
-        Shard.create ?spill_cap ?shed_eager ?inject_per_pass ~sid ~map ~tables
-          ~cache_slots ~rng:(Rng.split pool_rng) ~live ())
+        Shard.create ?spill_cap ?inject_per_pass ~sid ~map ~tables ~cache_slots
+          ~rng:(Rng.split pool_rng) ~live ())
   in
   (* rings.(p).(c) carries handoffs from shard p to shard c: exactly
      one producer and one consumer per ring, the SPSC contract *)
@@ -37,14 +37,13 @@ let create ?(cache_slots = 256) ?(ring_capacity = 1024) ?spill_cap ?shed_eager
             Ring.create ~capacity:ring_capacity ~dummy:Shard.dummy_msg))
   in
   let peer_asleep = Array.map Shard.asleep_flag ss in
-  let peer_congested = Array.map Shard.congested_flag ss in
   let peer_wake = Array.map Shard.wake_fd ss in
   Array.iteri
     (fun c s ->
       Shard.set_channels s
         ~inbox:(Array.init shards (fun p -> rings.(p).(c)))
         ~outbox:(Array.init shards (fun c' -> rings.(c).(c')));
-      Shard.set_doorbells s ~peer_asleep ~peer_congested ~peer_wake)
+      Shard.set_doorbells s ~peer_asleep ~peer_wake)
     ss;
   { env; map; shards = ss; live; restarts = Array.make shards 0 }
 

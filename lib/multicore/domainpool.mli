@@ -19,7 +19,6 @@ val create :
   ?cache_slots:int ->
   ?ring_capacity:int ->
   ?spill_cap:int ->
-  ?shed_eager:bool ->
   ?inject_per_pass:int ->
   Simcore.Forward.env ->
   shards:int ->
@@ -30,9 +29,8 @@ val create :
     [cache_slots] flow-cache slots per router (default 256, as
     {!Dataplane.Pump.create}) and [ring_capacity]-slot handoff rings
     (default 1024). [seed] feeds one {!Topology.Rng} per shard via
-    deterministic splits. [spill_cap], [shed_eager] and
-    [inject_per_pass] configure each shard's overload behaviour — see
-    {!Shard.create}.
+    deterministic splits. [spill_cap] and [inject_per_pass] configure
+    each shard's overload behaviour — see {!Shard.create}.
     @raise Invalid_argument unless [0 < shards <= routers]. *)
 
 val env : t -> Simcore.Forward.env

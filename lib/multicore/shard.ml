@@ -60,21 +60,14 @@ type t = {
          slow-consumer drill's demand model); [max_int] = drain the
          queue in one pass, the historical behaviour *)
   spill_cap : int;
-  spill_hi : int; (* eager-shed watermark: 3/4 of [spill_cap] *)
   mutable spill_head : int;
   mutable spill_len : int;
   mutable spill_hw : int; (* high-water of [spill_len] *)
   mutable shed_count : int; (* packets deliberately shed, cumulative *)
-  shed_eager : bool; (* shed at the producer when credits exhaust *)
   mutable inbox : msg Ring.t array; (* inbox.(p): ring from producer shard p *)
   mutable outbox : msg Ring.t array; (* outbox.(c): ring to consumer shard c *)
-  mutable cong_hi : int; (* inbox-backlog watermarks for [congested] *)
-  mutable cong_lo : int;
   live : int Atomic.t; (* pool-wide in-flight packets *)
   asleep : bool Atomic.t; (* published before blocking on the doorbell *)
-  congested : bool Atomic.t;
-      (* published credit signal: this consumer's inbox backlog crossed
-         the high watermark (hysteresis down at the low one) *)
   dead : bool Atomic.t; (* published by a crashing worker, cleared by revive *)
   mutable crash_at : int; (* crash after this many handlings; -1 = disarmed *)
   mutable handled : int; (* flowlet handlings (arrivals + injections) *)
@@ -82,15 +75,14 @@ type t = {
   wake_w : Unix.file_descr; (* peers ring it to wake this worker *)
   bell : Bytes.t; (* scratch byte for doorbell writes/drains *)
   mutable peer_asleep : bool Atomic.t array;
-  mutable peer_congested : bool Atomic.t array;
   mutable peer_wake : Unix.file_descr array;
   mutable crossings : int;
   mutable naps : int;
   mutable passes : int;
 }
 
-let create ?(spill_cap = 65536) ?(shed_eager = false)
-    ?(inject_per_pass = max_int) ~sid ~map ~tables ~cache_slots ~rng ~live () =
+let create ?(spill_cap = 65536) ?(inject_per_pass = max_int) ~sid ~map
+    ~tables ~cache_slots ~rng ~live () =
   if spill_cap <= 0 then invalid_arg "Shard.create: spill_cap must be positive";
   if inject_per_pass <= 0 then
     invalid_arg "Shard.create: inject_per_pass must be positive";
@@ -108,19 +100,14 @@ let create ?(spill_cap = 65536) ?(shed_eager = false)
     spill = Array.make spill_cap dummy_msg;
     inject_per_pass;
     spill_cap;
-    spill_hi = max 1 (spill_cap * 3 / 4);
     spill_head = 0;
     spill_len = 0;
     spill_hw = 0;
     shed_count = 0;
-    shed_eager;
     inbox = [||];
     outbox = [||];
-    cong_hi = max_int;
-    cong_lo = 0;
     live;
     asleep = Atomic.make false;
-    congested = Atomic.make false;
     dead = Atomic.make false;
     crash_at = -1;
     handled = 0;
@@ -128,7 +115,6 @@ let create ?(spill_cap = 65536) ?(shed_eager = false)
     wake_w;
     bell = Bytes.make 64 '!';
     peer_asleep = [||];
-    peer_congested = [||];
     peer_wake = [||];
     crossings = 0;
     naps = 0;
@@ -137,23 +123,13 @@ let create ?(spill_cap = 65536) ?(shed_eager = false)
 
 let set_channels t ~inbox ~outbox =
   t.inbox <- inbox;
-  t.outbox <- outbox;
-  (* watermarks over the total inbox capacity (excluding the self
-     ring, which is never used): congested above 3/4, clear below 1/4 *)
-  let total = ref 0 in
-  Array.iteri
-    (fun p r -> if p <> t.sid then total := !total + Ring.capacity r)
-    inbox;
-  t.cong_hi <- max 1 (!total * 3 / 4);
-  t.cong_lo <- !total / 4
+  t.outbox <- outbox
 
-let set_doorbells t ~peer_asleep ~peer_congested ~peer_wake =
+let set_doorbells t ~peer_asleep ~peer_wake =
   t.peer_asleep <- peer_asleep;
-  t.peer_congested <- peer_congested;
   t.peer_wake <- peer_wake
 
 let asleep_flag t = t.asleep
-let congested_flag t = t.congested
 let dead_flag t = t.dead
 let wake_fd t = t.wake_w
 
@@ -262,19 +238,9 @@ let evict_newest_data st =
   end
 
 (* Hand a flowlet to consumer shard [c]: ring first (only when the
-   spill is empty, so per-pair FIFO holds), then the spill, then shed.
-   With [shed_eager] the producer sheds data early once its credits
-   are exhausted — the consumer advertises congestion and the spill is
-   past its high watermark — instead of waiting for the spill to fill
-   (nondeterministic under real parallelism, so it is opt-in). *)
+   spill is empty, so per-pair FIFO holds), then the spill, then shed. *)
 let offer st c (m : msg) =
   if st.spill_len = 0 && Ring.push st.outbox.(c) m then ring_doorbell st c
-  else if
-    st.shed_eager
-    && m.m_cls <> Telemetry.Control
-    && st.spill_len >= st.spill_hi
-    && Atomic.get st.peer_congested.(c)
-  then shed_msg st m
   else if st.spill_len < st.spill_cap then spill_append st m
   else if m.m_cls = Telemetry.Control && evict_newest_data st then
     spill_append st m
@@ -347,21 +313,6 @@ let flush_overflow st =
   done;
   !moved > 0
 
-(* Publish the credit signal for producers: congested above the high
-   watermark of this consumer's inbox backlog, clear again only below
-   the low one (hysteresis, so the flag does not flap per message).
-   Called once per pass, before draining, so the published value
-   reflects the backlog producers actually face. *)
-let update_congestion st =
-  let backlog = ref 0 in
-  for p = 0 to Array.length st.inbox - 1 do
-    if p <> st.sid then backlog := !backlog + Ring.length st.inbox.(p)
-  done;
-  if Atomic.get st.congested then begin
-    if !backlog <= st.cong_lo then Atomic.set st.congested false
-  end
-  else if !backlog >= st.cong_hi then Atomic.set st.congested true
-
 let inboxes_empty st =
   let empty = ref true in
   for p = 0 to Array.length st.inbox - 1 do
@@ -387,15 +338,14 @@ let nap st =
 
 exception Crashed
 
-(* One scheduling pass: publish congestion, drain arrivals, retry
-   stalled handoffs, inject fresh flows. Returns whether anything
-   moved. Extracted from [run] so Domainpool.run_cooperative can
-   interleave shards deterministically on one domain (DESIGN.md §13).
+(* One scheduling pass: drain arrivals, retry stalled handoffs, inject
+   fresh flows. Returns whether anything moved. Extracted from [run] so
+   Domainpool.run_cooperative can interleave shards deterministically
+   on one domain (DESIGN.md §13).
    An armed crash fires between flowlets: the message that was next is
    still queued, so nothing in flight is lost. *)
 let pass st =
   st.passes <- st.passes + 1;
-  update_congestion st;
   let progress = ref false in
   (try
      (* 1. cross-shard arrivals — consumers always drain, so producers

@@ -30,7 +30,6 @@ type t
 
 val create :
   ?spill_cap:int ->
-  ?shed_eager:bool ->
   ?inject_per_pass:int ->
   sid:int ->
   map:Shardmap.t ->
@@ -51,18 +50,12 @@ val create :
     (DESIGN.md §13) instead of growing memory without bound. A flowlet
     never splits, so a batch whose flow count stays below [spill_cap]
     can never shed and the pool stays bit-deterministic; the default
-    clears every experiment in the suite. [shed_eager] (default false)
-    additionally sheds data-class handoffs at the producer as soon as
-    credits exhaust — the consumer advertises congestion
-    ({!congested_flag}) and the spill is past its 3/4 watermark —
-    which bounds latency under sustained overload at the price of
-    timing-dependent drop counts; only overload drills and tests
-    enable it. [inject_per_pass] (default unbounded) paces fresh-flow
-    injections: at most that many staged flows enter per scheduling
-    pass, turning a batch into a multi-round arrival process — the
-    slow-consumer drill's demand model; the default drains the whole
-    queue in the first pass, the historical behaviour every
-    experiment relies on for bit-reproducibility.
+    clears every experiment in the suite. [inject_per_pass] (default
+    unbounded) paces fresh-flow injections: at most that many staged
+    flows enter per scheduling pass, turning a batch into a multi-round
+    arrival process — the slow-consumer drill's demand model; the
+    default drains the whole queue in the first pass, the historical
+    behaviour every experiment relies on for bit-reproducibility.
     @raise Invalid_argument when [spill_cap] or [inject_per_pass] is
     not positive. *)
 
@@ -73,26 +66,17 @@ val set_channels : t -> inbox:msg Ring.t array -> outbox:msg Ring.t array -> uni
 val set_doorbells :
   t ->
   peer_asleep:bool Atomic.t array ->
-  peer_congested:bool Atomic.t array ->
   peer_wake:Unix.file_descr array ->
   unit
 (** Wire the wakeup fabric: [peer_asleep.(c)] is shard [c]'s published
-    sleep flag, [peer_congested.(c)] its published congestion signal
-    (the credit/watermark protocol of DESIGN.md §13), and
-    [peer_wake.(c)] the write end of its doorbell pipe. A producer
-    that pushes a handoff to a sleeping consumer writes one byte
-    there, so idle workers block in [select] instead of burning timer
-    slack — the flag is re-read after the ring push (both seq_cst),
-    which closes the lost-wakeup race. Setup-time only. *)
+    sleep flag and [peer_wake.(c)] the write end of its doorbell pipe.
+    A producer that pushes a handoff to a sleeping consumer writes one
+    byte there, so idle workers block in [select] instead of burning
+    timer slack — the flag is re-read after the ring push (both
+    seq_cst), which closes the lost-wakeup race. Setup-time only. *)
 
 val asleep_flag : t -> bool Atomic.t
 (** This shard's published sleep flag (for {!set_doorbells} wiring). *)
-
-val congested_flag : t -> bool Atomic.t
-(** This shard's published congestion signal (for {!set_doorbells}
-    wiring): set when its inbox backlog crosses the 3/4 high
-    watermark, cleared with hysteresis below the 1/4 low one. A
-    producer reads its peer's flag as "credits exhausted". *)
 
 val dead_flag : t -> bool Atomic.t
 (** Published by a crashing worker as it exits its run loop; the
@@ -166,7 +150,7 @@ val revive : t -> unit
     is not running (after joining its domain). *)
 
 val pass : t -> bool
-(** One scheduling pass of the run loop (publish congestion, drain
+(** One scheduling pass of the run loop (drain cross-shard
     arrivals, retry stalled handoffs, inject pending flows); returns
     whether anything moved. {!Domainpool.run_cooperative} interleaves
     shards with it deterministically on one domain; {!run} is the

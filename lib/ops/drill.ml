@@ -1,7 +1,6 @@
 module Internet = Topology.Internet
 module Rng = Topology.Rng
 module Graph = Topology.Graph
-module Igp = Routing.Igp
 module Relationship = Topology.Relationship
 module Bgp = Interdomain.Bgp
 module Forward = Simcore.Forward
@@ -167,26 +166,6 @@ let phase_at r t =
   else "recovered"
 
 let phase r = phase_at r (Engine.now r.engine)
-
-(* recompute the IGPs of the given domains over the (edited) graph,
-   preserving each group's current membership — the E32 detour-install
-   recipe, shared by the blackout playbook *)
-let recompute_domains r ds =
-  List.iter
-    (fun d ->
-      let old = r.env.Forward.igps.(d) in
-      let fresh = Igp.compute r.inet ~domain:d ~flavor:(Igp.flavor old) in
-      List.iter
-        (fun grp ->
-          match Igp.anycast_members old ~group:grp with
-          | Some ms ->
-              List.iter
-                (fun m -> Igp.advertise_anycast fresh ~group:grp ~member:m)
-                ms
-          | None -> ())
-        (Igp.groups old);
-      r.env.Forward.igps.(d) <- fresh)
-    ds
 
 let victim_domains r =
   List.sort_uniq Int.compare
@@ -413,7 +392,7 @@ let arm r =
                 | Some ls -> Lsproto.link_failed ls eng a b'
                 | None -> ())
               r.victims;
-            recompute_domains r (victim_domains r);
+            Forward.recompute_igps r.env ~domains:(victim_domains r);
             repair_vnbone r;
             mark_dirty r);
         Engine.schedule_at r.engine ~time:restore_time (fun eng ->
@@ -428,7 +407,7 @@ let arm r =
               r.victims;
             List.iter (fun m -> Service.add_member r.service ~router:m)
               r.crashed;
-            recompute_domains r (victim_domains r);
+            Forward.recompute_igps r.env ~domains:(victim_domains r);
             rebuild_vnbone r;
             mark_dirty r)
       end

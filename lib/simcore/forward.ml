@@ -24,6 +24,23 @@ let make_env ?config ?(flavor_of = fun _ -> Igp.Linkstate_igp) inet =
 
 let reconverge env = Bgp.converge env.bgp
 
+let recompute_igps env ~domains =
+  List.iter
+    (fun d ->
+      let old = env.igps.(d) in
+      let fresh = Igp.compute env.inet ~domain:d ~flavor:(Igp.flavor old) in
+      List.iter
+        (fun group ->
+          match Igp.anycast_members old ~group with
+          | Some ms ->
+              List.iter
+                (fun m -> Igp.advertise_anycast fresh ~group ~member:m)
+                ms
+          | None -> ())
+        (Igp.groups old);
+      env.igps.(d) <- fresh)
+    domains
+
 type drop_reason = Ttl_expired | No_route | Stuck | Link_down | Queue_full | Shed
 
 type outcome =

@@ -34,6 +34,13 @@ val reconverge : env -> int
 (** Re-run BGP to a stable state after originations/withdrawals;
     returns rounds. *)
 
+val recompute_igps : env -> domains:int list -> unit
+(** Recompute the IGP of each listed domain over the internet's current
+    (possibly edited) graph, keeping the domain's flavor and every
+    anycast group's members. This is how a detour around a down link
+    is installed (experiment E32 and the blackout drill); BGP is left
+    alone. *)
+
 type drop_reason =
   | Ttl_expired
   | No_route  (** no FIB entry anywhere on the way *)

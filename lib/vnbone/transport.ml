@@ -62,12 +62,11 @@ let path_metric router j =
   let env = Service.env (Fabric.service (Router.fabric router)) in
   List.fold_left (fun acc l -> acc +. Forward.path_metric env (leg_trace l)) 0.0 j.legs
 
-let send router ~strategy ~src ~dst ~payload =
+let send_over router ~forward ~strategy ~src ~dst ~payload =
   let fabric = Router.fabric router in
   let service = Fabric.service fabric in
-  let env = Service.env service in
-  let inet = env.Forward.inet in
-  let hdst = Internet.endhost inet dst in
+  let inet = (Service.env service).Forward.inet in
+  let hsrc = Internet.endhost inet src and hdst = Internet.endhost inet dst in
   let version = Service.version service in
   let vsrc = vn_address_of_endhost service ~endhost:src in
   let vdst = vn_address_of_endhost service ~endhost:dst in
@@ -77,18 +76,21 @@ let send router ~strategy ~src ~dst ~payload =
   let finish ?ingress ?egress legs result =
     { legs = List.rev legs; ingress; egress; packet; result }
   in
-  (* 1. access leg: encapsulate toward the anycast address *)
-  let hsrc = Internet.endhost inet src in
-  let access_packet =
-    Packet.encapsulate ~src:hsrc.Internet.haddr ~dst:(Service.address service)
-      packet
+  (* every leg wraps the same IPvN packet in one IPv4 header *)
+  let leg ~src ~dst ~entry =
+    forward (Packet.encapsulate ~src ~dst packet) ~entry
   in
-  let access_trace = Forward.send_from_endhost env access_packet ~endhost:src in
+  let raddr r = (Internet.router inet r).Internet.raddr in
+  (* 1. access leg: encapsulate toward the anycast address *)
+  let access_trace =
+    leg ~src:hsrc.Internet.haddr ~dst:(Service.address service)
+      ~entry:hsrc.Internet.access_router
+  in
+  let legs = [ Access access_trace ] in
   match access_trace.Forward.outcome with
   | Forward.Endhost_accepted _ | Forward.Dropped _ ->
-      finish [ Access access_trace ] (Error No_ingress)
+      finish legs (Error No_ingress)
   | Forward.Router_accepted ingress -> (
-      let legs = [ Access access_trace ] in
       (* 2. pick the egress *)
       let egress =
         if Service.is_participant service ~domain:hdst.Internet.hdomain then
@@ -98,46 +100,41 @@ let send router ~strategy ~src ~dst ~payload =
       match egress with
       | None -> finish ~ingress legs (Error Vn_unreachable)
       | Some egress -> (
-          (* 3. vN-Bone legs *)
+          (* 3. vN-Bone legs; a failed tunnel keeps the hops it crossed *)
+          let rec tunnel_legs legs vttl = function
+            | a :: (b :: _ as rest) ->
+                if vttl <= 1 then Error (legs, Vttl_expired)
+                else
+                  let underlay = leg ~src:(raddr a) ~dst:(raddr b) ~entry:a in
+                  let legs =
+                    Vn { from_router = a; to_router = b; underlay } :: legs
+                  in
+                  if Forward.delivered underlay then
+                    tunnel_legs legs (vttl - 1) rest
+                  else Error (legs, Vn_unreachable)
+            | [ _ ] | [] -> Ok legs
+          in
           match Fabric.vn_path fabric ingress egress with
           | None -> finish ~ingress ~egress legs (Error Vn_unreachable)
-          | Some vn_nodes ->
-              let rec tunnel_legs legs vttl = function
-                | a :: (b :: _ as rest) ->
-                    if vttl <= 1 then Error (legs, Vttl_expired)
-                    else begin
-                      let dst_addr = (Internet.router inet b).Internet.raddr in
-                      let p =
-                        Packet.encapsulate
-                          ~src:(Internet.router inet a).Internet.raddr
-                          ~dst:dst_addr packet
-                      in
-                      let underlay = Forward.forward env p ~entry:a in
-                      if Forward.delivered underlay then
-                        tunnel_legs
-                          (Vn { from_router = a; to_router = b; underlay } :: legs)
-                          (vttl - 1) rest
-                      else Error (legs, Vn_unreachable)
-                    end
-                | [ _ ] | [] -> Ok legs
-              in
-              (match tunnel_legs legs packet.Packet.vttl vn_nodes with
+          | Some vn_nodes -> (
+              match tunnel_legs legs packet.Packet.vttl vn_nodes with
               | Error (legs, f) -> finish ~ingress ~egress legs (Error f)
-              | Ok legs ->
+              | Ok legs -> (
                   (* 4. exit leg over IPv(N-1) *)
-                  let exit_packet =
-                    Packet.encapsulate
-                      ~src:(Internet.router inet egress).Internet.raddr
-                      ~dst:hdst.Internet.haddr packet
+                  let exit_trace =
+                    leg ~src:(raddr egress) ~dst:hdst.Internet.haddr ~entry:egress
                   in
-                  let exit_trace = Forward.forward env exit_packet ~entry:egress in
                   let legs = Exit exit_trace :: legs in
-                  (match exit_trace.Forward.outcome with
+                  match exit_trace.Forward.outcome with
                   | Forward.Endhost_accepted h when h = dst ->
                       finish ~ingress ~egress legs (Ok ())
                   | Forward.Endhost_accepted _ | Forward.Router_accepted _
                   | Forward.Dropped _ ->
                       finish ~ingress ~egress legs (Error Exit_failed)))))
+
+let send router =
+  let env = Service.env (Fabric.service (Router.fabric router)) in
+  send_over router ~forward:(Forward.forward env)
 
 let failure_to_string = function
   | No_ingress -> "anycast redirection failed (no ingress)"

@@ -9,7 +9,10 @@
     + the egress tunnels it over IPv(N-1) to the destination.
 
     A {!journey} records every leg with its underlying IPv4 trace, so
-    experiments can count how much of the path ran on the vN-Bone. *)
+    experiments can count how much of the path ran on the vN-Bone.
+    This module is the only implementation of the journey: it decides
+    the leg sequence, the egress and how a journey fails, whichever
+    IPv4 forwarder carries the legs ({!send_over}). *)
 
 type leg =
   | Access of Simcore.Forward.trace
@@ -37,6 +40,25 @@ val vn_address_of_endhost : Anycast.Service.t -> endhost:int -> Netcore.Ipvn.t
 (** Provider-assigned when the endhost's domain participates,
     self-assigned (paper §3.3.2 / RFC 3056) otherwise. *)
 
+val send_over :
+  Router.t ->
+  forward:(Netcore.Packet.t -> entry:int -> Simcore.Forward.trace) ->
+  strategy:Router.strategy ->
+  src:int ->
+  dst:int ->
+  payload:string ->
+  journey
+(** Send an IPvN packet between two endhosts (ids), carrying every
+    underlay leg — access, each vN-Bone tunnel, exit — with
+    [forward packet ~entry], which forwards one IPv4 packet from router
+    [entry] to a verdict. The strategy governs egress selection when
+    the destination domain has not deployed IPvN; destinations in
+    participant domains always use BGPvN's own routes. A leg that
+    fails is kept in the journey with the hops it crossed before the
+    drop. Experiment E29 passes {!Dataplane.Pump.inject} to run the
+    journey over compiled FIB snapshots; the forwarder must see the
+    same internet as the router's fabric. *)
+
 val send :
   Router.t ->
   strategy:Router.strategy ->
@@ -44,10 +66,8 @@ val send :
   dst:int ->
   payload:string ->
   journey
-(** Send an IPvN packet between two endhosts (ids). The strategy
-    governs egress selection when the destination domain has not
-    deployed IPvN; destinations in participant domains always use
-    BGPvN's own routes. *)
+(** {!send_over} with the control-plane oracle
+    {!Simcore.Forward.forward} over the fabric's env. *)
 
 val delivered : journey -> bool
 val total_hops : journey -> int

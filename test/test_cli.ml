@@ -133,6 +133,26 @@ let test_help_exits_zero () =
   let code, _ = run "--help > /dev/null" in
   check Alcotest.int "exit code" 0 code
 
+(* --- sim: one IPvN journey -------------------------------------------- *)
+
+let test_sim_verbose () =
+  let code, out = run_out "sim -v" in
+  check Alcotest.int "exit code" 0 code;
+  check Alcotest.bool "delivered" true (contains out "delivered: true");
+  check Alcotest.bool "access leg" true (contains out "access (anycast):");
+  check Alcotest.bool "tunnel leg" true (contains out "vN tunnel");
+  check Alcotest.bool "exit leg" true (contains out "exit (IPv(N-1)):")
+
+let test_sim_bad_deploy () =
+  let code, msg = run "sim --deploy 5,abc,999" in
+  check Alcotest.int "exit code" 2 code;
+  check Alcotest.bool "names the bad token" true (contains msg "abc")
+
+let test_sim_bad_egress () =
+  let code, msg = run "sim --egress bogus" in
+  check Alcotest.int "exit code" 2 code;
+  check Alcotest.bool "stderr not empty" true (String.length msg > 0)
+
 (* --- drill and glass subcommands ------------------------------------ *)
 
 let test_drill_unknown_name () =
@@ -233,6 +253,12 @@ let () =
             (test_exp_matches_results "e10");
           Alcotest.test_case "--seed reaches e10" `Quick
             test_exp_seed_reaches_random_internet;
+        ] );
+      ( "sim",
+        [
+          Alcotest.test_case "-v prints every leg" `Quick test_sim_verbose;
+          Alcotest.test_case "bad --deploy exits 2" `Quick test_sim_bad_deploy;
+          Alcotest.test_case "bad --egress exits 2" `Quick test_sim_bad_egress;
         ] );
       ( "drill",
         [

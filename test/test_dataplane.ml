@@ -114,30 +114,122 @@ let test_agreement_send_data () =
     end
   done
 
-let test_vn_agreement_with_transport () =
+let leg_str = function
+  | Transport.Access t -> "access " ^ trace_str t
+  | Transport.Vn { from_router; to_router; underlay } ->
+      Printf.sprintf "vn %d->%d %s" from_router to_router (trace_str underlay)
+  | Transport.Exit t -> "exit " ^ trace_str t
+
+let result_str (j : Transport.journey) =
+  match j.Transport.result with
+  | Ok () -> "delivered"
+  | Error Transport.No_ingress -> "no ingress"
+  | Error Transport.Vn_unreachable -> "vn unreachable"
+  | Error Transport.Exit_failed -> "exit failed"
+  | Error Transport.Vttl_expired -> "vttl expired"
+
+let is_tunnel = function Transport.Vn _ -> true | _ -> false
+
+(* a random pair of distinct endhosts *)
+let rec host_pair rng hosts =
+  let src = Rng.int rng hosts and dst = Rng.int rng hosts in
+  if src = dst then host_pair rng hosts else (src, dst)
+
+(* The journey over the pump's compiled tables must be the journey over
+   the Forward oracle, leg by leg: same kinds, endpoints, hops and
+   verdicts, same ingress, egress and result, under every egress
+   strategy. *)
+let test_journey_over_pump_equals_oracle () =
   let inet, env, service = Lazy.force fixture in
   let pump = Pump.create env in
   let vrouter = Router.create (Fabric.build service) in
   let rng = Rng.create 23L in
   let hosts = Array.length inet.Internet.endhosts in
-  for _ = 1 to 25 do
-    let src = Rng.int rng hosts in
-    let dst = Rng.int rng hosts in
-    if src <> dst then begin
-      let j =
-        Transport.send vrouter ~strategy:Router.Bgp_aware ~src ~dst
-          ~payload:"x"
-      in
-      let d =
-        Pump.send_vn pump vrouter ~strategy:Router.Bgp_aware ~src ~dst
-          ~payload:"x"
-      in
-      check Alcotest.bool "delivered agrees" (Transport.delivered j)
-        (Pump.vn_delivered d);
-      check Alcotest.int "underlay hops agree" (Transport.total_hops j)
-        d.Pump.vn_hops
-    end
-  done
+  let tunnels = ref 0 in
+  List.iter
+    (fun strategy ->
+      let name = Router.strategy_to_string strategy in
+      for _ = 1 to 25 do
+        let src, dst = host_pair rng hosts in
+        (match strategy with
+        | Router.Host_advertised ->
+            ignore (Router.register_endhost vrouter ~endhost:dst)
+        | Router.Exit_early | Router.Bgp_aware | Router.Proxy -> ());
+        let oracle = Transport.send vrouter ~strategy ~src ~dst ~payload:"x" in
+        let pumped =
+          Transport.send_over vrouter ~forward:(Pump.inject pump) ~strategy
+            ~src ~dst ~payload:"x"
+        in
+        check
+          Alcotest.(list string)
+          (name ^ ": legs agree")
+          (List.map leg_str oracle.Transport.legs)
+          (List.map leg_str pumped.Transport.legs);
+        check Alcotest.(option int) (name ^ ": ingress agrees")
+          oracle.Transport.ingress pumped.Transport.ingress;
+        check Alcotest.(option int) (name ^ ": egress agrees")
+          oracle.Transport.egress pumped.Transport.egress;
+        check Alcotest.string (name ^ ": result agrees") (result_str oracle)
+          (result_str pumped);
+        tunnels :=
+          !tunnels + List.length (List.filter is_tunnel oracle.Transport.legs)
+      done)
+    [ Router.Exit_early; Router.Bgp_aware; Router.Proxy; Router.Host_advertised ];
+  check Alcotest.bool "some journeys crossed the vN-Bone" true (!tunnels > 0)
+
+(* A journey whose tunnel leg fails keeps that leg: the packet crossed
+   its hops before the drop, so the journey's hop count includes them. *)
+let test_failed_tunnel_leg_kept () =
+  let inet, env, service = Lazy.force fixture in
+  let vrouter = Router.create (Fabric.build service) in
+  let rng = Rng.create 31L in
+  let hosts = Array.length inet.Internet.endhosts in
+  let send ~forward (src, dst) =
+    Transport.send_over vrouter ~forward ~strategy:Router.Bgp_aware ~src ~dst
+      ~payload:"x"
+  in
+  (* a delivered journey over the oracle with at least one tunnel leg *)
+  let rec find n =
+    if n = 0 then Alcotest.fail "no delivered journey with a tunnel leg"
+    else
+      let pair = host_pair rng hosts in
+      let j = send ~forward:(Forward.forward env) pair in
+      match List.find_opt is_tunnel j.Transport.legs with
+      | Some (Transport.Vn { to_router; _ }) when Transport.delivered j ->
+          (pair, j, to_router)
+      | _ -> find (n - 1)
+  in
+  let pair, ok, far = find 200 in
+  let far_addr = (Internet.router inet far).Internet.raddr in
+  (* the oracle, except that a packet addressed to the tunnel's far end
+     is dropped at the last router it reaches *)
+  let forward p ~entry =
+    let t = Forward.forward env p ~entry in
+    if Ipv4.equal p.Packet.dst far_addr then
+      { t with Forward.outcome = Forward.Dropped Forward.Link_down }
+    else t
+  in
+  let failed = send ~forward pair in
+  check Alcotest.string "the journey fails in the tunnel" "vn unreachable"
+    (result_str failed);
+  (match List.rev failed.Transport.legs with
+  | Transport.Vn { to_router; underlay; _ } :: _ ->
+      check Alcotest.int "the last leg is the failed tunnel" far to_router;
+      check Alcotest.bool "its underlay was not delivered" false
+        (Forward.delivered underlay);
+      check Alcotest.bool "it crossed hops before the drop" true
+        (Forward.hop_count underlay > 0)
+  | _ -> Alcotest.fail "the failed tunnel leg is missing");
+  (* the failed journey crossed the delivered one's legs up to and
+     including that tunnel *)
+  let rec crossed = function
+    | [] -> []
+    | (Transport.Vn { to_router; _ } as l) :: _ when to_router = far -> [ l ]
+    | l :: rest -> l :: crossed rest
+  in
+  check Alcotest.int "total_hops counts the failed leg"
+    (Transport.total_hops { ok with Transport.legs = crossed ok.Transport.legs })
+    (Transport.total_hops failed)
 
 (* ------------------------------------------------------------------ *)
 (* Flowcache                                                           *)
@@ -633,8 +725,10 @@ let () =
             test_agreement_uncached;
           Alcotest.test_case "send_data = send_from_endhost" `Quick
             test_agreement_send_data;
-          Alcotest.test_case "send_vn = Transport.send" `Quick
-            test_vn_agreement_with_transport;
+          Alcotest.test_case "Transport over pump = over oracle" `Quick
+            test_journey_over_pump_equals_oracle;
+          Alcotest.test_case "failed tunnel leg kept" `Quick
+            test_failed_tunnel_leg_kept;
         ] );
       ( "flowcache",
         [

@@ -426,32 +426,6 @@ let test_overload_deterministic () =
   check Alcotest.bool "starved runs are bit-reproducible" true
     (signature () = signature ())
 
-let test_shed_eager_bounded_deterministic () =
-  (* the opt-in producer-side early shed: still bounded, still
-     deterministic under the cooperative driver, and it sheds no less
-     than the spill-full path alone *)
-  let env, flows, _ = Lazy.force pool_fixture in
-  let run () =
-    let pool =
-      Domainpool.create env ~shards:4 ~ring_capacity:8 ~spill_cap:8
-        ~inject_per_pass:2 ~shed_eager:true ~seed:11L
-    in
-    let rounds = Domainpool.run_cooperative ~slow:(1, 12) pool flows in
-    let tel = Domainpool.telemetry pool in
-    let sg =
-      (verdict tel, Domainpool.shed pool, Domainpool.overflow_high_water pool)
-    in
-    check Alcotest.int "terminal accounting still partitions"
-      (injected flows) (terminal_sum tel);
-    check Alcotest.bool "eager shedding keeps the spill bound" true
-      (Domainpool.overflow_high_water pool <= 8);
-    check Alcotest.bool "eager path shed" true (Domainpool.shed pool > 0);
-    Domainpool.close pool;
-    ignore rounds;
-    sg
-  in
-  check Alcotest.bool "eager runs are bit-reproducible" true (run () = run ())
-
 let test_pool_supervised_restart_parallel () =
   (* the parallel spawn/join path with a crash armed: the supervisor
      must revive the victim and the verdict must still equal the
@@ -575,8 +549,6 @@ let () =
             test_spill_bounded_under_overload;
           Alcotest.test_case "starved runs deterministic" `Quick
             test_overload_deterministic;
-          Alcotest.test_case "eager shed bounded and deterministic" `Quick
-            test_shed_eager_bounded_deterministic;
           Alcotest.test_case "supervised restart on the parallel path" `Slow
             test_pool_supervised_restart_parallel;
           qcheck prop_backpressure_no_reorder;

@@ -311,13 +311,6 @@ let atomic_roles : (string * Rules_atomic.role) list =
       Rules_atomic.Publish_flag { writers = [ "Shard.nap" ] } );
     ( "Shard.t.peer_asleep",
       Rules_atomic.Read_only_view { of_field = "Shard.t.asleep" } );
-    (* Credit/watermark protocol (DESIGN.md §13): each consumer
-       publishes its own congestion flag from its pass loop; producers
-       observe it only through the read-only peer_congested array. *)
-    ( "Shard.t.congested",
-      Rules_atomic.Publish_flag { writers = [ "Shard.update_congestion" ] } );
-    ( "Shard.t.peer_congested",
-      Rules_atomic.Read_only_view { of_field = "Shard.t.congested" } );
     (* Supervision (DESIGN.md §13): a crashing worker publishes its own
        death as it exits the run loop; only the supervisor — which has
        joined the domain first — clears it in Shard.revive. *)
