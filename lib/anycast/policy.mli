@@ -23,5 +23,6 @@ val propagates : t -> domain:int -> prefix:Netcore.Prefix.t -> bool
 
 val bgp_config : t -> Interdomain.Bgp.config
 (** A BGP import filter consulting this table. The table is mutable and
-    shared: later [set_propagates] calls affect subsequent BGP
-    convergence, which is how experiments flip policies mid-run. *)
+    shared: later [set_propagates] and [refuse_all_nonroutable] calls
+    affect subsequent BGP convergence, because each one moves the
+    config's [version]. *)

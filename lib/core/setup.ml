@@ -1,7 +1,6 @@
 module Internet = Topology.Internet
 module Forward = Simcore.Forward
 module Service = Anycast.Service
-module Policy = Anycast.Policy
 module Fabric = Vnbone.Fabric
 module Router = Vnbone.Router
 module Transport = Vnbone.Transport
@@ -10,7 +9,6 @@ type t = {
   inet : Internet.t;
   env : Forward.env;
   service : Service.t;
-  policy : Policy.t;
   version : int;
   mutable router : Router.t option;  (* invalidated on deployment change *)
 }
@@ -18,17 +16,15 @@ type t = {
 let internet t = t.inet
 let env t = t.env
 let service t = t.service
-let policy t = t.policy
 let version t = t.version
 
-let of_internet ?policy inet ~version ~strategy =
-  let policy = match policy with Some p -> p | None -> Policy.create () in
-  let env = Forward.make_env ~config:(Policy.bgp_config policy) inet in
+let of_internet inet ~version ~strategy =
+  let env = Forward.make_env inet in
   let service = Service.deploy env ~version ~strategy in
-  { inet; env; service; policy; version; router = None }
+  { inet; env; service; version; router = None }
 
-let create ?(params = Internet.default_params) ?policy ~version ~strategy () =
-  of_internet ?policy (Internet.build params) ~version ~strategy
+let create ?(params = Internet.default_params) ~version ~strategy () =
+  of_internet (Internet.build params) ~version ~strategy
 
 let invalidate t = t.router <- None
 

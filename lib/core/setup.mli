@@ -1,7 +1,7 @@
 (** One-call orchestration of an IPvN deployment.
 
-    Bundles the whole §3 deployment stack — internet, IGPs, BGP,
-    anycast policy (§3.2) and service — and keeps the vN-Bone (§3.3)
+    Bundles the whole §3 deployment stack — internet, IGPs, BGP and
+    the anycast service (§3.2) — and keeps the vN-Bone (§3.3)
     consistent with the deployment state. This is the entry point downstream users start from (see
     [examples/quickstart.ml]). *)
 
@@ -9,7 +9,6 @@ type t
 
 val create :
   ?params:Topology.Internet.params ->
-  ?policy:Anycast.Policy.t ->
   version:int ->
   strategy:Anycast.Service.strategy ->
   unit ->
@@ -19,7 +18,6 @@ val create :
     for one IPvN generation with no participants yet. *)
 
 val of_internet :
-  ?policy:Anycast.Policy.t ->
   Topology.Internet.t ->
   version:int ->
   strategy:Anycast.Service.strategy ->
@@ -30,7 +28,6 @@ val of_internet :
 val internet : t -> Topology.Internet.t
 val env : t -> Simcore.Forward.env
 val service : t -> Anycast.Service.t
-val policy : t -> Anycast.Policy.t
 val version : t -> int
 
 val deploy : ?fraction:float -> t -> domain:int -> unit

@@ -2,6 +2,7 @@ module Internet = Topology.Internet
 module Relationship = Topology.Relationship
 module Prefix = Netcore.Prefix
 module Lpm = Netcore.Lpm
+module Pmap = Map.Make (Prefix)
 
 type route = {
   prefix : Prefix.t;
@@ -11,56 +12,100 @@ type route = {
   scope : int option;
 }
 
-type config = { propagate : int -> Prefix.t -> bool }
+type config = { propagate : int -> Prefix.t -> bool; version : unit -> int }
 
-let default_config = { propagate = (fun _ _ -> true) }
+let default_config = { propagate = (fun _ _ -> true); version = (fun () -> 0) }
 let origin_pref = 4 (* beats customer (3), peer (2), provider (1) *)
+
+(* Everything that feeds one prefix's routes, and the routes. No other
+   prefix's routes are read, so each prefix converges on its own. *)
+type inputs = {
+  routes : route option array;  (* per domain: chosen route *)
+  mutable origins : int list;
+  mutable limited : (int * int) list;  (* domain, radius *)
+  mutable scoped : (int * int) list;  (* from, to *)
+}
 
 type t = {
   inet : Internet.t;
   config : config;
-  mutable origins : (int * Prefix.t) list;
-  mutable limited_origins : (int * Prefix.t * int) list;  (* domain, prefix, radius *)
-  mutable scoped : (int * int * Prefix.t) list;  (* from, to, prefix *)
-  ribs : route Lpm.t array;  (* per domain: chosen route per prefix *)
+  mutable version : int;  (* config.version () at the last round *)
+  mutable prefixes : inputs Pmap.t;  (* every prefix an operation named *)
+  mutable dirty : inputs Pmap.t;  (* the prefixes the next round runs *)
+  ribs : route Lpm.t array;  (* per domain: the chosen routes again, for LPM *)
+  best : route option array;  (* per domain: a round's best candidate so far *)
   neighbors : (int * Relationship.t) list array;
+  links : (int * Internet.interlink) list array;
+      (* per domain: the lowest-numbered link to each neighbour *)
 }
 
 let internet t = t.inet
 
+let lowest_link inet d nb =
+  Internet.interlinks_between inet d nb
+  |> List.sort (fun a b ->
+         compare
+           (a.Internet.a_router, a.Internet.b_router)
+           (b.Internet.a_router, b.Internet.b_router))
+  |> function
+  | [] -> None
+  | l :: _ -> Some (nb, l)
+
 let create ?(config = default_config) inet =
   let n = Internet.num_domains inet in
+  let neighbors = Array.init n (fun d -> Internet.neighbor_domains inet d) in
   {
     inet;
     config;
-    origins = [];
-    limited_origins = [];
-    scoped = [];
+    version = config.version ();
+    prefixes = Pmap.empty;
+    dirty = Pmap.empty;
     ribs = Array.make n Lpm.empty;
-    neighbors = Array.init n (fun d -> Internet.neighbor_domains inet d);
+    best = Array.make n None;
+    neighbors;
+    links =
+      Array.mapi
+        (fun d nbs -> List.filter_map (fun (nb, _) -> lowest_link inet d nb) nbs)
+        neighbors;
   }
 
+(* Apply [f] to the prefix's inputs and run the prefix in the next
+   round. *)
+let update t prefix f =
+  let e =
+    match Pmap.find_opt prefix t.prefixes with
+    | Some e -> e
+    | None ->
+        let e =
+          {
+            routes = Array.make (Array.length t.ribs) None;
+            origins = [];
+            limited = [];
+            scoped = [];
+          }
+        in
+        t.prefixes <- Pmap.add prefix e t.prefixes;
+        e
+  in
+  f e;
+  t.dirty <- Pmap.add prefix e t.dirty
+
 let originate t ~domain prefix =
-  if not (List.mem (domain, prefix) t.origins) then
-    t.origins <- (domain, prefix) :: t.origins
+  update t prefix (fun e ->
+      if not (List.mem domain e.origins) then e.origins <- domain :: e.origins)
 
 let withdraw_origin t ~domain prefix =
-  t.origins <-
-    List.filter
-      (fun (d, p) -> not (d = domain && Prefix.equal p prefix))
-      t.origins
+  update t prefix (fun e -> e.origins <- List.filter (( <> ) domain) e.origins)
 
 let originate_limited t ~domain ~radius prefix =
   if radius < 0 then invalid_arg "Bgp.originate_limited: negative radius";
-  let entry = (domain, prefix, radius) in
-  if not (List.mem entry t.limited_origins) then
-    t.limited_origins <- entry :: t.limited_origins
+  update t prefix (fun e ->
+      if not (List.mem (domain, radius) e.limited) then
+        e.limited <- (domain, radius) :: e.limited)
 
 let withdraw_limited t ~domain prefix =
-  t.limited_origins <-
-    List.filter
-      (fun (d, p, _) -> not (d = domain && Prefix.equal p prefix))
-      t.limited_origins
+  update t prefix (fun e ->
+      e.limited <- List.filter (fun (d, _) -> d <> domain) e.limited)
 
 let originate_all_domain_prefixes t =
   for d = 0 to Internet.num_domains t.inet - 1 do
@@ -73,14 +118,13 @@ let linked t a b =
 let advertise_scoped t ~from_ ~to_ prefix =
   if not (linked t from_ to_) then
     invalid_arg "Bgp.advertise_scoped: domains not directly linked";
-  if not (List.mem (from_, to_, prefix) t.scoped) then
-    t.scoped <- (from_, to_, prefix) :: t.scoped
+  update t prefix (fun e ->
+      if not (List.mem (from_, to_) e.scoped) then
+        e.scoped <- (from_, to_) :: e.scoped)
 
 let withdraw_scoped t ~from_ ~to_ prefix =
-  t.scoped <-
-    List.filter
-      (fun (f, d, p) -> not (f = from_ && d = to_ && Prefix.equal p prefix))
-      t.scoped
+  update t prefix (fun e ->
+      e.scoped <- List.filter (( <> ) (from_, to_)) e.scoped)
 
 (* Deterministic total preference order; [a] better than [b] when
    [better a b] is true. *)
@@ -104,106 +148,103 @@ let learned_role r =
   else if r.pref = Relationship.(local_preference Peer) then Relationship.Peer
   else Relationship.Provider
 
-let step t =
-  let n = Internet.num_domains t.inet in
-  let snapshot = Array.copy t.ribs in
-  let changed = ref false in
-  (* candidate accumulation per domain *)
-  let candidates = Array.make n ([] : route list) in
-  (* loop prevention happens at import: a domain rejects routes whose
-     path already contains it — checked by callers before the self
-     element is prepended *)
-  let add_candidate d r =
-    if t.config.propagate d r.prefix then candidates.(d) <- r :: candidates.(d)
+(* One synchronous round for one prefix: every domain chooses among its
+   origination, its neighbours' routes of the round before and the
+   scoped adverts it received. Rewrites the RIB entries that changed;
+   true when any did. *)
+let advance t prefix e =
+  let prev = e.routes and best = t.best in
+  let n = Array.length prev in
+  Array.fill best 0 n None;
+  (* candidates arrive in a fixed order (origins, limited origins,
+     neighbour exports in [neighbors] order, scoped adverts) and the
+     last of equally preferred routes wins *)
+  let offer d r =
+    match best.(d) with
+    | Some b when better b r -> ()
+    | _ -> best.(d) <- Some r
   in
-  (* 1. origination *)
-  List.iter
-    (fun (d, p) ->
-      add_candidate d
-        { prefix = p; as_path = [ d ]; pref = origin_pref; no_export = false; scope = None })
-    t.origins;
-  List.iter
-    (fun (d, p, radius) ->
-      add_candidate d
-        {
-          prefix = p;
-          as_path = [ d ];
-          pref = origin_pref;
-          no_export = false;
-          scope = Some radius;
-        })
-    t.limited_origins;
-  (* 2. neighbor exports from the snapshot *)
+  let originated d scope =
+    { prefix; as_path = [ d ]; pref = origin_pref; no_export = false; scope }
+  in
+  List.iter (fun d -> offer d (originated d None)) e.origins;
+  List.iter (fun (d, radius) -> offer d (originated d (Some radius))) e.limited;
   for d = 0 to n - 1 do
     List.iter
       (fun (nb, role_of_nb) ->
-        (* role of d from nb's point of view governs nb's export *)
-        let role_of_d = Relationship.invert role_of_nb in
-        Lpm.iter
-          (fun _p r ->
+        match prev.(nb) with
+        | None -> ()
+        | Some r ->
+            (* loop prevention at import: d rejects a path through
+               itself; the role of d seen from nb governs nb's export *)
             let scope_allows = match r.scope with None -> true | Some s -> s > 0 in
-            if (not r.no_export) && scope_allows && not (List.mem d r.as_path)
+            if
+              (not r.no_export) && scope_allows
+              && (not (List.mem d r.as_path))
+              && Relationship.export_allowed ~learned_from:(learned_role r)
+                   ~to_:(Relationship.invert role_of_nb)
             then
-              if Relationship.export_allowed ~learned_from:(learned_role r) ~to_:role_of_d
-              then
-                add_candidate d
-                  {
-                    prefix = r.prefix;
-                    as_path = d :: r.as_path;
-                    pref = Relationship.local_preference role_of_nb;
-                    no_export = false;
-                    scope = Option.map (fun s -> s - 1) r.scope;
-                  })
-          snapshot.(nb))
+              offer d
+                {
+                  prefix;
+                  as_path = d :: r.as_path;
+                  pref = Relationship.local_preference role_of_nb;
+                  no_export = false;
+                  scope = Option.map (fun s -> s - 1) r.scope;
+                })
       t.neighbors.(d)
   done;
-  (* 3. scoped (one-hop, no-export) advertisements *)
   List.iter
-    (fun (from_, to_, p) ->
-      match
-        List.find_opt (fun (nb, _) -> nb = from_) t.neighbors.(to_)
-      with
+    (fun (from_, to_) ->
+      (* the caller asserts the advertiser can deliver to the prefix
+         (e.g. its own IGP anycast members); scoped routes are taken on
+         faith, as real peering advertisements are *)
+      match List.assoc_opt from_ t.neighbors.(to_) with
       | None -> ()
-      | Some (_, role_of_from) ->
-          (* the caller asserts the advertiser can deliver to the
-             prefix (e.g. its own IGP anycast members); scoped routes
-             are taken on faith, as real peering advertisements are *)
-          add_candidate to_
+      | Some role_of_from ->
+          offer to_
             {
-              prefix = p;
+              prefix;
               as_path = [ to_; from_ ];
               pref = Relationship.local_preference role_of_from;
               no_export = true;
               scope = Some 0;
             })
-    t.scoped;
-  (* 4. selection *)
+    e.scoped;
+  (* every neighbour's route of the round before has been read, so the
+     routes can change in place *)
+  let changed = ref false in
   for d = 0 to n - 1 do
-    let best = Hashtbl.create 16 in
-    List.iter
-      (fun r ->
-        match Hashtbl.find_opt best r.prefix with
-        | Some cur when not (better r cur) -> ()
-        | _ -> Hashtbl.replace best r.prefix r)
-      candidates.(d);
-    let rib = Hashtbl.fold (fun p r acc -> Lpm.add p r acc) best Lpm.empty in
-    let same =
-      Lpm.cardinal rib = Lpm.cardinal snapshot.(d)
-      && Lpm.fold
-           (fun p r acc ->
-             acc
-             &&
-             match Lpm.find_exact p snapshot.(d) with
-             | Some old -> route_eq old r
-             | None -> false)
-           rib true
+    (* every candidate of d is for this prefix, so the import filter
+       admits all of them or none *)
+    let r =
+      match best.(d) with
+      | Some _ as r when t.config.propagate d prefix -> r
+      | _ -> None
     in
-    if not same then begin
+    if not (Option.equal route_eq r prev.(d)) then begin
       changed := true;
-      t.ribs.(d) <- rib
+      prev.(d) <- r;
+      t.ribs.(d) <-
+        (match r with
+        | Some r -> Lpm.add prefix r t.ribs.(d)
+        | None -> Lpm.remove prefix t.ribs.(d))
     end
   done;
   !changed
+
+let step t =
+  let v = t.config.version () in
+  if v <> t.version then begin
+    (* the import filter moved: no prefix is known to be at rest *)
+    t.version <- v;
+    t.dirty <- t.prefixes
+  end;
+  t.dirty <-
+    Pmap.fold
+      (fun p e still -> if advance t p e then Pmap.add p e still else still)
+      t.dirty Pmap.empty;
+  not (Pmap.is_empty t.dirty)
 
 let converge t =
   let limit = (4 * Internet.num_domains t.inet) + 16 in
@@ -213,7 +254,7 @@ let converge t =
   go 0
 
 let route_to t ~domain prefix = Lpm.find_exact prefix t.ribs.(domain)
-let lookup t ~domain addr = Option.map snd (Lpm.lookup addr t.ribs.(domain))
+let lookup t ~domain addr = Lpm.lookup_value addr t.ribs.(domain)
 
 let next_hop_domain r =
   match r.as_path with
@@ -224,41 +265,20 @@ let as_path_length r = List.length r.as_path
 let rib_size t ~domain = Lpm.cardinal t.ribs.(domain)
 let rib t ~domain = List.map snd (Lpm.bindings t.ribs.(domain))
 
-(* the neighbour the domain's route for the covering prefix goes
-   through *)
-let covering_next_hop t ~domain prefix =
-  match Lpm.lookup (Prefix.network prefix) t.ribs.(domain) with
-  | None -> None
-  | Some (_, r) -> next_hop_domain r
-
-(* the lowest-numbered link from [domain] to neighbour [nb] *)
-let link_to t domain nb =
-  Internet.interlinks_between t.inet domain nb
-  |> List.sort (fun a b ->
-         compare
-           (a.Internet.a_router, a.Internet.b_router)
-           (b.Internet.a_router, b.Internet.b_router))
-  |> function
-  | [] -> None
-  | l :: _ -> Some l
-
 let egress_link t ~domain prefix =
-  Option.bind (covering_next_hop t ~domain prefix) (link_to t domain)
+  (* the neighbour the domain's route for the covering prefix goes
+     through *)
+  match Lpm.lookup_value (Prefix.network prefix) t.ribs.(domain) with
+  | None -> None
+  | Some r -> (
+      match next_hop_domain r with
+      | None -> None
+      | Some nb -> List.assoc_opt nb t.links.(domain))
 
 let egress_links t ~domain =
-  let links = Hashtbl.create 8 in
-  let link nb =
-    match Hashtbl.find_opt links nb with
-    | Some l -> l
-    | None ->
-        let l = link_to t domain nb in
-        Hashtbl.add links nb l;
-        l
-  in
   List.filter_map
     (fun r ->
-      Option.bind (covering_next_hop t ~domain r.prefix) link
-      |> Option.map (fun l -> (r.prefix, l)))
+      Option.map (fun l -> (r.prefix, l)) (egress_link t ~domain r.prefix))
     (rib t ~domain)
 
 let domain_path t ~src addr =

@@ -7,7 +7,9 @@
     customer routes over peer routes over provider routes, export
     customer routes to everyone but peer/provider routes only to
     customers. Under these rules the protocol provably converges; we
-    iterate synchronous rounds to the unique stable state.
+    iterate synchronous rounds to the unique stable state. Route
+    selection is per exact prefix and reads no other prefix's routes,
+    so the rounds run only the prefixes whose inputs changed.
 
     The paper's two inter-domain anycast options map onto this module:
 
@@ -41,6 +43,11 @@ type config = {
       (** [propagate d p]: is domain [d] willing to import/carry prefix
           [p]? Default: always true. Option-1 experiments restrict
           non-participants here. *)
+  version : unit -> int;
+      (** Moves whenever [propagate]'s answers may have changed. A
+          round that sees a new version reruns every prefix, so a
+          filter that reads mutable state must bump it on each write.
+          Default: constantly 0. *)
 }
 
 type t
@@ -79,10 +86,18 @@ val advertise_scoped : t -> from_:int -> to_:int -> Netcore.Prefix.t -> unit
 val withdraw_scoped : t -> from_:int -> to_:int -> Netcore.Prefix.t -> unit
 
 val step : t -> bool
-(** One synchronous exchange round; true when any RIB changed. *)
+(** One synchronous exchange round; true when any RIB changed. Only
+    the prefixes that are not known to be at rest run: those an
+    origination or advertisement call named since, those that changed
+    in the round before, and every prefix when [config.version] has
+    moved. *)
 
 val converge : t -> int
-(** Iterate to the stable state; returns rounds executed. *)
+(** Iterate to the stable state; returns the rounds that changed a RIB.
+    Its cost follows the changed prefixes, not the RIB size: after a
+    one-prefix change only that prefix runs. On a fresh [t] every
+    prefix runs. Stops after [4n + 16] rounds for [n] domains; a prefix
+    still changing then runs again in the next call. *)
 
 val route_to : t -> domain:int -> Netcore.Prefix.t -> route option
 (** The chosen route of a domain for exactly this prefix ([None] when
@@ -107,15 +122,14 @@ val internet : t -> Topology.Internet.t
 val egress_link : t -> domain:int -> Netcore.Prefix.t -> Topology.Internet.interlink option
 (** The inter-domain link the domain's chosen route for the covering
     prefix uses (deterministically the lowest-numbered link to the
-    next-hop domain); [None] for local or unreachable prefixes. *)
+    next-hop domain, chosen once per neighbour at {!create}); [None]
+    for local or unreachable prefixes. *)
 
 val egress_links :
   t -> domain:int -> (Netcore.Prefix.t * Topology.Internet.interlink) list
 (** Every prefix of the domain's {!rib}, in RIB order, paired with its
-    {!egress_link}; prefixes without one are left out. Equal to calling
-    {!egress_link} per prefix, but each neighbour's link is chosen once
-    — the per-domain half of FIB compilation (§3.2's data-plane
-    state). *)
+    {!egress_link}; prefixes without one are left out — the per-domain
+    half of FIB compilation (§3.2's data-plane state). *)
 
 val domain_path : t -> src:int -> Netcore.Ipv4.t -> int list option
 (** The AS-level path from [src] to the address's best-matching prefix:

@@ -7,6 +7,7 @@ module Forward = Simcore.Forward
 module Service = Anycast.Service
 module Metrics = Anycast.Metrics
 module Policy = Anycast.Policy
+module Bgp = Interdomain.Bgp
 module Prefix = Netcore.Prefix
 module Addressing = Netcore.Addressing
 
@@ -56,6 +57,32 @@ let test_policy_refuse_nonroutable () =
   check Alcotest.bool "explicit override wins" true
     (Policy.set_propagates p ~domain:1 ~prefix:any24 true;
      Policy.propagates p ~domain:1 ~prefix:any24)
+
+(* bgp_config promises that later policy writes reach BGP: the next
+   converge must act on them although no origination changed. *)
+let test_policy_flip_reconverges () =
+  let policy = Policy.create () in
+  let inet = Internet.build Internet.default_params in
+  let env = Forward.make_env ~config:(Policy.bgp_config policy) inet in
+  let bgp = env.Forward.bgp in
+  let has_route d p = Bgp.route_to bgp ~domain:d p <> None in
+  let p5 = (Internet.domain inet 5).Internet.prefix in
+  check Alcotest.bool "carried before" true (has_route 0 p5);
+  Policy.set_propagates policy ~domain:0 ~prefix:p5 false;
+  check Alcotest.int "refusal rounds" 3 (Forward.reconverge env);
+  check Alcotest.bool "refused" false (has_route 0 p5);
+  Policy.set_propagates policy ~domain:0 ~prefix:p5 true;
+  check Alcotest.bool "flip back reconverges" true (Forward.reconverge env > 0);
+  check Alcotest.bool "carried again" true (has_route 0 p5);
+  let g = Addressing.anycast_global ~group:1 in
+  Bgp.originate bgp ~domain:5 g;
+  ignore (Forward.reconverge env);
+  check Alcotest.bool "anycast carried" true (has_route 0 g);
+  Policy.refuse_all_nonroutable policy ~domains:[ 0 ];
+  check Alcotest.bool "refuse_all_nonroutable reconverges" true
+    (Forward.reconverge env > 0);
+  check Alcotest.bool "anycast refused" false (has_route 0 g);
+  check Alcotest.bool "unicast still carried" true (has_route 0 p5)
 
 (* ------------------------------------------------------------------ *)
 (* Service: Option 1                                                   *)
@@ -379,6 +406,7 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick test_policy_defaults;
           Alcotest.test_case "refuse non-routable" `Quick test_policy_refuse_nonroutable;
+          Alcotest.test_case "flips reach BGP" `Quick test_policy_flip_reconverges;
         ] );
       ( "option1",
         [

@@ -153,7 +153,10 @@ let test_propagation_filter_blocks () =
   let g = Addressing.anycast_global ~group:8 in
   (* T1 refuses to carry the anycast prefix *)
   let config =
-    { Bgp.propagate = (fun d p -> not (d = 1 && Prefix.equal p g)) }
+    {
+      Bgp.default_config with
+      propagate = (fun d p -> not (d = 1 && Prefix.equal p g));
+    }
   in
   let bgp = Bgp.create ~config inet in
   Bgp.originate_all_domain_prefixes bgp;
@@ -338,6 +341,318 @@ let prop_egress_links_per_prefix =
               (Bgp.rib bgp ~domain))
         (List.init (Internet.num_domains inet) Fun.id))
 
+(* ------------------------------------------------------------------ *)
+(* Differential: incremental converge vs the full synchronous round    *)
+
+module Rng = Topology.Rng
+module Policy = Anycast.Policy
+module Pmap = Map.Make (Prefix)
+
+(* A test-local reference that keeps its own copy of the inputs and,
+   in every round, recomputes every prefix of every domain from the
+   round before, reading the import filter afresh. *)
+type reference = {
+  inet : Internet.t;
+  propagate : int -> Prefix.t -> bool;
+  mutable origins : (int * Prefix.t) list;
+  mutable limited : (int * Prefix.t * int) list;  (* domain, prefix, radius *)
+  mutable scoped : (int * int * Prefix.t) list;  (* from, to, prefix *)
+  ribs : Bgp.route Pmap.t array;
+}
+
+let route_eq (a : Bgp.route) (b : Bgp.route) =
+  Prefix.equal a.prefix b.prefix
+  && a.as_path = b.as_path && a.pref = b.pref
+  && a.no_export = b.no_export && a.scope = b.scope
+
+let ref_better (a : Bgp.route) (b : Bgp.route) =
+  if a.pref <> b.pref then a.pref > b.pref
+  else
+    let la = List.length a.as_path and lb = List.length b.as_path in
+    if la <> lb then la < lb else a.as_path < b.as_path
+
+let origin_pref = 4
+
+let ref_learned_role (r : Bgp.route) =
+  if r.pref >= origin_pref then Relationship.Customer
+  else if r.pref = Relationship.(local_preference Customer) then Relationship.Customer
+  else if r.pref = Relationship.(local_preference Peer) then Relationship.Peer
+  else Relationship.Provider
+
+let ref_step m =
+  let n = Internet.num_domains m.inet in
+  let snapshot = Array.copy m.ribs in
+  let candidates = Array.make n [] in
+  let add d (r : Bgp.route) =
+    if m.propagate d r.prefix then candidates.(d) <- r :: candidates.(d)
+  in
+  let originated d p scope =
+    { Bgp.prefix = p; as_path = [ d ]; pref = origin_pref; no_export = false; scope }
+  in
+  List.iter (fun (d, p) -> add d (originated d p None)) m.origins;
+  List.iter (fun (d, p, radius) -> add d (originated d p (Some radius))) m.limited;
+  for d = 0 to n - 1 do
+    List.iter
+      (fun (nb, role_of_nb) ->
+        Pmap.iter
+          (fun _ (r : Bgp.route) ->
+            let scope_allows = match r.scope with None -> true | Some s -> s > 0 in
+            if
+              (not r.no_export) && scope_allows
+              && (not (List.mem d r.as_path))
+              && Relationship.export_allowed ~learned_from:(ref_learned_role r)
+                   ~to_:(Relationship.invert role_of_nb)
+            then
+              add d
+                {
+                  r with
+                  as_path = d :: r.as_path;
+                  pref = Relationship.local_preference role_of_nb;
+                  no_export = false;
+                  scope = Option.map (fun s -> s - 1) r.scope;
+                })
+          snapshot.(nb))
+      (Internet.neighbor_domains m.inet d)
+  done;
+  List.iter
+    (fun (from_, to_, p) ->
+      match List.assoc_opt from_ (Internet.neighbor_domains m.inet to_) with
+      | None -> ()
+      | Some role ->
+          add to_
+            {
+              Bgp.prefix = p;
+              as_path = [ to_; from_ ];
+              pref = Relationship.local_preference role;
+              no_export = true;
+              scope = Some 0;
+            })
+    m.scoped;
+  let changed = ref false in
+  for d = 0 to n - 1 do
+    (* the candidates list is newest first; keep the first of equals *)
+    let rib =
+      List.fold_left
+        (fun best (r : Bgp.route) ->
+          match Pmap.find_opt r.prefix best with
+          | Some cur when not (ref_better r cur) -> best
+          | _ -> Pmap.add r.prefix r best)
+        Pmap.empty candidates.(d)
+    in
+    if not (Pmap.equal route_eq rib snapshot.(d)) then begin
+      changed := true;
+      m.ribs.(d) <- rib
+    end
+  done;
+  !changed
+
+let ref_converge m =
+  let limit = (4 * Internet.num_domains m.inet) + 16 in
+  let rec go rounds =
+    if rounds >= limit then rounds
+    else if ref_step m then go (rounds + 1)
+    else rounds
+  in
+  go 0
+
+type op =
+  | Originate of int * Prefix.t
+  | Withdraw of int * Prefix.t
+  | Limited of int * int * Prefix.t  (* domain, radius *)
+  | Unlimit of int * Prefix.t
+  | Scoped of int * int * Prefix.t  (* from, to *)
+  | Unscope of int * int * Prefix.t
+  | Propagates of int * Prefix.t * bool
+  | Refuse_long of int
+
+let apply_bgp bgp policy = function
+  | Originate (d, p) -> Bgp.originate bgp ~domain:d p
+  | Withdraw (d, p) -> Bgp.withdraw_origin bgp ~domain:d p
+  | Limited (d, radius, p) -> Bgp.originate_limited bgp ~domain:d ~radius p
+  | Unlimit (d, p) -> Bgp.withdraw_limited bgp ~domain:d p
+  | Scoped (f, t, p) -> Bgp.advertise_scoped bgp ~from_:f ~to_:t p
+  | Unscope (f, t, p) -> Bgp.withdraw_scoped bgp ~from_:f ~to_:t p
+  | Propagates (d, p, v) -> Policy.set_propagates policy ~domain:d ~prefix:p v
+  | Refuse_long d -> Policy.refuse_all_nonroutable policy ~domains:[ d ]
+
+(* the reference's own copy of the inputs; the policy is shared *)
+let apply_ref m = function
+  | Originate (d, p) ->
+      if not (List.mem (d, p) m.origins) then m.origins <- (d, p) :: m.origins
+  | Withdraw (d, p) ->
+      m.origins <- List.filter (fun (d', p') -> not (d' = d && Prefix.equal p' p)) m.origins
+  | Limited (d, radius, p) ->
+      if not (List.mem (d, p, radius) m.limited) then
+        m.limited <- (d, p, radius) :: m.limited
+  | Unlimit (d, p) ->
+      m.limited <-
+        List.filter (fun (d', p', _) -> not (d' = d && Prefix.equal p' p)) m.limited
+  | Scoped (f, t, p) ->
+      if not (List.mem (f, t, p) m.scoped) then m.scoped <- (f, t, p) :: m.scoped
+  | Unscope (f, t, p) ->
+      m.scoped <-
+        List.filter
+          (fun (f', t', p') -> not (f' = f && t' = t && Prefix.equal p' p))
+          m.scoped
+  | Propagates _ | Refuse_long _ -> ()
+
+(* Withdrawals are drawn from what is live, so most of them remove
+   something. *)
+let random_op rng m anycast =
+  let n = Internet.num_domains m.inet in
+  let domain () = Rng.int rng n and prefix () = Rng.pick rng anycast in
+  let scoped () =
+    let l = Rng.pick rng m.inet.Internet.interlinks in
+    if Rng.bool rng then Scoped (l.Internet.a_domain, l.Internet.b_domain, prefix ())
+    else Scoped (l.Internet.b_domain, l.Internet.a_domain, prefix ())
+  in
+  let limited () = Limited (domain (), Rng.int rng 3, prefix ()) in
+  match Rng.int rng 8 with
+  | 0 | 1 -> Originate (domain (), prefix ())
+  | 2 -> (
+      match m.origins with
+      | [] -> Originate (domain (), prefix ())
+      | live ->
+          let d, p = Rng.pick rng live in
+          Withdraw (d, p))
+  | 3 -> limited ()
+  | 4 -> (
+      match m.limited with
+      | [] -> limited ()
+      | live ->
+          let d, p, _ = Rng.pick rng live in
+          Unlimit (d, p))
+  | 5 -> scoped ()
+  | 6 -> (
+      match m.scoped with
+      | [] -> scoped ()
+      | live ->
+          let f, t, p = Rng.pick rng live in
+          Unscope (f, t, p))
+  | _ ->
+      if Rng.int rng 4 = 0 then Refuse_long (domain ())
+      else
+        let p =
+          if Rng.bool rng then prefix ()
+          else (Internet.domain m.inet (domain ())).Internet.prefix
+        in
+        Propagates (domain (), p, Rng.bool rng)
+
+let lowest_link inet d nb =
+  Internet.interlinks_between inet d nb
+  |> List.sort (fun a b ->
+         compare
+           (a.Internet.a_router, a.Internet.b_router)
+           (b.Internet.a_router, b.Internet.b_router))
+  |> function
+  | [] -> None
+  | l :: _ -> Some l
+
+let random_internet rng ~ba =
+  let seed = Rng.int64 rng in
+  if ba then
+    Internet.build_ba
+      {
+        Internet.default_ba_params with
+        Internet.ba_domains = Rng.int_in rng 6 16;
+        ba_routers_core = 3;
+        ba_routers_edge = 2;
+        ba_endhosts_per_domain = 1;
+        ba_seed = seed;
+      }
+  else
+    Internet.build
+      {
+        Internet.default_params with
+        Internet.transit_domains = Rng.int_in rng 2 4;
+        stubs_per_transit = Rng.int_in rng 1 3;
+        routers_per_transit = 4;
+        routers_per_stub = 2;
+        endhosts_per_domain = 1;
+        seed;
+      }
+
+let prop_incremental_equals_full_round =
+  QCheck.Test.make ~name:"converge = full synchronous rounds = fresh converge"
+    ~count:120
+    QCheck.(pair bool (int_bound 1_000_000))
+    (fun (ba, seed) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let inet = random_internet rng ~ba in
+      let n = Internet.num_domains inet in
+      let policy = Policy.create () in
+      let config = Policy.bgp_config policy in
+      let bgp = Bgp.create ~config inet in
+      let m =
+        {
+          inet;
+          propagate = config.Bgp.propagate;
+          origins = [];
+          limited = [];
+          scoped = [];
+          ribs = Array.make n Pmap.empty;
+        }
+      in
+      let anycast =
+        [
+          Addressing.anycast_global ~group:1;
+          Addressing.anycast_global ~group:2;
+          Addressing.anycast_in_domain ~domain:(Rng.int rng n) ~group:3;
+        ]
+      in
+      let log = ref [] in
+      let apply op =
+        apply_bgp bgp policy op;
+        apply_ref m op;
+        log := op :: !log
+      in
+      for d = 0 to n - 1 do
+        apply (Originate (d, (Internet.domain inet d).Internet.prefix))
+      done;
+      let check_rib what step d expected got =
+        if
+          not
+            (List.length expected = List.length got
+            && List.for_all2 route_eq expected got)
+        then
+          QCheck.Test.fail_reportf "seed %d, converge %d: domain %d RIB differs from %s"
+            seed step d what
+      in
+      for step = 0 to 9 do
+        if step > 0 then
+          for _ = 1 to Rng.int_in rng 1 3 do
+            apply (random_op rng m anycast)
+          done;
+        let expected_rounds = ref_converge m in
+        let rounds = Bgp.converge bgp in
+        if rounds <> expected_rounds then
+          QCheck.Test.fail_reportf "seed %d, converge %d: %d rounds, reference %d"
+            seed step rounds expected_rounds;
+        let fresh = Bgp.create ~config inet in
+        List.iter (fun op -> apply_bgp fresh policy op) (List.rev !log);
+        ignore (Bgp.converge fresh);
+        for d = 0 to n - 1 do
+          let rib = Bgp.rib bgp ~domain:d in
+          check_rib "the reference" step d (List.map snd (Pmap.bindings m.ribs.(d))) rib;
+          check_rib "a fresh converge" step d (Bgp.rib fresh ~domain:d) rib;
+          List.iter
+            (fun (r : Bgp.route) ->
+              let toward =
+                Option.bind
+                  (Bgp.lookup bgp ~domain:d (Prefix.network r.prefix))
+                  Bgp.next_hop_domain
+              in
+              if Bgp.egress_link bgp ~domain:d r.prefix
+                 <> Option.bind toward (lowest_link inet d)
+              then
+                QCheck.Test.fail_reportf
+                  "seed %d, converge %d: domain %d, %s: egress link is not the lowest"
+                  seed step d (Prefix.to_string r.prefix))
+            rib
+        done
+      done;
+      true)
+
 let () =
   Alcotest.run "interdomain"
     [
@@ -355,6 +670,7 @@ let () =
             test_egress_link_and_domain_path;
           qcheck prop_lookup_consistent_with_route_to;
           qcheck prop_egress_links_per_prefix;
+          qcheck prop_incremental_equals_full_round;
         ] );
       ( "bgp-anycast",
         [
