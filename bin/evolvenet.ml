@@ -46,6 +46,12 @@ let run_exp name seed transit stubs =
         (fun (e : E.entry) -> Printf.printf "%-5s %s\n" e.E.id e.E.title)
         E.registry
   | id -> (
+      (* Internet.build needs a transit and a stub per transit *)
+      let at_least_one flag n =
+        if n < 1 then usage_error "%s must be at least 1 (got %d)" flag n
+      in
+      at_least_one "--transit" transit;
+      at_least_one "--stubs" stubs;
       match List.find_opt (fun (e : E.entry) -> e.E.id = id) E.registry with
       | Some e -> show e (params_of ~seed ~transit ~stubs)
       | None ->
@@ -349,8 +355,9 @@ let exp_cmd =
     Term.(const run_exp $ exp_name $ seed $ transit $ stubs)
 
 let run_report path =
-  Evolve.Report.write ~path;
-  Printf.printf "wrote %s\n" path
+  match Evolve.Report.write ~path with
+  | () -> Printf.printf "wrote %s\n" path
+  | exception Sys_error e -> usage_error "cannot write %s: %s" path e
 
 let report_cmd =
   let path =

@@ -1,7 +1,6 @@
 module Internet = Topology.Internet
 module Forward = Simcore.Forward
 module Packet = Netcore.Packet
-module Ipv4 = Netcore.Ipv4
 
 let mean = function
   | [] -> nan
@@ -16,64 +15,88 @@ let percentile p = function
       let rank = int_of_float (ceil (p *. float_of_int n)) - 1 in
       a.(max 0 (min (n - 1) rank))
 
-let unicast_metric env ~endhost ~router =
-  let dst = (Internet.router env.Forward.inet router).raddr in
-  let probe = Packet.make_data ~src:Ipv4.any ~dst "metric-probe" in
-  let trace = Forward.send_from_endhost env probe ~endhost in
-  if Forward.delivered trace then Some (Forward.path_metric env trace) else None
+(* Every query prices its walks with memoised forwarding trees, one
+   toward the anycast address and one toward each member, entered at
+   the endhost's access router with a fresh packet's TTL. The trees
+   hold one env snapshot, so each call builds its own and drops them. *)
 
-let best_member service ~endhost =
-  let env = Service.env service in
-  List.fold_left
-    (fun acc m ->
-      match unicast_metric env ~endhost ~router:m with
-      | None -> acc
-      | Some d -> (
-          match acc with
-          | Some (_, bd) when bd <= d -> acc
-          | _ -> Some (m, d)))
-    None (Service.members service)
+let anycast_tree service =
+  Forward.toward (Service.env service) (Service.address service)
 
-let actual service ~endhost =
+let member_trees service =
   let env = Service.env service in
-  let trace = Service.resolve_from_endhost service ~endhost in
-  match trace.Forward.outcome with
-  | Forward.Router_accepted r -> Some (r, Forward.path_metric env trace)
+  List.map
+    (fun m -> (m, Forward.toward env (Internet.router env.Forward.inet m).raddr))
+    (Service.members service)
+
+let walk service tree ~endhost =
+  let inet = (Service.env service).Forward.inet in
+  Forward.reach tree
+    ~entry:(Internet.endhost inet endhost).Internet.access_router
+    ~ttl:Packet.default_ttl
+
+let actual_in service anycast ~endhost =
+  let w = walk service anycast ~endhost in
+  match w.Forward.verdict with
+  | Forward.Router_accepted r -> Some (r, w.Forward.metric)
   | Forward.Endhost_accepted _ | Forward.Dropped _ -> None
 
-let stretch service ~endhost =
-  match actual service ~endhost with
+let best_in service members ~endhost =
+  List.fold_left
+    (fun acc (m, tree) ->
+      let d = (walk service tree ~endhost).Forward.metric in
+      match acc with
+      | Some (_, bd) when bd <= d -> acc
+      | _ -> if d < infinity then Some (m, d) else acc)
+    None members
+
+let stretch_in service anycast members ~endhost =
+  match actual_in service anycast ~endhost with
   | None -> None
   | Some (_, got) -> (
-      match best_member service ~endhost with
+      match best_in service members ~endhost with
       | None -> None
       | Some (_, best) ->
           if Float.equal best 0.0 then Some 1.0 else Some (got /. best))
+
+let best_member service ~endhost =
+  best_in service (member_trees service) ~endhost
+
+let actual service ~endhost = actual_in service (anycast_tree service) ~endhost
+
+let stretch service ~endhost =
+  stretch_in service (anycast_tree service) (member_trees service) ~endhost
 
 let all_endhosts service =
   let inet = (Service.env service).Forward.inet in
   List.init (Array.length inet.Internet.endhosts) Fun.id
 
-let mean_stretch service =
-  all_endhosts service
-  |> List.filter_map (fun h -> stretch service ~endhost:h)
-  |> mean
+let stretches service =
+  let anycast = anycast_tree service and members = member_trees service in
+  List.filter_map
+    (fun h -> stretch_in service anycast members ~endhost:h)
+    (all_endhosts service)
+
+let mean_stretch service = mean (stretches service)
+
+(* the members that anycast delivers each endhost's probe to, with the
+   path metric, in endhost order; undelivered endhosts are left out *)
+let deliveries service =
+  let anycast = anycast_tree service in
+  List.filter_map
+    (fun h -> actual_in service anycast ~endhost:h)
+    (all_endhosts service)
 
 let delivery_rate service =
-  let hs = all_endhosts service in
-  let ok =
-    List.length (List.filter_map (fun h -> actual service ~endhost:h) hs)
-  in
-  float_of_int ok /. float_of_int (max 1 (List.length hs))
+  let ok = List.length (deliveries service) in
+  float_of_int ok
+  /. float_of_int (max 1 (List.length (all_endhosts service)))
 
 let termination_share service ~domain =
   let inet = (Service.env service).Forward.inet in
-  let delivered =
-    all_endhosts service |> List.filter_map (fun h -> actual service ~endhost:h)
-  in
-  match delivered with
+  match deliveries service with
   | [] -> 0.0
-  | _ ->
+  | delivered ->
       let inside =
         List.filter
           (fun (m, _) -> (Internet.router inet m).rdomain = domain)

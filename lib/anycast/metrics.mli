@@ -4,11 +4,17 @@
     the best path to {e any} group member reachable by ordinary unicast
     forwarding — both measured on the policy-routed data plane, since
     the paper's notion of "closest" (§3.2) is "the network's measure of
-    routing distance". *)
+    routing distance".
 
-val unicast_metric : Simcore.Forward.env -> endhost:int -> router:int -> float option
-(** Metric of the unicast path from an endhost to a router's address;
-    [None] when undeliverable. *)
+    Every query prices its walks with memoised forwarding trees
+    ({!Simcore.Forward.toward}): one toward the anycast address and one
+    toward each member, built by the call and dropped when it returns,
+    so a walk from every endhost costs each router one forwarding
+    decision per destination. Each answer is what
+    {!Simcore.Forward.forward} and {!Simcore.Forward.path_metric} give
+    for a fresh packet. Nothing is cached across calls, so a query after
+    a converge, an IGP recompute or a membership change sees the new
+    state. *)
 
 val best_member : Service.t -> endhost:int -> (int * float) option
 (** The member with the cheapest unicast path from the endhost, with
@@ -22,9 +28,13 @@ val stretch : Service.t -> endhost:int -> float option
 (** [actual / best]; 1.0 when both are zero (the access router is a
     member); [None] when anycast delivery fails. *)
 
+val stretches : Service.t -> float list
+(** {!stretch} of every endhost with successful delivery, in endhost
+    order, sharing one set of forwarding trees. *)
+
 val mean_stretch : Service.t -> float
-(** Mean stretch over all endhosts with successful delivery; [nan]
-    when none succeed. *)
+(** [mean (stretches service)]: mean stretch over all endhosts with
+    successful delivery; [nan] when none succeed. *)
 
 val delivery_rate : Service.t -> float
 (** Fraction of endhosts whose anycast probes get delivered. *)

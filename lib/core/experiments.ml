@@ -57,10 +57,7 @@ let e1_deployment_sweep ?(params = Internet.default_params)
         Setup.deploy setup ~domain:order.(!deployed);
         incr deployed
       done;
-      let stretches =
-        all_endhosts inet
-        |> List.filter_map (fun h -> Metrics.stretch service ~endhost:h)
-      in
+      let stretches = Metrics.stretches service in
       {
         fraction;
         deployed_domains = !deployed;
@@ -1122,6 +1119,10 @@ type e19_row = {
   churn : int;  (** transient best-route changes for the anycast prefix *)
 }
 
+(* the domain that injects E19's and E28's anycast prefix: domain 5,
+   or the last domain of a smaller internet *)
+let participant_domain inet = min 5 (Internet.num_domains inet - 1)
+
 let e19_mrai_sweep ?(params = Internet.default_params)
     ?(mrais = [ 0.01; 0.5; 2.0; 5.0; 10.0 ]) () =
   List.map
@@ -1135,7 +1136,7 @@ let e19_mrai_sweep ?(params = Internet.default_params)
       (* a participant now injects a new anycast prefix *)
       let g = Addressing.anycast_global ~group:8 in
       let t0 = Simcore.Engine.now engine in
-      Simcore.Bgpdyn.originate dyn engine ~domain:5 g;
+      Simcore.Bgpdyn.originate dyn engine ~domain:(participant_domain inet) g;
       ignore (Simcore.Engine.run engine);
       let final = Simcore.Bgpdyn.stats dyn in
       {
@@ -1244,9 +1245,8 @@ let e21_size_scaling ?(transit_counts = [ 2; 4; 8; 12; 16 ]) () =
       in
       let inet = Internet.build params in
       let setup = Setup.of_internet inet ~version:8 ~strategy:Service.Option1 in
-      let bgp_rounds = Forward.reconverge (Setup.env setup) in
-      ignore bgp_rounds;
-      (* redo a clean convergence count on a fresh BGP for the metric *)
+      (* count convergence rounds on a fresh BGP, since the setup's
+         env has converged already *)
       let bgp = Interdomain.Bgp.create inet in
       Interdomain.Bgp.originate_all_domain_prefixes bgp;
       let bgp_rounds = Interdomain.Bgp.converge bgp in
@@ -1714,11 +1714,12 @@ let e28_path_hunting ?(params = Internet.default_params)
       let boot = Simcore.Bgpdyn.stats dyn in
       let g = Addressing.anycast_global ~group:8 in
       let t0 = Simcore.Engine.now engine in
-      Simcore.Bgpdyn.originate dyn engine ~domain:5 g;
+      let participant = participant_domain inet in
+      Simcore.Bgpdyn.originate dyn engine ~domain:participant g;
       ignore (Simcore.Engine.run engine);
       let announced = Simcore.Bgpdyn.stats dyn in
       let t1 = Simcore.Engine.now engine in
-      Simcore.Bgpdyn.withdraw dyn engine ~domain:5 g;
+      Simcore.Bgpdyn.withdraw dyn engine ~domain:participant g;
       ignore (Simcore.Engine.run engine);
       let withdrawn = Simcore.Bgpdyn.stats dyn in
       ignore t0;

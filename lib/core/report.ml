@@ -50,7 +50,20 @@ let generate () =
   Buffer.contents buf
 
 let write ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (generate ()))
+  (* open the temporary file first, so that a bad path fails before the
+     generation; rename it over [path] only once the report is whole,
+     so that an interrupted run leaves the old file as it was *)
+  let tmp, oc =
+    Filename.open_temp_file ~perms:0o666 ~temp_dir:(Filename.dirname path)
+      (Filename.basename path) ".tmp"
+  in
+  match
+    output_string oc (generate ());
+    close_out oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e

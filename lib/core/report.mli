@@ -11,4 +11,10 @@ val generate : unit -> string
     [Topology.Internet.default_params]. Takes a few seconds. *)
 
 val write : path:string -> unit
-(** Render {!generate} to a file. *)
+(** Render {!generate} to a file, atomically: the report goes to a
+    temporary file in [path]'s directory, which is then renamed over
+    [path]. The temporary file is opened before the generation starts,
+    so an unwritable target fails at once; an existing [path] is only
+    ever replaced by a whole report.
+    @raise Sys_error when the temporary file cannot be created or
+    renamed over [path]; [path] is then left untouched. *)

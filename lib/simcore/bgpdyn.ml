@@ -444,7 +444,14 @@ let enable_timers ?(keepalive = 1.0) ?(hold = 3.5) t engine ~until =
   in
   tick (Engine.now engine +. keepalive)
 
+let check_domain t fn domain =
+  if domain < 0 || domain >= Internet.num_domains t.inet then
+    invalid_arg
+      (Printf.sprintf "Bgpdyn.%s: domain %d out of range [0, %d)" fn domain
+         (Internet.num_domains t.inet))
+
 let originate t engine ~domain prefix =
+  check_domain t "originate" domain;
   let cell =
     match Hashtbl.find_opt t.origins domain with
     | Some c -> c
@@ -459,6 +466,7 @@ let originate t engine ~domain prefix =
   end
 
 let withdraw t engine ~domain prefix =
+  check_domain t "withdraw" domain;
   match Hashtbl.find_opt t.origins domain with
   | None -> ()
   | Some cell ->

@@ -72,7 +72,9 @@ val enable_timers :
 
 val originate : t -> Engine.t -> domain:int -> Netcore.Prefix.t -> unit
 (** The domain originates a prefix now; updates start flowing. Run the
-    engine to quiescence. *)
+    engine to quiescence.
+    @raise Invalid_argument when [domain] is not a domain of the
+    internet. *)
 
 val originate_all_domain_prefixes : t -> Engine.t -> unit
 
@@ -80,7 +82,9 @@ val withdraw : t -> Engine.t -> domain:int -> Netcore.Prefix.t -> unit
 (** The domain stops originating the prefix. Withdrawals trigger the
     protocol's notorious path hunting: routers fall back to
     not-yet-withdrawn alternatives before giving up, so retiring a
-    route costs more messages than announcing it (experiment E28). *)
+    route costs more messages than announcing it (experiment E28).
+    @raise Invalid_argument when [domain] is not a domain of the
+    internet. *)
 
 val best_path : t -> domain:int -> Netcore.Prefix.t -> int list option
 (** The current best AS path ([head] = the domain itself). *)

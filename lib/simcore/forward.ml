@@ -167,3 +167,99 @@ let path_metric env trace =
     | [ _ ] | [] -> 0.0
   in
   go trace.hops
+
+(* --- one destination's forwarding tree, memoised --- *)
+
+(* How the walk from a router ends, however long the TTL. *)
+type ending =
+  | Ends of outcome  (* accepted, or dropped for [No_route] *)
+  | Stuck_at  (* the last router forwards to itself *)
+  | Loops  (* the walk enters a forwarding loop *)
+
+type tree = {
+  tenv : env;
+  tdst : Ipv4.t;
+  steps : int array;  (* hops to the walk's end; [unknown] or [on_walk] *)
+  sum : float array;  (* path_metric from the router to the end *)
+  ending : ending array;
+}
+
+let unknown = -1
+let on_walk = -2
+
+let toward env dst =
+  let n = Internet.num_routers env.inet in
+  {
+    tenv = env;
+    tdst = dst;
+    steps = Array.make n unknown;
+    sum = Array.make n 0.0;
+    ending = Array.make n Loops;
+  }
+
+(* Follow the walk from [r] until a router whose answer is known (or
+   which is already on this walk: a loop), then fill the routers
+   passed on the way in backwards, so each decides once. *)
+let settle t r =
+  let rec climb r path =
+    if t.steps.(r) <> unknown then (r, path)
+    else
+      match decide t.tenv r t.tdst with
+      | Next nh when nh <> r ->
+          t.steps.(r) <- on_walk;
+          climb nh (r :: path)
+      | d ->
+          t.steps.(r) <- 0;
+          t.ending.(r) <-
+            (match d with
+            | Accept_router -> Ends (Router_accepted r)
+            | Accept_endhost h -> Ends (Endhost_accepted h)
+            | Drop_no_route -> Ends (Dropped No_route)
+            | Next _ -> Stuck_at);
+          (r, path)
+  in
+  let stop, path = climb r [] in
+  if t.steps.(stop) = on_walk then
+    List.iter
+      (fun p ->
+        t.steps.(p) <- 0;
+        t.ending.(p) <- Loops)
+      path
+  else
+    ignore
+      (List.fold_left
+         (fun nh p ->
+           t.steps.(p) <- t.steps.(nh) + 1;
+           let w =
+             match Topology.Graph.edge_weight t.tenv.inet.Internet.graph p nh with
+             | Some w -> w
+             | None -> 0.0
+           in
+           (* w(p, nh) +. rest: path_metric's right fold, bit for bit *)
+           t.sum.(p) <- w +. t.sum.(nh);
+           t.ending.(p) <- t.ending.(nh);
+           p)
+         stop path)
+
+type walk = { verdict : outcome; hop_count : int; metric : float }
+
+let reach t ~entry ~ttl =
+  if t.steps.(entry) = unknown then settle t entry;
+  let k = t.steps.(entry) in
+  let expired =
+    { verdict = Dropped Ttl_expired; hop_count = max 0 (ttl - 1); metric = infinity }
+  in
+  match t.ending.(entry) with
+  | Loops -> expired
+  | Stuck_at ->
+      if ttl - k > 1 then { verdict = Dropped Stuck; hop_count = k; metric = infinity }
+      else expired
+  | Ends verdict ->
+      if k > 0 && k >= ttl then expired
+      else
+        let metric =
+          match verdict with
+          | Router_accepted _ | Endhost_accepted _ -> t.sum.(entry)
+          | Dropped _ -> infinity
+        in
+        { verdict; hop_count = k; metric }

@@ -88,3 +88,42 @@ val anycast_member_reached : env -> dst:Netcore.Ipv4.t -> entry:int -> int optio
 
 val path_metric : env -> trace -> float
 (** Sum of link weights along the trace's hops. *)
+
+(** {1 Pricing many entries toward one destination}
+
+    A forwarding decision depends only on the router and the
+    destination, so every walk toward one destination follows one tree
+    (§3.2's "closest" is "the network's measure of routing distance",
+    and pricing it for every entry is what the stretch metrics and the
+    vN-Bone's tunnel metrics do). A {!tree} memoises that tree: it
+    calls the {!forward} oracle's per-router decision at most once per
+    router, however many entries and TTLs it is asked about. *)
+
+type tree
+(** One destination's forwarding tree over one env snapshot, filled in
+    lazily. It is valid only while the env is unchanged: build it, ask
+    it about every entry, and drop it within one call. Never keep one
+    across a {!reconverge}, {!recompute_igps} or membership change. *)
+
+val toward : env -> Netcore.Ipv4.t -> tree
+(** An empty memo of the walks toward the address. Cheap: no decision
+    is made until {!reach} asks. *)
+
+type walk = {
+  verdict : outcome;  (** [(forward env p ~entry).outcome] *)
+  hop_count : int;  (** [hop_count (forward env p ~entry)] *)
+  metric : float;
+      (** [path_metric env (forward env p ~entry)] when delivered,
+          bit for bit (the same right fold, a missing edge weighing
+          [0.0]); [infinity] when not *)
+}
+(** What {!forward} answers for a packet [p] toward the tree's address
+    with TTL [ttl], entering at [entry]. *)
+
+val reach : tree -> entry:int -> ttl:int -> walk
+(** The walk from router [entry] with TTL [ttl], exactly as
+    {!forward} would make it: the entry router always decides, depth
+    [k] is reached only when [k < ttl], a self-forwarding router is
+    [Stuck] only with more than one TTL left, and a forwarding loop
+    expires at every TTL. Callers pricing paths pass
+    [Netcore.Packet.default_ttl], as a fresh packet carries. *)

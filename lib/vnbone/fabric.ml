@@ -3,7 +3,6 @@ module Graph = Topology.Graph
 module Forward = Simcore.Forward
 module Service = Anycast.Service
 module Packet = Netcore.Packet
-module Ipv4 = Netcore.Ipv4
 module Spt = Routing.Spt
 module Igp = Routing.Igp
 
@@ -31,21 +30,33 @@ let tunnels t = t.tunnels
 let anchor_domain t = t.anchor
 let index_of t r = Hashtbl.find_opt t.index r
 
-let underlay_metric_env env a b =
-  if a = b then 0.0
-  else begin
-    let dst = (Internet.router env.Forward.inet b).raddr in
-    let probe = Packet.make_data ~src:Ipv4.any ~dst "tunnel-probe" in
-    let trace = Forward.forward env probe ~entry:a in
-    if Forward.delivered trace then Forward.path_metric env trace else infinity
-  end
+(* Underlay metrics as the data plane forwards them: one memoised
+   forwarding tree per destination router, filled in as pairs are
+   priced. The trees hold one env snapshot, so each public call makes
+   its own pricer and drops it on return. *)
+let pricer env =
+  let trees = Array.make (Internet.num_routers env.Forward.inet) None in
+  fun a b ->
+    if a = b then 0.0
+    else
+      let tree =
+        match trees.(b) with
+        | Some tree -> tree
+        | None ->
+            let tree =
+              Forward.toward env (Internet.router env.Forward.inet b).raddr
+            in
+            trees.(b) <- Some tree;
+            tree
+      in
+      (Forward.reach tree ~entry:a ~ttl:Packet.default_ttl).Forward.metric
 
-let underlay_metric t a b = underlay_metric_env (Service.env t.service) a b
+let underlay_metric t a b = pricer (Service.env t.service) a b
 
-let add_tunnel t kind a b =
+let add_tunnel t price kind a b =
   let ia = Hashtbl.find t.index a and ib = Hashtbl.find t.index b in
   if ia <> ib && not (Graph.has_edge t.graph ia ib) then begin
-    let m = underlay_metric t a b in
+    let m = price a b in
     if m < infinity then begin
       Graph.add_edge t.graph ia ib (Float.max m 0.001);
       t.tunnels <-
@@ -59,7 +70,7 @@ type discovery = Linkstate_lsdb | Anycast_walk
    anycast before advertising and link to the closest already-joined
    member, producing a nearest-neighbor join tree --- *)
 
-let build_intra_walk t domain =
+let build_intra_walk t price domain =
   let igp = (Service.env t.service).Forward.igps.(domain) in
   let members = Service.members_in t.service ~domain in
   let dist m o = Igp.distance igp ~src:m ~dst:o in
@@ -76,7 +87,7 @@ let build_intra_walk t domain =
                | _ -> if d < infinity then Some (o, d) else acc)
              None joined
          with
-        | Some (o, _) -> add_tunnel t `Intra m o
+        | Some (o, _) -> add_tunnel t price `Intra m o
         | None -> () (* first joiner, or unreachable *));
         join (m :: joined) rest
   in
@@ -84,7 +95,7 @@ let build_intra_walk t domain =
 
 (* --- intra-domain: k closest members, then partition repair --- *)
 
-let build_intra t k domain =
+let build_intra t price k domain =
   let igp = (Service.env t.service).Forward.igps.(domain) in
   let members = Service.members_in t.service ~domain in
   let dist m o = Igp.distance igp ~src:m ~dst:o in
@@ -96,7 +107,9 @@ let build_intra t k domain =
         |> List.filter (fun (_, d) -> d < infinity)
         |> List.sort (fun (_, a) (_, b) -> Float.compare a b)
       in
-      List.iteri (fun i (o, _) -> if i < k then add_tunnel t `Intra m o) nearest)
+      List.iteri
+        (fun i (o, _) -> if i < k then add_tunnel t price `Intra m o)
+        nearest)
     members;
   (* repair: the member subgraph of this domain must be one component *)
   let nodes = List.filter_map (fun m -> index_of t m) members in
@@ -126,7 +139,7 @@ let build_intra t k domain =
           members;
         (match !best with
         | Some (a, b, _) ->
-            add_tunnel t `Intra a b;
+            add_tunnel t price `Intra a b;
             repair ()
         | None -> () (* domain members mutually unreachable: give up *))
   in
@@ -134,7 +147,7 @@ let build_intra t k domain =
 
 (* --- inter-domain: tunnels along business links, then anchoring --- *)
 
-let closest_cross_pair t doms_a doms_b =
+let closest_cross_pair t price doms_a doms_b =
   (* cheapest member pair with one side in [doms_a], other in [doms_b] *)
   let in_set doms r =
     let d = (Internet.router (Service.env t.service).Forward.inet r).rdomain in
@@ -147,7 +160,7 @@ let closest_cross_pair t doms_a doms_b =
         Array.iter
           (fun b ->
             if in_set doms_b b then begin
-              let d = underlay_metric t a b in
+              let d = price a b in
               match !best with
               | Some (_, _, bd) when bd <= d -> ()
               | _ -> if d < infinity then best := Some (a, b, d)
@@ -156,7 +169,7 @@ let closest_cross_pair t doms_a doms_b =
     t.members;
   !best
 
-let build_inter t anchor =
+let build_inter t price anchor =
   let env = Service.env t.service in
   let parts = Service.participants t.service in
   (* policy tunnels: linked participant pairs *)
@@ -166,8 +179,8 @@ let build_inter t anchor =
         (fun b ->
           if a < b && Internet.relationship env.Forward.inet ~of_:a ~to_:b <> None
           then
-            match closest_cross_pair t [ a ] [ b ] with
-            | Some (ra, rb, _) -> add_tunnel t `Inter_policy ra rb
+            match closest_cross_pair t price [ a ] [ b ] with
+            | Some (ra, rb, _) -> add_tunnel t price `Inter_policy ra rb
             | None -> ())
         parts)
     parts;
@@ -200,7 +213,7 @@ let build_inter t anchor =
                     Array.iter
                       (fun b ->
                         if ids.(Hashtbl.find t.index b) = anchor_comp then begin
-                          let d = underlay_metric t a b in
+                          let d = price a b in
                           match !best with
                           | Some (_, _, bd) when bd <= d -> ()
                           | _ -> if d < infinity then best := Some (a, b, d)
@@ -209,7 +222,7 @@ let build_inter t anchor =
                 t.members;
               match !best with
               | Some (a, b, _) ->
-                  add_tunnel t `Inter_bootstrap a b;
+                  add_tunnel t price `Inter_bootstrap a b;
                   anchor_all ()
               | None -> () (* underlay cannot reach the anchor: give up *)
             end
@@ -238,19 +251,20 @@ let build ?(k = 2) ?(anchored = true) ?(discovery = Linkstate_lsdb) service =
       spt_cache = Hashtbl.create 16;
     }
   in
-  let igps = (Service.env service).Forward.igps in
+  let env = Service.env service in
+  let price = pricer env in
   let intra d =
     (* the LSDB rule needs the member set, which only link-state
        reveals; distance-vector domains fall back to the anycast walk
        regardless of the requested discovery (footnote 2) *)
     match discovery with
-    | Anycast_walk -> build_intra_walk t d
+    | Anycast_walk -> build_intra_walk t price d
     | Linkstate_lsdb ->
-        if Igp.members_known igps.(d) then build_intra t k d
-        else build_intra_walk t d
+        if Igp.members_known env.Forward.igps.(d) then build_intra t price k d
+        else build_intra_walk t price d
   in
   List.iter intra (Service.participants service);
-  build_inter t (if anchored then anchor else None);
+  build_inter t price (if anchored then anchor else None);
   t
 
 let is_connected t = Graph.is_connected t.graph
@@ -280,7 +294,7 @@ let add_manual_tunnel t a b =
   | _ -> invalid_arg "Fabric.add_manual_tunnel: router is not a member");
   if a = b then invalid_arg "Fabric.add_manual_tunnel: same router";
   Hashtbl.reset t.spt_cache;
-  add_tunnel t `Manual a b
+  add_tunnel t (pricer (Service.env t.service)) `Manual a b
 
 let vn_hop_distance t a b =
   match (index_of t a, index_of t b) with
@@ -323,6 +337,7 @@ let probe_tunnels t ~alive =
 
 let reanchor t ~alive =
   let live_members = List.filter alive (Array.to_list t.members) in
+  let price = pricer (Service.env t.service) in
   let added = ref 0 in
   (match live_members with
   | [] -> ()
@@ -359,7 +374,7 @@ let reanchor t ~alive =
                 List.iter
                   (fun b ->
                     if ids.(Hashtbl.find t.index b) = anchor_comp then begin
-                      let d = underlay_metric t a b in
+                      let d = price a b in
                       match !best with
                       | Some (_, _, bd) when bd <= d -> ()
                       | _ -> if d < infinity then best := Some (a, b, d)
@@ -368,7 +383,7 @@ let reanchor t ~alive =
               stranded;
             match !best with
             | Some (a, b, _) ->
-                add_tunnel t `Inter_bootstrap a b;
+                add_tunnel t price `Inter_bootstrap a b;
                 incr added;
                 go ()
             | None -> () (* survivors mutually unreachable: give up *))
@@ -379,12 +394,13 @@ let reanchor t ~alive =
 
 let mean_vn_stretch t =
   let n = Array.length t.members in
+  let price = pricer (Service.env t.service) in
   let acc = ref 0.0 and count = ref 0 in
   for i = 0 to n - 1 do
     let spt_i = spt t i in
     for j = i + 1 to n - 1 do
       let vn = Spt.distance spt_i j in
-      let direct = underlay_metric t t.members.(i) t.members.(j) in
+      let direct = price t.members.(i) t.members.(j) in
       if vn < infinity && direct > 0.0 && direct < infinity then begin
         acc := !acc +. (vn /. direct);
         incr count

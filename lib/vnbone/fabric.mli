@@ -17,7 +17,15 @@
       nearest foreign member — and every domain is anchored
       (directly or indirectly) to the {e anchor} (the default provider
       under Option 2, the first participant otherwise) so the
-      inter-domain vN-Bone cannot partition. *)
+      inter-domain vN-Bone cannot partition.
+
+    Tunnel metrics are priced as the IPv4 data plane forwards: by the
+    {!Simcore.Forward} oracle, through one memoised forwarding tree per
+    destination member ({!Simcore.Forward.toward}). Each call that
+    prices pairs — {!build}, {!add_manual_tunnel}, {!reanchor},
+    {!mean_vn_stretch}, {!underlay_metric} — builds its own trees and
+    drops them when it returns; none is kept in {!t}, so a later call
+    sees a converge, an IGP recompute or a membership change. *)
 
 type tunnel = {
   from_router : int;
@@ -91,7 +99,9 @@ val vn_hop_distance : t -> int -> int -> int option
 
 val underlay_metric : t -> int -> int -> float
 (** Metric of the IPv4 path between two routers as the data plane
-    would forward it; [infinity] when undeliverable. *)
+    would forward a fresh packet
+    ({!Simcore.Forward.path_metric} of its trace); [0.0] from a router
+    to itself; [infinity] when undeliverable. *)
 
 val probe_tunnels : t -> alive:(int -> bool) -> int
 (** Tunnel liveness: every tunnel with a dead endpoint (per the
@@ -112,7 +122,8 @@ val reanchor : t -> alive:(int -> bool) -> int
 
 val mean_vn_stretch : t -> float
 (** Congruence of the vN-Bone with the physical topology (§3.3.1):
-    mean over member pairs of [vn_distance a b / underlay_metric a b].
+    mean over member pairs of [vn_distance a b / underlay_metric a b],
+    every pair priced in one pass over the members' forwarding trees.
     1.0 means every vN-Bone path is as good as native IPv4 between the
     same routers; [nan] with fewer than two mutually reachable
     members. *)

@@ -3,7 +3,6 @@ module Forward = Simcore.Forward
 module Service = Anycast.Service
 module Bgp = Interdomain.Bgp
 module Packet = Netcore.Packet
-module Ipv4 = Netcore.Ipv4
 
 type strategy = Exit_early | Bgp_aware | Proxy | Host_advertised
 
@@ -67,9 +66,9 @@ let egress_to_vn_domain t ~ingress ~domain =
       |> Option.map fst
 
 let exit_cost t ~member ~dest =
-  let probe = Packet.make_data ~src:Ipv4.any ~dst:dest "exit-probe" in
-  let trace = Forward.forward (env t) probe ~entry:member in
-  if Forward.delivered trace then Forward.path_metric (env t) trace else infinity
+  (Forward.reach (Forward.toward (env t) dest) ~entry:member
+     ~ttl:Packet.default_ttl)
+    .Forward.metric
 
 let domain_path_length t ~member ~dest =
   Option.map List.length

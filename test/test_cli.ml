@@ -56,6 +56,35 @@ let test_unknown_experiment () =
   check Alcotest.bool "points at usage" true (contains msg "usage");
   check Alcotest.bool "suggests the index" true (contains msg "exp list")
 
+(* Internet.build needs at least one transit and one stub per transit:
+   a smaller count is a usage error naming the flag, not an uncaught
+   Invalid_argument (exit 125) *)
+let test_exp_rejects_small_topology () =
+  List.iter
+    (fun (args, flag) ->
+      let code, msg = run ("exp " ^ args) in
+      check Alcotest.int (args ^ ": exit code") 2 code;
+      check Alcotest.bool (args ^ ": names " ^ flag) true (contains msg flag))
+    [
+      ("e1 --transit 0", "--transit");
+      ("e1 --transit=-2", "--transit");
+      ("e1 --stubs=-1", "--stubs");
+      ("e20 --stubs 0", "--stubs");
+      ("e30 --stubs 0", "--stubs");
+    ]
+
+(* a target in a missing directory fails before the report is
+   generated, with the path on stderr *)
+let test_report_unwritable_target () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "evolvenet-no-such-dir" in
+  let path = Filename.concat dir "x.md" in
+  let t0 = Unix.gettimeofday () in
+  let code, msg = run ("report -o " ^ Filename.quote path) in
+  check Alcotest.int "exit code" 2 code;
+  check Alcotest.bool "names the path" true (contains msg path);
+  check Alcotest.bool "fails before generating" true (Unix.gettimeofday () -. t0 < 1.0);
+  check Alcotest.bool "creates nothing" false (Sys.file_exists dir)
+
 let test_exp_list () =
   (* `exp list` is the discoverable index: every experiment id with a
      one-line description, exit 0 *)
@@ -242,6 +271,10 @@ let () =
           Alcotest.test_case "unknown flag" `Quick test_unknown_flag;
           Alcotest.test_case "help exits 0" `Quick test_help_exits_zero;
           Alcotest.test_case "exp list" `Quick test_exp_list;
+          Alcotest.test_case "exp rejects --transit/--stubs below 1" `Quick
+            test_exp_rejects_small_topology;
+          Alcotest.test_case "report -o into a missing directory exits 2" `Quick
+            test_report_unwritable_target;
         ] );
       ( "exp",
         [

@@ -1000,9 +1000,32 @@ let test_e37_deterministic () =
   check Alcotest.(list string) "e37 rows identical across runs" (run ())
     (run ())
 
+(* --- the registry on the smallest internet ------------------------- *)
+
+(* `exp eN --transit 1 --stubs 1` is a valid request: every entry must
+   run on one transit and one stub (two domains) without raising *)
+let test_registry_runs_on_smallest_internet () =
+  let params =
+    { Internet.default_params with Internet.transit_domains = 1; stubs_per_transit = 1 }
+  in
+  List.iter
+    (fun (e : E.entry) ->
+      match e.E.run params with
+      | rows ->
+          check Alcotest.bool (e.E.id ^ " rows have the header's width") true
+            (List.for_all (fun r -> List.length r = List.length e.E.header) rows)
+      | exception ex ->
+          Alcotest.failf "%s raised %s" e.E.id (Printexc.to_string ex))
+    E.registry
+
 let () =
   Alcotest.run "experiments"
     [
+      ( "registry",
+        [
+          Alcotest.test_case "every entry runs on 1 transit, 1 stub" `Quick
+            test_registry_runs_on_smallest_internet;
+        ] );
       ( "e1",
         [
           Alcotest.test_case "universal access" `Quick test_e1_universal_access;

@@ -271,6 +271,231 @@ let prop_forward_universal_reachability =
         (List.init 40 Fun.id))
 
 (* ------------------------------------------------------------------ *)
+(* Memoised walks (Forward.toward / reach) vs the Forward.forward oracle *)
+
+module Rng = Topology.Rng
+module Service = Anycast.Service
+
+type memo_tally = {
+  mutable compared : int;
+  mutable mismatches : string list;
+  mutable delivered : int;
+  mutable no_route : int;
+  mutable no_route_in_prefix : int;  (* damage-made: the address is routable *)
+  mutable expired : int;
+  mutable looped : int;  (* expired at TTL 64: the walk never ends *)
+}
+
+let new_tally () =
+  {
+    compared = 0;
+    mismatches = [];
+    delivered = 0;
+    no_route = 0;
+    no_route_in_prefix = 0;
+    expired = 0;
+    looped = 0;
+  }
+
+(* every router as entry, at every TTL, with entries in a random order
+   so that walks start both on fresh routers and on settled ones *)
+let compare_memo tally rng env dst ~ttls =
+  let inet = env.Forward.inet in
+  let tree = Forward.toward env dst in
+  let entries = Array.init (Internet.num_routers inet) Fun.id in
+  Rng.shuffle rng entries;
+  let in_prefix = Internet.domain_of_addr inet dst <> None in
+  Array.iter
+    (fun entry ->
+      List.iter
+        (fun ttl ->
+          let p = { (Packet.make_data ~src:Ipv4.any ~dst "x") with Packet.ttl } in
+          let trace = Forward.forward env p ~entry in
+          let w = Forward.reach tree ~entry ~ttl in
+          let metric_ok =
+            if Forward.delivered trace then
+              Float.equal w.Forward.metric (Forward.path_metric env trace)
+            else Float.equal w.Forward.metric infinity
+          in
+          tally.compared <- tally.compared + 1;
+          if
+            w.Forward.verdict <> trace.Forward.outcome
+            || w.Forward.hop_count <> Forward.hop_count trace
+            || not metric_ok
+          then
+            tally.mismatches <-
+              Printf.sprintf "%s from %d at ttl %d" (Ipv4.to_string dst) entry ttl
+              :: tally.mismatches;
+          match trace.Forward.outcome with
+          | Forward.Router_accepted _ | Forward.Endhost_accepted _ ->
+              tally.delivered <- tally.delivered + 1
+          | Forward.Dropped Forward.No_route ->
+              tally.no_route <- tally.no_route + 1;
+              if in_prefix then tally.no_route_in_prefix <- tally.no_route_in_prefix + 1
+          | Forward.Dropped Forward.Ttl_expired ->
+              tally.expired <- tally.expired + 1;
+              if ttl = Packet.default_ttl then tally.looped <- tally.looped + 1
+          | Forward.Dropped _ -> ())
+        ttls)
+    entries
+
+(* A generated internet with one anycast service deployed, ~10% of its
+   links removed and some touched domains' IGPs recomputed (so walks
+   hit No_route), sometimes mid-way through a /16's withdrawal; every
+   destination is compared from every router. *)
+let memo_case seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let inet =
+    if Rng.bool rng then
+      Internet.build
+        {
+          Internet.default_params with
+          Internet.transit_domains = Rng.int_in rng 2 4;
+          stubs_per_transit = Rng.int_in rng 1 3;
+          seed = Int64.of_int seed;
+        }
+    else
+      Internet.build_ba
+        {
+          Internet.default_ba_params with
+          Internet.ba_domains = Rng.int_in rng 6 16;
+          ba_seed = Int64.of_int seed;
+        }
+  in
+  let env = Forward.make_env inet in
+  let num = Internet.num_domains inet in
+  let doms = Rng.sample rng (Rng.int_in rng 1 3) (List.init num Fun.id) in
+  let root = List.hd doms in
+  let strategy =
+    match Rng.int rng 3 with
+    | 0 -> Service.Option1
+    | 1 -> Service.Option2 { default_domain = root }
+    | _ -> Service.Gia { home_domain = root; radius = Rng.int_in rng 1 2 }
+  in
+  let service = Service.deploy env ~version:8 ~strategy in
+  Service.add_participants service
+    (List.map
+       (fun d ->
+         let routers =
+           Array.to_list (Internet.domain inet d).Internet.router_ids
+         in
+         (d, Rng.sample rng (Rng.int_in rng 1 (List.length routers)) routers))
+       doms);
+  (* damage: links go, and only some touched domains notice *)
+  let touched = Hashtbl.create 16 in
+  List.iter
+    (fun (a, b, _) ->
+      if Rng.bernoulli rng 0.1 then begin
+        Topology.Graph.remove_edge inet.Internet.graph a b;
+        List.iter
+          (fun r -> Hashtbl.replace touched (Internet.router inet r).Internet.rdomain ())
+          [ a; b ]
+      end)
+    (Topology.Graph.edges inet.Internet.graph);
+  let touched = List.sort Int.compare (Hashtbl.fold (fun d () acc -> d :: acc) touched []) in
+  Forward.recompute_igps env
+    ~domains:(List.filter (fun _ -> Rng.bool rng) touched);
+  if Rng.bernoulli rng 0.4 then begin
+    let d = Rng.int rng num in
+    Interdomain.Bgp.withdraw_origin env.Forward.bgp ~domain:d
+      (Internet.domain inet d).Internet.prefix;
+    for _ = 1 to Rng.int_in rng 1 3 do
+      ignore (Interdomain.Bgp.step env.Forward.bgp)
+    done
+  end;
+  let routers = List.init (Internet.num_routers inet) Fun.id in
+  let hosts = List.init (Array.length inet.Internet.endhosts) Fun.id in
+  let dsts =
+    (Service.address service :: Ipv4.of_string "9.9.9.9"
+     :: List.map
+          (fun r -> (Internet.router inet r).Internet.raddr)
+          (Rng.sample rng 3 routers))
+    @ List.map
+        (fun h -> (Internet.endhost inet h).Internet.haddr)
+        (Rng.sample rng 3 hosts)
+  in
+  let ttls = [ 0; 1; 2; 3; Rng.int_in rng 4 63; Packet.default_ttl ] in
+  let tally = new_tally () in
+  List.iter (fun dst -> compare_memo tally rng env dst ~ttls) dsts;
+  tally
+
+let prop_memo_equals_forward =
+  QCheck.Test.make
+    ~name:"toward/reach = forward + hop_count + path_metric (damaged internets)"
+    ~count:100
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let t = memo_case seed in
+      (match t.mismatches with
+      | [] -> ()
+      | m :: _ ->
+          QCheck.Test.fail_reportf "%d of %d walks differ, e.g. %s"
+            (List.length t.mismatches) t.compared m);
+      t.delivered > 0 && t.no_route > 0 && t.expired > 0)
+
+(* the property's generator reaches the drops it is meant to: over a
+   fixed sweep, damage (not only the unallocated address) makes some
+   walk end in No_route *)
+let test_memo_covers_damage () =
+  let total = new_tally () in
+  for seed = 1 to 8 do
+    let t = memo_case seed in
+    check Alcotest.(list string) "no mismatch" [] t.mismatches;
+    total.delivered <- total.delivered + t.delivered;
+    total.no_route_in_prefix <- total.no_route_in_prefix + t.no_route_in_prefix;
+    total.expired <- total.expired + t.expired
+  done;
+  check Alcotest.bool "deliveries" true (total.delivered > 0);
+  check Alcotest.bool "no-route inside a prefix" true (total.no_route_in_prefix > 0);
+  check Alcotest.bool "ttl expiry" true (total.expired > 0)
+
+(* A forwarding loop by hand: stub S2 is multihomed to peers T0 and T1.
+   Two synchronous rounds after S2 withdraws its /16, T0 routes it via
+   T1 and T1 via T0, so walks from the transits loop until the TTL
+   runs out. The memo must terminate and say Ttl_expired, as the
+   oracle does, at every TTL. *)
+let test_memo_forwarding_loop () =
+  let spec r e tr = { Internet.routers = r; endhosts = e; transit = tr } in
+  let link a b rel_of_b = { Internet.a; b; rel_of_b } in
+  let inet =
+    Internet.build_custom ~seed:5L
+      [| spec 3 0 true; spec 3 0 true; spec 2 1 false |]
+      [
+        link 0 1 Relationship.Peer;
+        link 2 0 Relationship.Provider;
+        link 2 1 Relationship.Provider;
+      ]
+  in
+  let env = Forward.make_env inet in
+  Interdomain.Bgp.withdraw_origin env.Forward.bgp ~domain:2
+    (Internet.domain inet 2).Internet.prefix;
+  ignore (Interdomain.Bgp.step env.Forward.bgp);
+  ignore (Interdomain.Bgp.step env.Forward.bgp);
+  let dst = (Internet.router inet (Internet.domain inet 2).Internet.router_ids.(0)).Internet.raddr in
+  let tally = new_tally () in
+  compare_memo tally (Rng.create 7L) env dst ~ttls:(List.init 70 Fun.id);
+  check Alcotest.(list string) "memo = oracle" [] tally.mismatches;
+  check Alcotest.bool "some walk loops" true (tally.looped > 0)
+
+let test_bgpdyn_rejects_bad_domain () =
+  let inet = Internet.small_example () in
+  let dyn = Simcore.Bgpdyn.create inet in
+  let engine = Engine.create () in
+  let g = Addressing.anycast_global ~group:8 in
+  let n = Internet.num_domains inet in
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun domain ->
+          match f dyn engine ~domain g with
+          | () -> Alcotest.failf "%s accepted domain %d" name domain
+          | exception Invalid_argument msg ->
+              check Alcotest.bool "names the function" true
+                (String.starts_with ~prefix:("Bgpdyn." ^ name) msg))
+        [ -1; n ])
+    [ ("originate", Simcore.Bgpdyn.originate); ("withdraw", Simcore.Bgpdyn.withdraw) ]
+
+(* ------------------------------------------------------------------ *)
 (* Mixed IGP flavors                                                   *)
 
 let mixed_env =
@@ -1157,6 +1382,14 @@ let () =
           qcheck prop_forward_trace_shape;
           qcheck prop_forward_universal_reachability;
         ] );
+      ( "toward",
+        [
+          qcheck prop_memo_equals_forward;
+          Alcotest.test_case "covers damage-made drops" `Quick
+            test_memo_covers_damage;
+          Alcotest.test_case "forwarding loop expires" `Quick
+            test_memo_forwarding_loop;
+        ] );
       ( "mixed-igp",
         [
           Alcotest.test_case "universal reachability" `Quick
@@ -1196,6 +1429,8 @@ let () =
           Alcotest.test_case "incremental origination" `Quick
             test_bgpdyn_incremental_origination;
           Alcotest.test_case "MRAI trade-off" `Quick test_bgpdyn_mrai_tradeoff;
+          Alcotest.test_case "rejects an out-of-range domain" `Quick
+            test_bgpdyn_rejects_bad_domain;
           Alcotest.test_case "converges under loss" `Quick
             test_bgpdyn_converges_under_loss;
           Alcotest.test_case "crash/restart with timers converges" `Quick
