@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-json lint-sarif summaries explain catalog bench report
+.PHONY: build test lint lint-json lint-sarif summaries explain catalog bench perf-smoke report
 
 build:        ## build everything (zero warnings expected)
 	dune build @all
@@ -28,6 +28,17 @@ catalog:      ## regenerate doc/LINT.md from the rule registry
 
 bench:        ## all figures, experiments E1-E37, microbenchmarks
 	dune exec bench/main.exe
+
+# One traced, oracle-checked second of every workload BENCHMARK.json
+# names, each writing perf-NAME.json; stops at the first failed check
+# (run.sh exits 1). CI's perf smoke runs exactly this.
+perf-smoke:   ## 1 s of every bench/perf workload, traced and oracle-checked
+	@set -e; \
+	workloads=$$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); \
+	test -n "$$workloads"; \
+	for w in $$workloads; do \
+	  bash bench/perf/run.sh --workload "$$w" --seed 1 --seconds 1 --trace 1 --out "perf-$$w.json"; \
+	done
 
 report:       ## regenerate RESULTS.md
 	dune exec bin/evolvenet.exe -- report -o RESULTS.md

@@ -199,7 +199,7 @@ let dataplane_fixture =
      let inet = Internet.build params in
      let env = Forward.make_env inet in
      let pump = Pump.create ~cache_slots:4096 env in
-     let uncached = Pump.create ~use_cache:false env in
+     let uncached = Pump.create ~cache_slots:0 env in
      let fib = Fib.compile env in
      let wl =
        Workload.create ~packets_per_flow:16 inet

@@ -2,7 +2,8 @@ module Ipv4 = Netcore.Ipv4
 
 (* Split key/value arrays rather than one [(key * value) option array]:
    [values.(i)] holds the [Some v] that [lookup] returns, so a cache hit
-   allocates nothing — the option cell was paid for once, at [insert].
+   allocates nothing. The cell is the one [refill] was given — for the
+   data plane, the FIB's own — so a miss allocates nothing either.
    [keys.(i)] is meaningful only where [values.(i)] is [Some _]. *)
 type 'a t = {
   keys : Ipv4.t array;
@@ -17,7 +18,13 @@ type stats = { hits : int; misses : int; evictions : int; occupied : int }
 
 let create ~slots =
   if slots <= 0 then invalid_arg "Flowcache.create: slots must be positive";
-  let rec pow2 k = if k >= slots then k else pow2 (k * 2) in
+  (* doubling stops before it could pass the largest array (or wrap) *)
+  let rec pow2 k =
+    if k >= slots then k
+    else if k > Sys.max_array_length / 2 then
+      invalid_arg "Flowcache.create: slots exceed the largest array"
+    else pow2 (k * 2)
+  in
   let n = pow2 1 in
   {
     keys = Array.make n (Ipv4.of_int 0);
@@ -47,24 +54,27 @@ let lookup t addr =
       t.misses <- t.misses + 1;
       None
 
-let insert t addr v =
-  let i = slot_of t addr in
-  (match t.values.(i) with
-  | Some _ when not (Ipv4.equal t.keys.(i) addr) ->
-      t.evictions <- t.evictions + 1
-  | Some _ | None -> ());
-  t.keys.(i) <- addr;
-  t.values.(i) <- Some v
+let refill t addr cell =
+  match cell with
+  | None -> ()
+  | Some _ ->
+      let i = slot_of t addr in
+      (match t.values.(i) with
+      | Some _ when not (Ipv4.equal t.keys.(i) addr) ->
+          t.evictions <- t.evictions + 1
+      | Some _ | None -> ());
+      t.keys.(i) <- addr;
+      t.values.(i) <- cell
+
+let insert t addr v = refill t addr (Some v)
 
 let find t addr ~compute =
   match lookup t addr with
   | Some _ as hit -> hit
-  | None -> (
-      match compute addr with
-      | Some v as r ->
-          insert t addr v;
-          r
-      | None -> None)
+  | None ->
+      let r = compute addr in
+      refill t addr r;
+      r
 
 let clear t = Array.fill t.values 0 (Array.length t.values) None
 

@@ -10,6 +10,10 @@
     /16-aligned), with hit/miss/eviction counters so experiments can
     report how much locality the workload has.
 
+    A slot holds a [Some] cell and a hit returns that very cell. The
+    data plane fills slots with the FIB's own cells ({!refill}), so
+    neither a hit nor a miss allocates.
+
     Entries are forwarding decisions, so the cache must be {!clear}ed
     whenever the FIB snapshot it fronts is recompiled. *)
 
@@ -20,7 +24,8 @@ type stats = { hits : int; misses : int; evictions : int; occupied : int }
 
 val create : slots:int -> 'a t
 (** A cache with at least [slots] slots (rounded up to a power of
-    two), all empty. @raise Invalid_argument when [slots <= 0]. *)
+    two), all empty. @raise Invalid_argument when [slots <= 0], or
+    when the rounded count would exceed [Sys.max_array_length]. *)
 
 val capacity : 'a t -> int
 (** The actual (power-of-two) slot count. *)
@@ -29,13 +34,21 @@ val lookup : 'a t -> Netcore.Ipv4.t -> 'a option
 (** The cached value for this exact address, counting a hit or a
     miss. A slot occupied by a different address is a miss. *)
 
+val refill : 'a t -> Netcore.Ipv4.t -> 'a option -> unit
+(** [refill t addr cell] installs the value of a [Some] cell,
+    overwriting the slot (replacing a different address counts as an
+    eviction); a [None] cell leaves the cache as it was. The slot keeps
+    [cell] itself, and {!lookup} returns it on every hit, so a refill
+    with a cell the caller already holds allocates nothing — the data
+    plane refills with the [Some] that {!Netcore.Lpm.lookup_value}
+    returned, the FIB's own. *)
+
 val insert : 'a t -> Netcore.Ipv4.t -> 'a -> unit
-(** Install a value, overwriting the slot; replacing a different
-    address counts as an eviction. *)
+(** [insert t addr v] is [refill t addr (Some v)]: one new cell. *)
 
 val find : 'a t -> Netcore.Ipv4.t -> compute:(Netcore.Ipv4.t -> 'a option) -> 'a option
-(** [lookup], falling back to [compute] on a miss and caching a
-    [Some] result. [None] results are not cached. *)
+(** [lookup], falling back to [compute] on a miss and refilling with
+    the cell it returned. [None] results are not cached. *)
 
 val clear : 'a t -> unit
 (** Drop every entry (FIB recompile invalidation); counters are

@@ -23,12 +23,12 @@ type t = {
 }
 
 let create ~tables ~lo ~hi ~cache_slots =
+  if cache_slots < 0 then invalid_arg "Hop.create: cache_slots must be non-negative";
   {
     tables;
     caches =
-      Option.map
-        (fun slots -> Array.init (hi - lo) (fun _ -> Flowcache.create ~slots))
-        cache_slots;
+      (if cache_slots = 0 then None
+       else Some (Array.init (hi - lo) (fun _ -> Flowcache.create ~slots:cache_slots)));
     lo;
     hi;
     telemetry = Telemetry.create ~routers:(Array.length tables);
@@ -76,9 +76,10 @@ let ttl k = k.ttl
 
 (* One forwarding decision at router [r] for [count] byte-identical
    packets: probe the flow cache once, account for every packet. A miss
-   followed by an insert makes the remaining [count - 1] packets hits —
+   followed by a refill makes the remaining [count - 1] packets hits —
    exactly what [count] single walks record, since nothing else touches
-   this router's cache between the packets of one flow. *)
+   this router's cache between the packets of one flow. The refill
+   stores the table's own [Some] cell, so a miss allocates nothing. *)
 let lookup k r ~cls ~count dst =
   match k.caches with
   | None -> Lpm.lookup_value dst k.tables.(r)
@@ -91,10 +92,10 @@ let lookup k r ~cls ~count dst =
           hit
       | None -> (
           match Lpm.lookup_value dst k.tables.(r) with
-          | Some a as res ->
+          | Some _ as res ->
               Telemetry.record_cache_n k.telemetry ~router:r ~cls
                 ~hits:(count - 1) ~misses:1;
-              Flowcache.insert c dst a;
+              Flowcache.refill c dst res;
               res
           | None ->
               Telemetry.record_cache_n k.telemetry ~router:r ~cls ~hits:0

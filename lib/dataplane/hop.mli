@@ -13,9 +13,13 @@
     {!Simcore.Forward.forward} oracle over the installed tables; the
     test-suite asserts that for both callers.
 
-    A walk allocates nothing: it returns a constant verdict and leaves
-    the routers it visited, the terminal router, the endhost, or the
-    handoff hop and TTL in the state for the caller to read. *)
+    A walk allocates nothing, on a flow-cache hit or a miss (the
+    test-suite counts its minor words): it returns a constant verdict
+    and leaves the routers it visited, the terminal router, the
+    endhost, or the handoff hop and TTL in the state for the caller to
+    read. A miss refills the cache with the table's own [Some] cell,
+    the one {!Netcore.Lpm.lookup_value} returned; on the frozen tables
+    {!Simcore.Fib} compiles, that lookup is a binary search. *)
 
 type t
 (** Kernel state for one caller: the shared FIB tables, the flow
@@ -35,13 +39,14 @@ val create :
   tables:Simcore.Fib.action Netcore.Lpm.t array ->
   lo:int ->
   hi:int ->
-  cache_slots:int option ->
+  cache_slots:int ->
   t
 (** State over [tables] (indexed by router id; shared, and mutated
     only through {!install}) for the block [\[lo, hi)]: one flow cache
-    of [cache_slots] per block router, or none for [None]; fresh
-    telemetry over every router of [tables]; every link up and no
-    link queues. *)
+    of [cache_slots] per block router, or none for 0; fresh telemetry
+    over every router of [tables]; every link up and no link queues.
+    @raise Invalid_argument when [cache_slots] is negative, or too
+    large for {!Flowcache.create}. *)
 
 val telemetry : t -> Telemetry.t
 

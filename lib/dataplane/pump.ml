@@ -6,11 +6,11 @@ module Fib = Simcore.Fib
 
 type t = { env : Forward.env; hop : Hop.t }
 
-let create ?(use_cache = true) ?(cache_slots = 256) (env : Forward.env) =
+let create ?(cache_slots = 256) (env : Forward.env) =
+  if cache_slots < 0 then invalid_arg "Pump.create: cache_slots must be non-negative";
   let fib = Fib.compile env in
   let n = Internet.num_routers env.Forward.inet in
   let tables = Array.init n (fun r -> Fib.table fib ~router:r) in
-  let cache_slots = if use_cache then Some cache_slots else None in
   { env; hop = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots }
 
 let set_link_filter t f = Hop.set_link_filter t.hop (Some f)

@@ -27,10 +27,12 @@
 
 type t
 
-val create : ?use_cache:bool -> ?cache_slots:int -> Simcore.Forward.env -> t
+val create : ?cache_slots:int -> Simcore.Forward.env -> t
 (** Compile a FIB snapshot of the env's current control plane and
-    stand up per-router flow caches ([use_cache] default true,
-    [cache_slots] default 256) and telemetry. *)
+    stand up per-router flow caches of [cache_slots] slots (default
+    256; 0 = no cache, every hop a table lookup) and telemetry.
+    @raise Invalid_argument when [cache_slots] is negative, or too
+    large for {!Flowcache.create}. *)
 
 val env : t -> Simcore.Forward.env
 val telemetry : t -> Telemetry.t

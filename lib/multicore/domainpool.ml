@@ -18,6 +18,8 @@ type t = {
 
 let create ?(cache_slots = 256) ?(ring_capacity = 1024) ?spill_cap
     ?inject_per_pass (env : Forward.env) ~shards ~seed =
+  if cache_slots < 0 then
+    invalid_arg "Domainpool.create: cache_slots must be non-negative";
   let n = Internet.num_routers env.Forward.inet in
   let map = Shardmap.create ~routers:n ~shards in
   let fib = Fib.compile env in

@@ -26,12 +26,13 @@ val create :
   t
 (** Compile one FIB snapshot of the env's control plane (shared
     read-only by all workers) and stand up [shards] workers with
-    [cache_slots] flow-cache slots per router (default 256, as
-    {!Dataplane.Pump.create}) and [ring_capacity]-slot handoff rings
-    (default 1024). [seed] feeds one {!Topology.Rng} per shard via
-    deterministic splits. [spill_cap] and [inject_per_pass] configure
-    each shard's overload behaviour — see {!Shard.create}.
-    @raise Invalid_argument unless [0 < shards <= routers]. *)
+    [cache_slots] flow-cache slots per router (default 256; 0 = no
+    cache; as {!Dataplane.Pump.create}) and [ring_capacity]-slot
+    handoff rings (default 1024). [seed] feeds one {!Topology.Rng} per
+    shard via deterministic splits. [spill_cap] and [inject_per_pass]
+    configure each shard's overload behaviour — see {!Shard.create}.
+    @raise Invalid_argument unless [0 < shards <= routers], or when
+    [cache_slots] is negative. *)
 
 val env : t -> Simcore.Forward.env
 val map : t -> Shardmap.t

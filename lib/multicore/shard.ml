@@ -93,7 +93,7 @@ let create ?(spill_cap = 65536) ?(inject_per_pass = max_int) ~sid ~map
   {
     sid;
     map;
-    hop = Hop.create ~tables ~lo ~hi ~cache_slots:(Some cache_slots);
+    hop = Hop.create ~tables ~lo ~hi ~cache_slots;
     rng;
     arena = Arena.create ~bytes:0;
     pending = Queue.create ();

@@ -40,7 +40,9 @@ val create :
   unit ->
   t
 (** A worker for shard [sid] of [map]. [tables] is the shared FIB
-    snapshot array indexed by router id; [live] is the pool-wide
+    snapshot array indexed by router id, fronted by [cache_slots]
+    flow-cache slots per router of the shard's block (0 = no cache,
+    as {!Dataplane.Hop.create}); [live] is the pool-wide
     in-flight packet count this worker decrements on every terminal
     outcome. Rings are wired separately via {!set_channels} once all
     shards exist.
@@ -57,7 +59,7 @@ val create :
     default drains the whole queue in the first pass, the historical
     behaviour every experiment relies on for bit-reproducibility.
     @raise Invalid_argument when [spill_cap] or [inject_per_pass] is
-    not positive. *)
+    not positive, or [cache_slots] is negative. *)
 
 val set_channels : t -> inbox:msg Ring.t array -> outbox:msg Ring.t array -> unit
 (** Wire the per-pair rings: [inbox.(p)] carries handoffs from shard

@@ -2,66 +2,41 @@ let format_version = 1
 
 (* --- encoding ------------------------------------------------------ *)
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
+(* Writers into the exact-size image [encode] allocates. Each takes the
+   bytes as an argument, so none is a closure over them
+   (hot-path-alloc). *)
 
-let put_u16 buf v =
-  put_u8 buf (v lsr 8);
-  put_u8 buf v
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+let set_ipv4 b off a = set_u32 b off (Ipv4.to_int a)
 
-let put_u32 buf v =
-  put_u16 buf (v lsr 16);
-  put_u16 buf v
-
-let put_ipv4 buf a = put_u32 buf (Ipv4.to_int a)
-
-let put_body buf body =
-  if String.length body > 0xFFFF then
-    invalid_arg "Wire.encode: body exceeds 65535 bytes";
-  put_u16 buf (String.length body);
-  Buffer.add_string buf body
+let set_body b off body =
+  let n = String.length body in
+  Bytes.set_uint16_be b off n;
+  Bytes.blit_string body 0 b (off + 2) n
 
 (* Uses the raw accessors, not the option-returning ones: encode runs
    once per injected packet, and the self/provider split is total on
-   the bit layout, so nothing needs an option here (hot-path-alloc). *)
-let put_ipvn buf a =
+   the bit layout, so nothing needs an option here (hot-path-alloc).
+   Returns the offset after the address. *)
+let set_ipvn b off a =
   if Ipvn.is_self a then begin
-    put_u8 buf 0;
-    put_ipv4 buf (Ipvn.raw_ipv4 a)
+    Bytes.set_uint8 b off 0;
+    set_ipv4 b (off + 1) (Ipvn.raw_ipv4 a);
+    off + 5
   end
   else begin
-    put_u8 buf 1;
-    put_u32 buf (Ipvn.raw_domain a);
-    put_u32 buf (Ipvn.raw_host a)
+    Bytes.set_uint8 b off 1;
+    set_u32 b (off + 1) (Ipvn.raw_domain a);
+    set_u32 b (off + 5) (Ipvn.raw_host a);
+    off + 9
   end
 
 let check_ttl ttl =
   if ttl < 0 || ttl > 255 then invalid_arg "Wire.encode: TTL out of [0, 255]"
 
-let encode (p : Packet.t) =
-  check_ttl p.Packet.ttl;
-  let buf = Buffer.create 64 in
-  put_u8 buf format_version;
-  (match p.Packet.payload with
-  | Packet.Data _ -> put_u8 buf 0
-  | Packet.Encap _ -> put_u8 buf 1);
-  put_ipv4 buf p.Packet.src;
-  put_ipv4 buf p.Packet.dst;
-  put_u8 buf p.Packet.ttl;
-  (match p.Packet.payload with
-  | Packet.Data body -> put_body buf body
-  | Packet.Encap vn ->
-      check_ttl vn.Packet.vttl;
-      put_u8 buf vn.Packet.version;
-      put_u8 buf vn.Packet.vttl;
-      put_ipvn buf vn.Packet.vsrc;
-      put_ipvn buf vn.Packet.vdst;
-      (match vn.Packet.dest_v4_hint with
-      | Some a ->
-          put_u8 buf 1;
-          put_ipv4 buf a
-      | None -> put_u8 buf 0);
-      put_body buf vn.Packet.body);
-  Buffer.contents buf
+let check_body body =
+  if String.length body > 0xFFFF then
+    invalid_arg "Wire.encode: body exceeds 65535 bytes"
 
 (* --- decoding ------------------------------------------------------ *)
 
@@ -173,6 +148,45 @@ let wire_length (p : Packet.t) =
       + (match vn.Packet.dest_v4_hint with Some _ -> 5 | None -> 1)
       + 2
       + String.length vn.Packet.body
+
+(* One exact-size image: [wire_length] sizes it, so nothing grows or
+   copies. The checks come first, in the order the fields are laid
+   out. *)
+let encode (p : Packet.t) =
+  check_ttl p.Packet.ttl;
+  (match p.Packet.payload with
+  | Packet.Data body -> check_body body
+  | Packet.Encap vn ->
+      check_ttl vn.Packet.vttl;
+      check_body vn.Packet.body);
+  let b = Bytes.create (wire_length p) in
+  Bytes.set_uint8 b 0 format_version;
+  set_ipv4 b 2 p.Packet.src;
+  set_ipv4 b 6 p.Packet.dst;
+  Bytes.set_uint8 b 10 p.Packet.ttl;
+  (match p.Packet.payload with
+  | Packet.Data body ->
+      Bytes.set_uint8 b 1 0;
+      set_body b header_bytes body
+  | Packet.Encap vn ->
+      Bytes.set_uint8 b 1 1;
+      Bytes.set_uint8 b 11 vn.Packet.version;
+      Bytes.set_uint8 b 12 vn.Packet.vttl;
+      let i = set_ipvn b 13 vn.Packet.vsrc in
+      let i = set_ipvn b i vn.Packet.vdst in
+      let i =
+        match vn.Packet.dest_v4_hint with
+        | Some a ->
+            Bytes.set_uint8 b i 1;
+            set_ipv4 b (i + 1) a;
+            i + 5
+        | None ->
+            Bytes.set_uint8 b i 0;
+            i + 1
+      in
+      set_body b i vn.Packet.body);
+  (* [b] is never written again, so handing it out as a string is safe *)
+  Bytes.unsafe_to_string b
 
 (* --- arena views ---------------------------------------------------- *)
 

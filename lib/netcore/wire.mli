@@ -22,8 +22,10 @@
     (provider). *)
 
 val encode : Packet.t -> string
-(** Serialize. @raise Invalid_argument when a body exceeds 65535
-    bytes or a TTL is outside [\[0, 255\]]. *)
+(** Serialize. Allocates one string of exactly {!wire_length}[ p]
+    bytes and writes it in place: nothing grows or is copied out.
+    @raise Invalid_argument when a body exceeds 65535 bytes or a TTL
+    is outside [\[0, 255\]]. *)
 
 val decode : string -> (Packet.t, string) result
 (** Parse; [Error] describes the first malformed field. Every packet

@@ -76,7 +76,7 @@ let router_table c r =
         | Some nh -> add (host_prefix h.Internet.haddr) (Next_hop nh)
         | None -> ())
     (Internet.domain inet d).Internet.endhost_ids;
-  !table
+  Lpm.freeze !table
 
 let compile env =
   let c = compiler env in

@@ -12,7 +12,10 @@
       on-the-fly forwarder everywhere (asserted by the test-suite).
 
     Tables are snapshots: recompile after any routing or deployment
-    change. *)
+    change. Every compiled table is {!Netcore.Lpm.freeze}d — only read
+    once built, it carries the flat interval layout that makes a
+    lookup a binary search — and can be shared read-only by the data
+    plane's domains. *)
 
 type action =
   | Local  (** the address terminates at this router (own address or
@@ -38,7 +41,7 @@ val compiler : Forward.env -> compiler
     domain is resolved until one of its routers is compiled. *)
 
 val router_table : compiler -> int -> action Netcore.Lpm.t
-(** Compile one router's table. The per-router entry point of the
+(** Compile one router's table, frozen. The per-router entry point of the
     only compile path: {!compile} maps it over every router, and a
     staged line-card refresh calls it for just the routers in the
     batch, so its cost is proportional to the routers compiled (plus

@@ -74,9 +74,9 @@ let sample_probes (inet : Internet.t) env service =
   ignore env;
   probes
 
-let agreement_case ~use_cache () =
+let agreement_case ~cache_slots () =
   let inet, env, service = Lazy.force fixture in
-  let pump = Pump.create ~use_cache env in
+  let pump = Pump.create ~cache_slots env in
   List.iter
     (fun (entry, dst) ->
       let p = Packet.make_data ~src:Ipv4.any ~dst "probe" in
@@ -90,8 +90,8 @@ let agreement_case ~use_cache () =
         (trace_str second))
     (sample_probes inet env service)
 
-let test_agreement_cached () = agreement_case ~use_cache:true ()
-let test_agreement_uncached () = agreement_case ~use_cache:false ()
+let test_agreement_cached () = agreement_case ~cache_slots:256 ()
+let test_agreement_uncached () = agreement_case ~cache_slots:0 ()
 
 let test_agreement_send_data () =
   let inet, env, _ = Lazy.force fixture in
@@ -343,6 +343,77 @@ let test_flowcache_rounds_to_power_of_two () =
     (Invalid_argument "Flowcache.create: slots must be positive") (fun () ->
       ignore (Flowcache.create ~slots:0))
 
+(* A count whose power-of-two rounding passes the largest array is
+   refused before anything is allocated; doubling past max_int used to
+   wrap to 0 and loop for ever. *)
+let test_flowcache_huge_slots_rejected () =
+  List.iter
+    (fun slots ->
+      Alcotest.check_raises
+        (Printf.sprintf "slots = %d rejected" slots)
+        (Invalid_argument "Flowcache.create: slots exceed the largest array")
+        (fun () -> ignore (Flowcache.create ~slots)))
+    [ max_int; (1 lsl 61) + 1; Sys.max_array_length ]
+
+(* The pump and the kernel take 0 slots as "no cache" and refuse a
+   negative count, naming themselves. *)
+let test_cache_slots_validation () =
+  let _, env, _ = Lazy.force fixture in
+  let pump = Pump.create ~cache_slots:0 env in
+  ignore (Pump.send_data pump ~src:0 ~dst:9 ~payload:"x");
+  let c = Telemetry.total (Pump.telemetry pump) in
+  check Alcotest.int "no cache, no probe counted" 0
+    (c.Telemetry.cache_hits + c.Telemetry.cache_misses);
+  Alcotest.check_raises "Pump.create refuses -1"
+    (Invalid_argument "Pump.create: cache_slots must be non-negative")
+    (fun () -> ignore (Pump.create ~cache_slots:(-1) env));
+  Alcotest.check_raises "Hop.create refuses -1"
+    (Invalid_argument "Hop.create: cache_slots must be non-negative")
+    (fun () -> ignore (Hop.create ~tables:[||] ~lo:0 ~hi:0 ~cache_slots:(-1)))
+
+(* hop.mli: "A walk allocates nothing". Uniform destinations over 1,792
+   endhosts through 256-slot caches miss at most hops, and each miss
+   refills a cache, so this pins the miss path as well as the hit
+   path. The bound leaves room for the measurement itself. *)
+let test_walk_allocates_nothing () =
+  let inet = Internet.build { Internet.default_params with endhosts_per_domain = 64 } in
+  let env = Forward.make_env inet in
+  let fib = Fib.compile env in
+  let n = Internet.num_routers inet in
+  let tables = Array.init n (fun router -> Fib.table fib ~router) in
+  let k = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots:256 in
+  let rng = Rng.create 23L in
+  let hosts = Array.length inet.Internet.endhosts in
+  let walks = 10_000 in
+  let batch () =
+    ( Array.init walks (fun _ -> (Internet.endhost inet (Rng.int rng hosts)).Internet.haddr),
+      Array.init walks (fun _ -> Rng.int rng n) )
+  in
+  let run (dsts, entries) =
+    for i = 0 to walks - 1 do
+      ignore
+        (Hop.walk k ~cls:Telemetry.Native ~dst:dsts.(i) ~bytes:100 ~encap_bytes:0
+           ~count:1 ~entry:entries.(i) ~ttl:64
+          : Hop.verdict)
+    done
+  in
+  let warm = batch () and measured = batch () in
+  run warm;
+  let before = Telemetry.total (Hop.telemetry k) in
+  let w0 = Gc.minor_words () in
+  run measured;
+  let w1 = Gc.minor_words () in
+  let after = Telemetry.total (Hop.telemetry k) in
+  let hits = after.Telemetry.cache_hits - before.Telemetry.cache_hits
+  and misses = after.Telemetry.cache_misses - before.Telemetry.cache_misses in
+  check Alcotest.bool
+    (Printf.sprintf "most hops miss (%d hits, %d misses)" hits misses)
+    true (misses > hits);
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words over %d walks" (w1 -. w0) walks)
+    true
+    (w1 -. w0 <= 64.)
+
 (* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
 
@@ -466,7 +537,7 @@ let prop_flowlet_equals_singles =
           end)
         (Topology.Graph.edges inet.Internet.graph);
       let fresh () =
-        let st = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots:(Some 64) in
+        let st = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots:64 in
         Hop.set_link_filter st (Some (fun a b -> not dead.(a).(b)));
         st
       in
@@ -740,6 +811,10 @@ let () =
             test_flowcache_negative_not_cached;
           Alcotest.test_case "power-of-two capacity" `Quick
             test_flowcache_rounds_to_power_of_two;
+          Alcotest.test_case "huge slot counts rejected" `Quick
+            test_flowcache_huge_slots_rejected;
+          Alcotest.test_case "cache_slots: 0 = none, negative refused" `Quick
+            test_cache_slots_validation;
           Alcotest.test_case "no stale action across churn + refresh" `Quick
             test_flowcache_churn_stress;
         ] );
@@ -756,7 +831,12 @@ let () =
           Alcotest.test_case "pump records hops" `Quick
             test_pump_telemetry_counts;
         ] );
-      ("kernel", [ QCheck_alcotest.to_alcotest prop_flowlet_equals_singles ]);
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_flowlet_equals_singles;
+          Alcotest.test_case "a walk allocates nothing, hit or miss" `Quick
+            test_walk_allocates_nothing;
+        ] );
       ( "snapshots",
         [
           Alcotest.test_case "refresh tracks control plane" `Quick

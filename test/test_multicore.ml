@@ -304,6 +304,23 @@ let test_pool_env_shard_count () =
     true
     (v = verdict (Pump.telemetry pump))
 
+(* 0 cache slots means no flow cache, as for the pump: every hop a
+   table lookup, the same verdicts, no cache probe counted. *)
+let test_pool_uncached () =
+  let env, flows, pump = Lazy.force pool_fixture in
+  let pool = Domainpool.create ~cache_slots:0 env ~shards:2 ~seed:11L in
+  Domainpool.run pool flows;
+  let tel = Domainpool.telemetry pool in
+  Domainpool.close pool;
+  check Alcotest.bool "uncached verdict equals the serial pump" true
+    (verdict tel = verdict (Pump.telemetry pump));
+  let c = Telemetry.total tel in
+  check Alcotest.int "no cache probe counted" 0
+    (c.Telemetry.cache_hits + c.Telemetry.cache_misses);
+  Alcotest.check_raises "negative cache_slots refused"
+    (Invalid_argument "Domainpool.create: cache_slots must be non-negative")
+    (fun () -> ignore (Domainpool.create ~cache_slots:(-1) env ~shards:1 ~seed:11L))
+
 let test_pool_telemetry_accumulates () =
   (* two runs of the same batch double every counter, like the pump *)
   let env, flows, _ = Lazy.force pool_fixture in
@@ -541,6 +558,8 @@ let () =
             test_pool_env_shard_count;
           Alcotest.test_case "telemetry accumulates" `Quick
             test_pool_telemetry_accumulates;
+          Alcotest.test_case "0 cache slots = uncached" `Quick
+            test_pool_uncached;
           qcheck prop_pool_equals_pump;
         ] );
       ( "overload",

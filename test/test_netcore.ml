@@ -124,6 +124,27 @@ let arbitrary_table =
   in
   QCheck.make gen
 
+(* Addresses where an interval edge hides: every binding's first and
+   last address and their neighbours, and both ends of the space.
+   Random probes rarely land on them. *)
+let edge_probes table =
+  Ipv4.any :: Ipv4.broadcast
+  :: List.concat_map
+       (fun (p, _) ->
+         let first = Prefix.network p in
+         let last = Ipv4.add first (Prefix.size p - 1) in
+         [ Ipv4.add first (-1); first; last; Ipv4.add last 1 ])
+       table
+
+(* Both lookups of [t], trie and per-packet, agree with the scan. *)
+let lookups_agree t table addr =
+  let want = naive_lookup addr table in
+  Lpm.lookup addr t = want && Lpm.lookup_value addr t = Option.map snd want
+
+(* [freeze] keeps every binding *)
+let same_bindings a b =
+  Lpm.bindings a = Lpm.bindings b && Lpm.cardinal a = Lpm.cardinal b
+
 let prop_lpm_matches_naive =
   QCheck.Test.make ~name:"lpm lookup = naive scan" ~count:300
     QCheck.(pair arbitrary_table (int_bound 0xFFFFFF))
@@ -136,8 +157,11 @@ let prop_lpm_matches_naive =
           [] table
       in
       let t = Lpm.of_list (List.rev dedup) in
-      let addr = Ipv4.of_int (probe * 12347) in
-      Lpm.lookup addr t = naive_lookup addr dedup)
+      let frozen = Lpm.freeze t in
+      let probes = Ipv4.of_int (probe * 12347) :: edge_probes dedup in
+      List.for_all (fun a -> lookups_agree t dedup a && lookups_agree frozen dedup a) probes
+      && same_bindings frozen t
+      && List.for_all (fun (p, v) -> Lpm.find_exact p frozen = Some v) dedup)
 
 let prop_lpm_remove =
   QCheck.Test.make ~name:"remove erases exactly one binding" ~count:200
@@ -178,21 +202,37 @@ let arbitrary_op_sequence =
   in
   QCheck.make QCheck.Gen.(list_size (int_bound 60) gen_op)
 
+(* The same ops run on a trie [t] and on [f], which is frozen again
+   after every op: an add or remove on a frozen table must give the
+   trie's bindings, and both must look up as the model does. *)
 let prop_lpm_sequence =
   QCheck.Test.make ~name:"add/remove/lookup sequence = naive model" ~count:200
     arbitrary_op_sequence (fun ops ->
-      let step (t, model, ok) op =
-        if not ok then (t, model, false)
+      let step (t, f, model, ok) op =
+        if not ok then (t, f, model, false)
         else
+          let write t' f' model =
+            (t', Lpm.freeze f', model, same_bindings t' f')
+          in
           match op with
-          | Op_add (p, v) -> (Lpm.add p v t, (p, v) :: List.remove_assoc p model, ok)
-          | Op_remove p -> (Lpm.remove p t, List.remove_assoc p model, ok)
-          | Op_probe addr -> (t, model, Lpm.lookup addr t = naive_lookup addr model)
+          | Op_add (p, v) ->
+              write (Lpm.add p v t) (Lpm.add p v f) ((p, v) :: List.remove_assoc p model)
+          | Op_remove p -> write (Lpm.remove p t) (Lpm.remove p f) (List.remove_assoc p model)
+          | Op_probe addr ->
+              (t, f, model, lookups_agree t model addr && lookups_agree f model addr)
       in
-      let t, model, ok = List.fold_left step (Lpm.empty, [], true) ops in
+      let t, f, model, ok =
+        List.fold_left step (Lpm.empty, Lpm.freeze Lpm.empty, [], true) ops
+      in
       ok
       && Lpm.cardinal t = List.length model
-      && List.for_all (fun (p, v) -> Lpm.find_exact p t = Some v) model)
+      && same_bindings f t
+      && List.for_all
+           (fun (p, v) -> Lpm.find_exact p t = Some v && Lpm.find_exact p f = Some v)
+           model
+      && List.for_all
+           (fun a -> lookups_agree t model a && lookups_agree f model a)
+           (edge_probes model))
 
 let test_lpm_longest_wins () =
   let t =
