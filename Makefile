@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-json lint-sarif summaries explain catalog bench perf-smoke report
+.PHONY: build test lint lint-json lint-sarif summaries explain catalog perf-smoke report
 
 build:        ## build everything (zero warnings expected)
 	dune build @all
@@ -25,9 +25,6 @@ explain:      ## print every lint rule's rationale and provenance
 
 catalog:      ## regenerate doc/LINT.md from the rule registry
 	dune exec tools/lint/main.exe -- --catalog > doc/LINT.md
-
-bench:        ## all figures, experiments E1-E37, microbenchmarks
-	dune exec bench/main.exe
 
 # One traced, oracle-checked second of every workload BENCHMARK.json
 # names, each writing perf-NAME.json; stops at the first failed check

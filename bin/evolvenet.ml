@@ -2,7 +2,7 @@
 
    `evolvenet fig 1`     — replay a paper figure
    `evolvenet exp e3`    — run one experiment table
-   `evolvenet all`       — run everything (what bench/main.exe also does)
+   `evolvenet all`       — run every figure and experiment
    `evolvenet demo`      — narrated end-to-end quickstart *)
 
 open Cmdliner

@@ -14,6 +14,7 @@ module Graph = Topology.Graph
 module Prefix = Netcore.Prefix
 module Addressing = Netcore.Addressing
 module Pump = Dataplane.Pump
+module Rollout = Dataplane.Rollout
 module Workload = Dataplane.Workload
 module Telemetry = Dataplane.Telemetry
 module Linkq = Dataplane.Linkq
@@ -1931,27 +1932,17 @@ let e30_churn_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
       (List.hd doms) (List.tl doms)
   in
   let pump = Pump.create env in
-  let n_routers = Internet.num_routers inet in
-  let refresh_order =
-    let a = Array.init n_routers Fun.id in
+  let rollout =
+    let a = Array.init (Internet.num_routers inet) Fun.id in
     Rng.shuffle rng a;
-    a
+    Rollout.create ~order:a ~window
   in
-  let refreshed = ref 0 in
   let churned = ref false in
   let rows = ref [] in
   let engine = Simcore.Engine.create () in
   let tick i _ =
     (* line cards pick up the new snapshot in batches across the window *)
-    if !churned && !refreshed < n_routers then begin
-      let batch_size = (n_routers + window - 1) / window in
-      let upto = min n_routers (!refreshed + batch_size) in
-      let batch =
-        Array.to_list (Array.sub refresh_order !refreshed (upto - !refreshed))
-      in
-      Pump.refresh ~routers:batch pump;
-      refreshed := upto
-    end;
+    Rollout.step rollout pump;
     let members = Service.members service in
     let ok = ref 0 and stale = ref 0 and lost = ref 0 and looped = ref 0 in
     List.iter
@@ -1975,11 +1966,9 @@ let e30_churn_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
         tick30 = i;
         phase30 =
           (if not !churned then "steady"
-           else if !refreshed < n_routers then "converging"
+           else if not (Rollout.finished rollout) then "converging"
            else "recovered");
-        fresh30 =
-          (if !churned then float_of_int !refreshed /. float_of_int n_routers
-           else 1.0);
+        fresh30 = Rollout.progress rollout;
         ok30 = frac ok;
         stale30 = frac stale;
         lost30 = frac lost;
@@ -1995,7 +1984,8 @@ let e30_churn_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
     ~time:(float_of_int churn_tick +. 0.5)
     (fun _ ->
       Setup.undeploy setup ~domain:victim;
-      churned := true);
+      churned := true;
+      Rollout.restart rollout);
   ignore (Simcore.Engine.run engine);
   List.rev !rows
 
@@ -2236,13 +2226,11 @@ let e32_flap_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
       victims;
     (* recovery: on detection, reroute the control plane around the
        down links and let line cards pick the detour up in batches *)
-    let n_routers = Internet.num_routers inet in
-    let refresh_order =
-      let arr = Array.init n_routers Fun.id in
+    let rollout =
+      let arr = Array.init (Internet.num_routers inet) Fun.id in
       Rng.shuffle rng arr;
-      arr
+      Rollout.create ~order:arr ~window:3
     in
-    let refreshed = ref n_routers in
     let victim_domains =
       List.sort_uniq Int.compare
         (List.map
@@ -2253,24 +2241,15 @@ let e32_flap_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
       Simcore.Engine.schedule_at engine ~time:(down_t +. 0.3) (fun _ ->
           List.iter (fun (a, b, _) -> Graph.remove_edge g a b) victims;
           Forward.recompute_igps env ~domains:victim_domains;
-          refreshed := 0);
+          Rollout.restart rollout);
       Simcore.Engine.schedule_at engine ~time:(up_t +. 0.3) (fun _ ->
           List.iter (fun (a, b, w) -> Graph.add_edge g a b w) victims;
           Forward.recompute_igps env ~domains:victim_domains;
-          refreshed := 0)
+          Rollout.restart rollout)
     end;
-    let window = 3 in
     let rows = ref [] in
     let tick i _ =
-      if !refreshed < n_routers then begin
-        let batch_size = (n_routers + window - 1) / window in
-        let upto = min n_routers (!refreshed + batch_size) in
-        let batch =
-          Array.to_list (Array.sub refresh_order !refreshed (upto - !refreshed))
-        in
-        Pump.refresh ~routers:batch pump;
-        refreshed := upto
-      end;
+      Rollout.step rollout pump;
       let members = Service.members service in
       let ok = ref 0 and stale = ref 0 and lost = ref 0 and looped = ref 0 in
       List.iter
@@ -2296,7 +2275,7 @@ let e32_flap_traffic ?(params = Internet.default_params) ?(deploy_domains = 4)
           phase32 =
             (if float_of_int i < down_t then "steady"
              else if float_of_int i < up_t then "flapping"
-             else if !refreshed < n_routers then "healing"
+             else if not (Rollout.finished rollout) then "healing"
              else "recovered");
           ok32 = frac ok;
           stale32 = frac stale;

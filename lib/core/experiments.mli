@@ -586,6 +586,8 @@ val e30_churn_traffic :
   ?window:int ->
   unit ->
   e30_row list
+(** Routers pick up the change in [window] (default 4) ticks.
+    @raise Invalid_argument when [window] is not positive. *)
 
 (** {1 E31 — control-plane convergence under faults}
 

@@ -17,6 +17,59 @@ type config = { propagate : int -> Prefix.t -> bool; version : unit -> int }
 let default_config = { propagate = (fun _ _ -> true); version = (fun () -> 0) }
 let origin_pref = 4 (* beats customer (3), peer (2), provider (1) *)
 
+(* The decision process, shared with the asynchronous engine
+   ([Simcore.Bgpdyn]): the preference order, the role a route was
+   learned in, and the routes a domain originates and learns. *)
+
+(* Deterministic total preference order; [a] better than [b] when
+   [better a b] is true. *)
+let better a b =
+  if a.pref <> b.pref then a.pref > b.pref
+  else
+    let la = List.length a.as_path and lb = List.length b.as_path in
+    if la <> lb then la < lb
+    else a.as_path < b.as_path (* lexicographic: lower neighbor ids win *)
+
+let equal_route a b =
+  Prefix.equal a.prefix b.prefix
+  && a.as_path = b.as_path && a.pref = b.pref
+  && a.no_export = b.no_export && a.scope = b.scope
+
+(* The role of the route at its owner, for export decisions: recovered
+   from the stored preference. *)
+let learned_role r =
+  if r.pref >= origin_pref then Relationship.Customer (* originated: export freely *)
+  else if r.pref = Relationship.(local_preference Customer) then Relationship.Customer
+  else if r.pref = Relationship.(local_preference Peer) then Relationship.Peer
+  else Relationship.Provider
+
+let origination config ~at ~scope prefix =
+  if config.propagate at prefix then
+    Some { prefix; as_path = [ at ]; pref = origin_pref; no_export = false; scope }
+  else None
+
+let learn config ~at ~role r =
+  (* loop prevention at import: [at] rejects a path through itself; the
+     role of [at] seen from the neighbour governs the neighbour's export;
+     the filter is read last, once every cheaper test has passed *)
+  let scope_allows = match r.scope with None -> true | Some s -> s > 0 in
+  if
+    (not r.no_export) && scope_allows
+    && (not (List.mem at r.as_path))
+    && Relationship.export_allowed ~learned_from:(learned_role r)
+         ~to_:(Relationship.invert role)
+    && config.propagate at r.prefix
+  then
+    Some
+      {
+        prefix = r.prefix;
+        as_path = at :: r.as_path;
+        pref = Relationship.local_preference role;
+        no_export = false;
+        scope = Option.map (fun s -> s - 1) r.scope;
+      }
+  else None
+
 (* Everything that feeds one prefix's routes, and the routes. No other
    prefix's routes are read, so each prefix converges on its own. *)
 type inputs = {
@@ -126,72 +179,33 @@ let withdraw_scoped t ~from_ ~to_ prefix =
   update t prefix (fun e ->
       e.scoped <- List.filter (( <> ) (from_, to_)) e.scoped)
 
-(* Deterministic total preference order; [a] better than [b] when
-   [better a b] is true. *)
-let better a b =
-  if a.pref <> b.pref then a.pref > b.pref
-  else
-    let la = List.length a.as_path and lb = List.length b.as_path in
-    if la <> lb then la < lb
-    else a.as_path < b.as_path (* lexicographic: lower neighbor ids win *)
-
-let route_eq a b =
-  Prefix.equal a.prefix b.prefix
-  && a.as_path = b.as_path && a.pref = b.pref
-  && a.no_export = b.no_export && a.scope = b.scope
-
-(* The role of the route at its owner, for export decisions: recovered
-   from the stored preference. *)
-let learned_role r =
-  if r.pref >= origin_pref then Relationship.Customer (* originated: export freely *)
-  else if r.pref = Relationship.(local_preference Customer) then Relationship.Customer
-  else if r.pref = Relationship.(local_preference Peer) then Relationship.Peer
-  else Relationship.Provider
-
 (* One synchronous round for one prefix: every domain chooses among its
    origination, its neighbours' routes of the round before and the
    scoped adverts it received. Rewrites the RIB entries that changed;
    true when any did. *)
 let advance t prefix e =
-  let prev = e.routes and best = t.best in
+  let prev = e.routes and best = t.best and config = t.config in
   let n = Array.length prev in
   Array.fill best 0 n None;
   (* candidates arrive in a fixed order (origins, limited origins,
      neighbour exports in [neighbors] order, scoped adverts) and the
-     last of equally preferred routes wins *)
-  let offer d r =
-    match best.(d) with
-    | Some b when better b r -> ()
-    | _ -> best.(d) <- Some r
+     last of equally preferred routes wins; each is filtered by the
+     choosing domain's [propagate] *)
+  let offer d = function
+    | None -> ()
+    | Some r as c -> (
+        match best.(d) with Some b when better b r -> () | _ -> best.(d) <- c)
   in
-  let originated d scope =
-    { prefix; as_path = [ d ]; pref = origin_pref; no_export = false; scope }
-  in
-  List.iter (fun d -> offer d (originated d None)) e.origins;
-  List.iter (fun (d, radius) -> offer d (originated d (Some radius))) e.limited;
+  List.iter (fun d -> offer d (origination config ~at:d ~scope:None prefix)) e.origins;
+  List.iter
+    (fun (d, radius) -> offer d (origination config ~at:d ~scope:(Some radius) prefix))
+    e.limited;
   for d = 0 to n - 1 do
     List.iter
-      (fun (nb, role_of_nb) ->
+      (fun (nb, role) ->
         match prev.(nb) with
         | None -> ()
-        | Some r ->
-            (* loop prevention at import: d rejects a path through
-               itself; the role of d seen from nb governs nb's export *)
-            let scope_allows = match r.scope with None -> true | Some s -> s > 0 in
-            if
-              (not r.no_export) && scope_allows
-              && (not (List.mem d r.as_path))
-              && Relationship.export_allowed ~learned_from:(learned_role r)
-                   ~to_:(Relationship.invert role_of_nb)
-            then
-              offer d
-                {
-                  prefix;
-                  as_path = d :: r.as_path;
-                  pref = Relationship.local_preference role_of_nb;
-                  no_export = false;
-                  scope = Option.map (fun s -> s - 1) r.scope;
-                })
+        | Some r -> offer d (learn config ~at:d ~role r))
       t.neighbors.(d)
   done;
   List.iter
@@ -200,29 +214,24 @@ let advance t prefix e =
          (e.g. its own IGP anycast members); scoped routes are taken on
          faith, as real peering advertisements are *)
       match List.assoc_opt from_ t.neighbors.(to_) with
-      | None -> ()
-      | Some role_of_from ->
+      | Some role_of_from when config.propagate to_ prefix ->
           offer to_
-            {
-              prefix;
-              as_path = [ to_; from_ ];
-              pref = Relationship.local_preference role_of_from;
-              no_export = true;
-              scope = Some 0;
-            })
+            (Some
+               {
+                 prefix;
+                 as_path = [ to_; from_ ];
+                 pref = Relationship.local_preference role_of_from;
+                 no_export = true;
+                 scope = Some 0;
+               })
+      | _ -> ())
     e.scoped;
   (* every neighbour's route of the round before has been read, so the
      routes can change in place *)
   let changed = ref false in
   for d = 0 to n - 1 do
-    (* every candidate of d is for this prefix, so the import filter
-       admits all of them or none *)
-    let r =
-      match best.(d) with
-      | Some _ as r when t.config.propagate d prefix -> r
-      | _ -> None
-    in
-    if not (Option.equal route_eq r prev.(d)) then begin
+    let r = best.(d) in
+    if not (Option.equal equal_route r prev.(d)) then begin
       changed := true;
       prev.(d) <- r;
       t.ribs.(d) <-

@@ -50,6 +50,37 @@ type config = {
           Default: constantly 0. *)
 }
 
+(** {1 The decision process}
+
+    Shared with the asynchronous engine [Simcore.Bgpdyn], so the two
+    engines can differ only in message timing. *)
+
+val better : route -> route -> bool
+(** The preference order: higher [pref] (origination, then customer,
+    peer, provider routes), then the shorter AS path, then the
+    lexicographically lower one. *)
+
+val equal_route : route -> route -> bool
+
+val learned_role : route -> Topology.Relationship.t
+(** The relationship a route was learned over, recovered from its
+    [pref]; an origination counts as a customer route. *)
+
+val origination :
+  config -> at:int -> scope:int option -> Netcore.Prefix.t -> route option
+(** The route domain [at] holds for a prefix it originates, with export
+    radius [scope] ([None]: unlimited); [None] when [at]'s [propagate]
+    refuses the prefix. *)
+
+val learn : config -> at:int -> role:Topology.Relationship.t -> route -> route option
+(** The route domain [at] learns from a neighbour holding [r], where
+    [role] is the neighbour's role seen from [at]. [None] when [r] is
+    [no_export] or out of [scope], its AS path contains [at], Gao–Rexford
+    export of a {!learned_role}[ r] route to [at] is not allowed, or
+    [at]'s [propagate] refuses the prefix. *)
+
+(** {1 The synchronous engine} *)
+
 type t
 (** Mutable protocol state over one {!Topology.Internet.t}. *)
 

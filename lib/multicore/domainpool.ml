@@ -26,17 +26,19 @@ let create ?(cache_slots = 256) ?(ring_capacity = 1024) ?spill_cap
   let tables = Array.init n (fun r -> Fib.table fib ~router:r) in
   let live = Atomic.make 0 in
   let pool_rng = Rng.create seed in
-  let ss =
-    Array.init shards (fun sid ->
-        Shard.create ?spill_cap ?inject_per_pass ~sid ~map ~tables ~cache_slots
-          ~rng:(Rng.split pool_rng) ~live ())
-  in
   (* rings.(p).(c) carries handoffs from shard p to shard c: exactly
-     one producer and one consumer per ring, the SPSC contract *)
+     one producer and one consumer per ring, the SPSC contract. Built
+     before the shards, whose doorbells are descriptors a refused
+     capacity would leak. *)
   let rings =
     Array.init shards (fun _ ->
         Array.init shards (fun _ ->
             Ring.create ~capacity:ring_capacity ~dummy:Shard.dummy_msg))
+  in
+  let ss =
+    Array.init shards (fun sid ->
+        Shard.create ?spill_cap ?inject_per_pass ~sid ~map ~tables ~cache_slots
+          ~rng:(Rng.split pool_rng) ~live ())
   in
   let peer_asleep = Array.map Shard.asleep_flag ss in
   let peer_wake = Array.map Shard.wake_fd ss in

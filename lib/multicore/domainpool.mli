@@ -31,8 +31,10 @@ val create :
     handoff rings (default 1024). [seed] feeds one {!Topology.Rng} per
     shard via deterministic splits. [spill_cap] and [inject_per_pass]
     configure each shard's overload behaviour — see {!Shard.create}.
+    A refused call holds no descriptor.
     @raise Invalid_argument unless [0 < shards <= routers], or when
-    [cache_slots] is negative. *)
+    [ring_capacity] is not positive, or [cache_slots] is negative or
+    too large for {!Dataplane.Flowcache.create}. *)
 
 val env : t -> Simcore.Forward.env
 val map : t -> Shardmap.t

@@ -87,17 +87,21 @@ let create ?(spill_cap = 65536) ?(inject_per_pass = max_int) ~sid ~map
   if inject_per_pass <= 0 then
     invalid_arg "Shard.create: inject_per_pass must be positive";
   let lo, hi = Shardmap.range map sid in
+  let hop = Hop.create ~tables ~lo ~hi ~cache_slots in
+  let spill = Array.make spill_cap dummy_msg in
+  (* the doorbell last: everything that can refuse has already run, so
+     a refused call leaks no descriptor *)
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   {
     sid;
     map;
-    hop = Hop.create ~tables ~lo ~hi ~cache_slots;
+    hop;
     rng;
     arena = Arena.create ~bytes:0;
     pending = Queue.create ();
-    spill = Array.make spill_cap dummy_msg;
+    spill;
     inject_per_pass;
     spill_cap;
     spill_head = 0;

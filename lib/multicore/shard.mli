@@ -58,6 +58,8 @@ val create :
     arrival process — the slow-consumer drill's demand model; the
     default drains the whole queue in the first pass, the historical
     behaviour every experiment relies on for bit-reproducibility.
+    The doorbell pipe is opened last, so a refused call holds no
+    descriptor.
     @raise Invalid_argument when [spill_cap] or [inject_per_pass] is
     not positive, or [cache_slots] is negative. *)
 

@@ -14,6 +14,7 @@ module Policy = Anycast.Policy
 module Fabric = Vnbone.Fabric
 module Bgpvn = Vnbone.Bgpvn
 module Pump = Dataplane.Pump
+module Rollout = Dataplane.Rollout
 module Linkq = Dataplane.Linkq
 module Telemetry = Dataplane.Telemetry
 module Workload = Dataplane.Workload
@@ -74,8 +75,7 @@ type run = {
   deployed : int list;
   overload : overload option;
   horizon : float;
-  refresh_order : int array;
-  mutable refreshed : int;
+  rollout : Rollout.t;  (* line cards' staged pickup of control-plane changes *)
   mutable detected_at : float option;
   mutable rows_rev : tick_row list;
   mutable events_rev : (float * string) list;
@@ -142,7 +142,7 @@ let fib r =
       f
 
 let mark_dirty r =
-  r.refreshed <- 0;
+  Rollout.restart r.rollout;
   r.fib <- None
 
 let event r fmt =
@@ -162,7 +162,7 @@ let restore_time b =
 let phase_at r t =
   if t < r.book.Drillbook.fault_at then "steady"
   else if t < restore_time r.book then "fault"
-  else if r.refreshed < Internet.num_routers r.inet then "healing"
+  else if not (Rollout.finished r.rollout) then "healing"
   else "recovered"
 
 let phase r = phase_at r (Engine.now r.engine)
@@ -260,19 +260,9 @@ let tick_slow r i t_now ~pool ~wl ~victim ~slowdown ~flows =
 
 let tick r i eng =
   let t_now = Engine.now eng in
-  let n_routers = Internet.num_routers r.inet in
   (* line cards pick up control-plane changes in batches across a
      refresh window, as in E32 *)
-  if r.refreshed < n_routers then begin
-    let window = 3 in
-    let batch_size = (n_routers + window - 1) / window in
-    let upto = min n_routers (r.refreshed + batch_size) in
-    let batch =
-      Array.to_list (Array.sub r.refresh_order r.refreshed (upto - r.refreshed))
-    in
-    Pump.refresh ~routers:batch r.pump;
-    r.refreshed <- upto
-  end;
+  Rollout.step r.rollout r.pump;
   match r.overload with
   | Some (Slow { pool; wl; victim; slowdown; flows }) ->
       tick_slow r i t_now ~pool ~wl ~victim ~slowdown ~flows
@@ -664,10 +654,10 @@ let prepare ?params (b : Drillbook.t) =
         (victims, Rng.sample rng n_crash pool)
     | _ -> ([], [])
   in
-  let refresh_order =
+  let rollout =
     let arr = Array.init (Internet.num_routers inet) Fun.id in
     Rng.shuffle rng arr;
-    arr
+    Rollout.create ~order:arr ~window:3
   in
   let overload =
     match b.Drillbook.kind with
@@ -719,8 +709,7 @@ let prepare ?params (b : Drillbook.t) =
       deployed;
       overload;
       horizon;
-      refresh_order;
-      refreshed = Internet.num_routers inet;
+      rollout;
       detected_at = None;
       rows_rev = [];
       events_rev = [];

@@ -2,6 +2,8 @@ module Internet = Topology.Internet
 module Relationship = Topology.Relationship
 module Bgp = Interdomain.Bgp
 module Prefix = Netcore.Prefix
+module Pmap = Map.Make (Prefix)
+module Pset = Set.Make (Prefix)
 
 type stats = {
   updates : int;
@@ -12,34 +14,37 @@ type stats = {
   shed_retries : int;
 }
 
-(* a candidate route at a domain *)
-type cand = { path : int list; pref : int }
-
+(* One end of a session. Every map and set is ordered by
+   [Prefix.compare], which fixes the order of the events a walk over
+   one schedules. *)
 type session = {
   peer : int;
-  role_of_peer : Relationship.t;
+  role_at_peer : Relationship.t;  (* this domain's role, seen from the peer *)
   delay : float;  (* propagation latency of this session *)
-  mutable advertised : (Prefix.t * int list) list;
-      (* what we last announced to this peer *)
+  mutable rib_in : Bgp.route Pmap.t;  (* the routes the peer gave us *)
+  mutable touched : Pset.t;
+      (* prefixes whose export to the peer may have changed — sent by
+         the MRAI flush *)
+  mutable advertised : Bgp.route Pmap.t;
+      (* what we last announced to the peer, as the peer learns it *)
   mutable pending : bool;  (* a flush is scheduled *)
   mutable next_allowed : float;  (* MRAI gate *)
   mutable up : bool;  (* session established (this end's view) *)
   mutable hold_h : Engine.handle option;  (* armed hold timer *)
+  mutable epoch : int;
+      (* this end's connection: bumped when the half is torn down (reset
+         or crash), so an update sent over the old connection is
+         dropped on arrival, as TCP drops it *)
 }
 
 type t = {
   inet : Internet.t;
   config : Bgp.config;
   mrai : float;
-  link_delay : float;
   faults : Faults.t option;
-  origins : (int, Prefix.t list ref) Hashtbl.t;  (* domain -> originated *)
-  rib_in : (int * int * Prefix.t, cand) Hashtbl.t;  (* (domain, peer, prefix) *)
-  best : (int * Prefix.t, cand) Hashtbl.t;  (* (domain, prefix) *)
+  origins : Pset.t array;  (* per domain: the prefixes it originates *)
+  best : Bgp.route Pmap.t array;  (* per domain: its chosen routes *)
   sessions : session list array;  (* per domain *)
-  touched : (int * Prefix.t, unit) Hashtbl.t array;
-      (* per domain: prefixes whose export state may have changed,
-         keyed by (peer, prefix) — flushed by the MRAI timer *)
   mutable timers_on : bool;
   mutable timers_until : float;  (* keepalives stop here; later holds ignored *)
   mutable hold : float;
@@ -51,37 +56,12 @@ type t = {
   mutable shed_retries : int;
 }
 
-let origin_pref = 4
-
 let alive t d =
   match t.faults with None -> true | Some f -> Faults.node_up f d
 
-let better a b =
-  if a.pref <> b.pref then a.pref > b.pref
-  else
-    let la = List.length a.path and lb = List.length b.path in
-    if la <> lb then la < lb else a.path < b.path
-
-let learned_role c =
-  if c.pref >= origin_pref then Relationship.Customer
-  else if c.pref = Relationship.(local_preference Customer) then Relationship.Customer
-  else if c.pref = Relationship.(local_preference Peer) then Relationship.Peer
-  else Relationship.Provider
-
-(* the route [d] would export to [s], if any *)
-let exportable t d (s : session) prefix =
-  match Hashtbl.find_opt t.best (d, prefix) with
-  | None -> None
-  | Some c ->
-      (* the export target's role, seen from the exporter [d], is
-         exactly the session's role_of_peer *)
-      if
-        Relationship.export_allowed ~learned_from:(learned_role c)
-          ~to_:s.role_of_peer
-        && not (List.mem s.peer c.path)
-        && t.config.Bgp.propagate s.peer prefix
-      then Some c.path
-      else None
+(* the session [d] holds toward [peer] *)
+let session_to t d peer =
+  List.find_opt (fun (s : session) -> s.peer = peer) t.sessions.(d)
 
 (* hand a message to the fabric (or straight to the engine when no
    faults are configured); false = the transport visibly failed.
@@ -131,38 +111,27 @@ let rec post ?(prio = Faults.Bulk) ?(attempt = 0)
       | Faults.Lost | Faults.Cut | Faults.Dead -> false)
 
 let rec recompute_best t engine d prefix =
-  (* candidates: own origination + rib_in *)
+  (* candidates: own origination + what each peer gave us *)
   let own =
-    match Hashtbl.find_opt t.origins d with
-    | Some ps when List.exists (Prefix.equal prefix) !ps ->
-        Some { path = [ d ]; pref = origin_pref }
-    | _ -> None
-  in
-  let cands =
-    List.fold_left
-      (fun acc (s : session) ->
-        match Hashtbl.find_opt t.rib_in (d, s.peer, prefix) with
-        | Some c when not (List.mem d c.path) ->
-            { path = d :: c.path; pref = Relationship.local_preference s.role_of_peer }
-            :: acc
-        | _ -> acc)
-      (match own with Some c -> [ c ] | None -> [])
-      t.sessions.(d)
+    if Pset.mem prefix t.origins.(d) then
+      Bgp.origination t.config ~at:d ~scope:None prefix
+    else None
   in
   let new_best =
     List.fold_left
-      (fun acc c ->
-        match acc with Some b when not (better c b) -> acc | _ -> Some c)
-      None cands
+      (fun acc (s : session) ->
+        match (Pmap.find_opt prefix s.rib_in, acc) with
+        | None, _ -> acc
+        | Some r, Some b when not (Bgp.better r b) -> acc
+        | (Some _ as c), _ -> c)
+      own t.sessions.(d)
   in
-  let old_best = Hashtbl.find_opt t.best (d, prefix) in
-  let cand_equal a b =
-    a.pref = b.pref && List.equal Int.equal a.path b.path
-  in
-  if not (Option.equal cand_equal new_best old_best) then begin
-    (match new_best with
-    | Some c -> Hashtbl.replace t.best (d, prefix) c
-    | None -> Hashtbl.remove t.best (d, prefix));
+  if not (Option.equal Bgp.equal_route new_best (Pmap.find_opt prefix t.best.(d)))
+  then begin
+    t.best.(d) <-
+      (match new_best with
+      | Some r -> Pmap.add prefix r t.best.(d)
+      | None -> Pmap.remove prefix t.best.(d));
     t.best_changes <- t.best_changes + 1;
     t.last_change <- Engine.now engine;
     (* export state toward every session may have changed *)
@@ -170,7 +139,7 @@ let rec recompute_best t engine d prefix =
   end
 
 and mark_touched t engine d (s : session) prefix =
-  Hashtbl.replace t.touched.(d) (s.peer, prefix) ();
+  s.touched <- Pset.add prefix s.touched;
   if not s.pending then begin
     s.pending <- true;
     let now = Engine.now engine in
@@ -180,58 +149,51 @@ and mark_touched t engine d (s : session) prefix =
 
 and flush t engine d (s : session) =
   s.pending <- false;
-  if not (alive t d) then ()
-  else begin
+  if alive t d then begin
     s.next_allowed <- Engine.now engine +. t.mrai;
-    (* collect this session's touched prefixes *)
-    let mine =
-      Hashtbl.fold
-        (fun (peer, p) () acc -> if peer = s.peer then p :: acc else acc)
-        t.touched.(d) []
-      |> List.sort Prefix.compare
-    in
-    List.iter (fun p -> Hashtbl.remove t.touched.(d) (s.peer, p)) mine;
+    let mine = s.touched in
+    s.touched <- Pset.empty;
     if s.up then begin
       let failed = ref false in
-      List.iter
+      (* the peer takes the update into its own half of the session,
+         unless that half was torn down while the update was in flight *)
+      let deliver =
+        match session_to t s.peer d with
+        | Some back ->
+            let epoch = back.epoch in
+            fun prefix update engine ->
+              if back.epoch = epoch then receive t engine s.peer back prefix update
+        | None -> fun _ _ _ -> ()
+      in
+      let send ~still_wanted prefix update =
+        if
+          not
+            (post ~still_wanted
+               ~on_give_up:(fun engine -> transport_failure t engine d s)
+               t engine d s (deliver prefix update))
+        then failed := true
+      in
+      Pset.iter
         (fun prefix ->
           if not !failed then
-            let now_export = exportable t d s prefix in
-            let was = List.assoc_opt prefix s.advertised in
-            match (now_export, was) with
-            | Some path, Some old when List.equal Int.equal old path ->
-                () (* no change *)
-            | Some path, _ ->
-                s.advertised <-
-                  (prefix, path) :: List.remove_assoc prefix s.advertised;
+            let now_export =
+              Option.bind (Pmap.find_opt prefix t.best.(d))
+                (Bgp.learn t.config ~at:s.peer ~role:s.role_at_peer)
+            in
+            match (now_export, Pmap.find_opt prefix s.advertised) with
+            | Some r, Some old when Bgp.equal_route old r -> () (* no change *)
+            | Some r, _ ->
+                s.advertised <- Pmap.add prefix r s.advertised;
                 t.updates <- t.updates + 1;
-                let still_wanted () =
-                  match List.assoc_opt prefix s.advertised with
-                  | Some cur -> List.equal Int.equal cur path
-                  | None -> false
-                in
-                if
-                  not
-                    (post ~still_wanted
-                       ~on_give_up:(fun engine -> transport_failure t engine d s)
-                       t engine d s
-                       (fun engine ->
-                         receive t engine ~at:s.peer ~from:d ~prefix (Some path)))
-                then failed := true
+                send prefix (Some r) ~still_wanted:(fun () ->
+                    match Pmap.find_opt prefix s.advertised with
+                    | Some cur -> Bgp.equal_route cur r
+                    | None -> false)
             | None, Some _ ->
-                s.advertised <- List.remove_assoc prefix s.advertised;
+                s.advertised <- Pmap.remove prefix s.advertised;
                 t.updates <- t.updates + 1;
-                let still_wanted () =
-                  Option.is_none (List.assoc_opt prefix s.advertised)
-                in
-                if
-                  not
-                    (post ~still_wanted
-                       ~on_give_up:(fun engine -> transport_failure t engine d s)
-                       t engine d s
-                       (fun engine ->
-                         receive t engine ~at:s.peer ~from:d ~prefix None))
-                then failed := true
+                send prefix None ~still_wanted:(fun () ->
+                    not (Pmap.mem prefix s.advertised))
             | None, None -> ())
         mine
       (* the rest of the batch is subsumed by the full re-advertisement
@@ -242,106 +204,79 @@ and flush t engine d (s : session) =
        whole table, and the reset already purged the peer's rib_in *)
   end
 
-and receive t engine ~at ~from ~prefix update =
-  heard t engine ~at ~from;
-  (match update with
-  | Some path ->
-      Hashtbl.replace t.rib_in (at, from, prefix) { path; pref = 0 }
-  | None -> Hashtbl.remove t.rib_in (at, from, prefix));
+(* [s] is [at]'s session to the sender *)
+and receive t engine at (s : session) prefix update =
+  heard t engine at s;
+  s.rib_in <-
+    (match update with
+    | Some r -> Pmap.add prefix r s.rib_in
+    | None -> Pmap.remove prefix s.rib_in);
   recompute_best t engine at prefix
 
-(* any message from [from] proves the peer is alive: refresh the hold
-   timer and (re-)establish the session if it was down *)
-and heard t engine ~at ~from =
-  match List.find_opt (fun (s : session) -> s.peer = from) t.sessions.(at) with
-  | None -> ()
-  | Some s ->
-      if t.timers_on then begin
-        (match s.hold_h with Some h -> Engine.cancel engine h | None -> ());
-        s.hold_h <-
-          Some
-            (Engine.timer engine ~delay:t.hold (fun engine ->
-                 hold_expired t engine at s))
-      end;
-      if not s.up then establish t engine at s
-
-and establish t engine d s =
-  s.up <- true;
-  full_readvertise t engine d s
+(* any message on [at]'s session [s] proves the peer is alive: refresh
+   the hold timer and (re-)establish the session if it was down *)
+and heard t engine at (s : session) =
+  if t.timers_on then begin
+    (match s.hold_h with Some h -> Engine.cancel engine h | None -> ());
+    s.hold_h <-
+      Some (Engine.timer engine ~delay:t.hold (fun engine -> hold_expired t engine at s))
+  end;
+  if not s.up then establish t engine at s
 
 (* a fresh session starts from nothing: replay the entire table *)
-and full_readvertise t engine d s =
-  let ps =
-    Hashtbl.fold (fun (dd, p) _ acc -> if dd = d then p :: acc else acc) t.best []
-    |> List.sort Prefix.compare
-  in
-  List.iter (fun p -> mark_touched t engine d s p) ps
+and establish t engine d s =
+  s.up <- true;
+  Pmap.iter (fun p _ -> mark_touched t engine d s p) t.best.(d)
 
+(* the peer went quiet: close the session as BGP does (a NOTIFICATION
+   and a TCP close), so a live peer tears its half down too and
+   re-advertises when the session comes back *)
 and hold_expired t engine d s =
   s.hold_h <- None;
   (* holds that fire after the keepalive horizon are not evidence of a
      dead peer — the hellos simply stopped — so ignore them *)
   if Engine.now engine <= t.timers_until && alive t d then
-    reset_half t engine d s
+    transport_failure t engine d s
 
 (* tear down this end of the session: forget what we told the peer and
    what it told us.  Without keepalive machinery there is no hello
    exchange to come back up, so resync immediately instead. *)
 and reset_half t engine d (s : session) =
   t.resets <- t.resets + 1;
-  s.advertised <- [];
+  s.epoch <- s.epoch + 1;
+  s.advertised <- Pmap.empty;
   (match s.hold_h with Some h -> Engine.cancel engine h | None -> ());
   s.hold_h <- None;
-  drop_learned t engine d s.peer;
+  drop_learned t engine d s;
   if t.timers_on then s.up <- false else establish t engine d s
 
-and drop_learned t engine d peer =
-  let ps =
-    Hashtbl.fold
-      (fun (dd, pp, p) _ acc -> if dd = d && pp = peer then p :: acc else acc)
-      t.rib_in []
-    |> List.sort Prefix.compare
-  in
-  List.iter (fun p -> Hashtbl.remove t.rib_in (d, peer, p)) ps;
-  List.iter (fun p -> recompute_best t engine d p) ps
+and drop_learned t engine d (s : session) =
+  let learned = s.rib_in in
+  s.rib_in <- Pmap.empty;
+  Pmap.iter (fun p _ -> recompute_best t engine d p) learned
 
 (* the transport under a session visibly failed (TCP reset): both ends
    drop the session state, exactly like BGP's session reset *)
 and transport_failure t engine d (s : session) =
   let already_torn_down =
-    t.timers_on && (not s.up)
-    && (match s.advertised with [] -> true | _ -> false)
+    t.timers_on && (not s.up) && Pmap.is_empty s.advertised
   in
   if not already_torn_down then begin
     reset_half t engine d s;
     if alive t s.peer then
-      match
-        List.find_opt (fun (s2 : session) -> s2.peer = d) t.sessions.(s.peer)
-      with
-      | Some s2 -> reset_half t engine s.peer s2
-      | None -> ()
+      Option.iter (reset_half t engine s.peer) (session_to t s.peer d)
   end
 
 (* crash: all soft state is gone; origins survive (configuration) *)
 let wipe t engine d =
-  let bests =
-    Hashtbl.fold (fun (dd, p) _ acc -> if dd = d then p :: acc else acc) t.best []
-    |> List.sort Prefix.compare
-  in
-  List.iter (fun p -> Hashtbl.remove t.best (d, p)) bests;
-  let learned =
-    Hashtbl.fold
-      (fun (dd, pp, p) _ acc -> if dd = d then (pp, p) :: acc else acc)
-      t.rib_in []
-    |> List.sort (fun (a, pa) (b, pb) ->
-           if a <> b then Int.compare a b else Prefix.compare pa pb)
-  in
-  List.iter (fun (pp, p) -> Hashtbl.remove t.rib_in (d, pp, p)) learned;
-  Hashtbl.reset t.touched.(d);
+  t.best.(d) <- Pmap.empty;
   List.iter
     (fun (s : session) ->
-      s.advertised <- [];
+      s.rib_in <- Pmap.empty;
+      s.touched <- Pset.empty;
+      s.advertised <- Pmap.empty;
       s.up <- false;
+      s.epoch <- s.epoch + 1;
       s.pending <- false;
       (match s.hold_h with Some h -> Engine.cancel engine h | None -> ());
       s.hold_h <- None)
@@ -350,20 +285,11 @@ let wipe t engine d =
 (* restart: re-originate from configuration; every peer must restart
    its session half too — the old TCP connections died with us *)
 let revive t engine d =
-  (match Hashtbl.find_opt t.origins d with
-  | Some ps ->
-      List.iter
-        (fun p -> recompute_best t engine d p)
-        (List.sort Prefix.compare !ps)
-  | None -> ());
+  Pset.iter (fun p -> recompute_best t engine d p) t.origins.(d);
   List.iter
     (fun (s : session) ->
-      (if alive t s.peer then
-         match
-           List.find_opt (fun (s2 : session) -> s2.peer = d) t.sessions.(s.peer)
-         with
-         | Some s2 -> reset_half t engine s.peer s2
-         | None -> ());
+      if alive t s.peer then
+        Option.iter (reset_half t engine s.peer) (session_to t s.peer d);
       if not t.timers_on then establish t engine d s)
     t.sessions.(d)
 
@@ -376,28 +302,28 @@ let create ?(mrai = 2.0) ?(link_delay = 0.1) ?(jitter = 0.0)
       inet;
       config;
       mrai;
-      link_delay;
       faults;
-      origins = Hashtbl.create 8;
-      rib_in = Hashtbl.create 64;
-      best = Hashtbl.create 64;
+      origins = Array.make n Pset.empty;
+      best = Array.make n Pmap.empty;
       sessions =
         Array.init n (fun d ->
             List.map
               (fun (peer, role_of_peer) ->
                 {
                   peer;
-                  role_of_peer;
+                  role_at_peer = Relationship.invert role_of_peer;
                   delay =
                     link_delay *. (1.0 +. (jitter *. Topology.Rng.float rng 1.0));
-                  advertised = [];
+                  rib_in = Pmap.empty;
+                  touched = Pset.empty;
+                  advertised = Pmap.empty;
                   pending = false;
                   next_allowed = 0.0;
                   up = true;
                   hold_h = None;
+                  epoch = 0;
                 })
               (Internet.neighbor_domains inet d));
-      touched = Array.init n (fun _ -> Hashtbl.create 8);
       timers_on = false;
       timers_until = 0.0;
       hold = 0.0;
@@ -436,7 +362,8 @@ let enable_timers ?(keepalive = 1.0) ?(hold = 3.5) t engine ~until =
                   if
                     not
                       (post ~prio:Faults.Keepalive t engine d s (fun engine ->
-                           heard t engine ~at:s.peer ~from:d))
+                           Option.iter (heard t engine s.peer)
+                             (session_to t s.peer d)))
                   then transport_failure t engine d s)
                 t.sessions.(d)
           done;
@@ -452,28 +379,17 @@ let check_domain t fn domain =
 
 let originate t engine ~domain prefix =
   check_domain t "originate" domain;
-  let cell =
-    match Hashtbl.find_opt t.origins domain with
-    | Some c -> c
-    | None ->
-        let c = ref [] in
-        Hashtbl.replace t.origins domain c;
-        c
-  in
-  if not (List.exists (Prefix.equal prefix) !cell) then begin
-    cell := prefix :: !cell;
+  if not (Pset.mem prefix t.origins.(domain)) then begin
+    t.origins.(domain) <- Pset.add prefix t.origins.(domain);
     recompute_best t engine domain prefix
   end
 
 let withdraw t engine ~domain prefix =
   check_domain t "withdraw" domain;
-  match Hashtbl.find_opt t.origins domain with
-  | None -> ()
-  | Some cell ->
-      if List.exists (Prefix.equal prefix) !cell then begin
-        cell := List.filter (fun p -> not (Prefix.equal p prefix)) !cell;
-        recompute_best t engine domain prefix
-      end
+  if Pset.mem prefix t.origins.(domain) then begin
+    t.origins.(domain) <- Pset.remove prefix t.origins.(domain);
+    recompute_best t engine domain prefix
+  end
 
 let originate_all_domain_prefixes t engine =
   for d = 0 to Internet.num_domains t.inet - 1 do
@@ -481,7 +397,7 @@ let originate_all_domain_prefixes t engine =
   done
 
 let best_path t ~domain prefix =
-  Option.map (fun c -> c.path) (Hashtbl.find_opt t.best (domain, prefix))
+  Option.map (fun r -> r.Bgp.as_path) (Pmap.find_opt prefix t.best.(domain))
 
 let stats t =
   {
@@ -493,35 +409,38 @@ let stats t =
     shed_retries = t.shed_retries;
   }
 
+(* Every prefix some domain originates or holds a route for is compared
+   at every domain, so a route that outlived its last origin shows up
+   too. *)
 let agrees_with_synchronous t =
   let reference = Bgp.create ~config:t.config t.inet in
-  Hashtbl.iter
-    (fun d ps -> List.iter (fun p -> Bgp.originate reference ~domain:d p) !ps)
+  Array.iteri
+    (fun d -> Pset.iter (fun p -> Bgp.originate reference ~domain:d p))
     t.origins;
   ignore (Bgp.converge reference);
-  let disagreement = ref None in
   let prefixes =
-    Hashtbl.fold (fun _ ps acc -> !ps @ acc) t.origins []
-    |> List.sort_uniq Prefix.compare
+    Array.fold_left
+      (fun acc best -> Pmap.fold (fun p _ -> Pset.add p) best acc)
+      (Array.fold_left Pset.union Pset.empty t.origins)
+      t.best
   in
-  for d = 0 to Internet.num_domains t.inet - 1 do
-    List.iter
-      (fun p ->
-        let sync =
-          Option.map (fun r -> r.Bgp.as_path) (Bgp.route_to reference ~domain:d p)
-        in
-        let dyn = best_path t ~domain:d p in
-        if sync <> dyn && !disagreement = None then
-          disagreement :=
-            Some
-              (Printf.sprintf "domain %d, %s: sync=%s dyn=%s" d
-                 (Prefix.to_string p)
-                 (match sync with
-                 | Some path -> String.concat "," (List.map string_of_int path)
-                 | None -> "-")
-                 (match dyn with
-                 | Some path -> String.concat "," (List.map string_of_int path)
-                 | None -> "-")))
-      prefixes
-  done;
-  match !disagreement with None -> Ok () | Some msg -> Error msg
+  let path = function
+    | Some r -> String.concat "," (List.map string_of_int r.Bgp.as_path)
+    | None -> "-"
+  in
+  let differs d p =
+    let sync = Bgp.route_to reference ~domain:d p
+    and dyn = Pmap.find_opt p t.best.(d) in
+    if Option.equal Bgp.equal_route sync dyn then None
+    else
+      Some
+        (Printf.sprintf "domain %d, %s: sync=%s dyn=%s" d (Prefix.to_string p)
+           (path sync) (path dyn))
+  in
+  match
+    Seq.find_map
+      (fun d -> Seq.find_map (differs d) (Pset.to_seq prefixes))
+      (Seq.init (Array.length t.best) Fun.id)
+  with
+  | None -> Ok ()
+  | Some msg -> Error msg

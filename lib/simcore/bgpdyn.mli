@@ -6,9 +6,15 @@
     per-session update messages with propagation delay, per-neighbor
     MRAI (minimum route advertisement interval) rate limiting, path
     exploration, and withdrawal on export-policy flips. Selection and
-    export policy are identical to the synchronous engine, so the
-    converged state must match it exactly — the test-suite asserts
-    that.
+    export are shared code ({!Interdomain.Bgp.better},
+    [origination] and [learn]), so the converged state must match the
+    synchronous engine's exactly; a test-suite property proves it on
+    faulty generated internets, domain by domain.
+
+    The config's [propagate] is read when a prefix is decided (a domain
+    choosing its route, a peer computing what it learns) and [version]
+    is ignored, so the filter must stay fixed during a run, as every
+    caller's does.
 
     Why it matters for the paper: evolvability rides on BGP carrying
     new (anycast) prefixes, so the cost of injecting one — update
@@ -49,7 +55,9 @@ val create :
     ride TCP, which never reorders). A visibly failed send is treated
     as a TCP reset: both ends drop the session's state and resync via
     a full re-advertisement, which is how the protocol stays
-    convergent under loss even without keepalives. Crash wipes the
+    convergent under loss even without keepalives. As over TCP, an
+    update still in flight when its receiver's session half is torn
+    down (reset or crash) is dropped on arrival. Crash wipes the
     victim's soft state (RIBs, adjacencies); restart re-originates
     from configuration. Experiments must stop injection
     ({!Faults.set_policy}) and restart every node before comparing
@@ -59,10 +67,11 @@ val enable_timers :
   ?keepalive:float -> ?hold:float -> t -> Engine.t -> until:float -> unit
 (** Run BGP's session liveness machinery until the horizon: every
     [keepalive] (default 1.0) each domain hellos all its neighbors; a
-    session half that hears nothing for [hold] (default 3.5) is
-    declared dead and torn down, and re-establishes — with a full
+    session half that hears nothing for [hold] (default 3.5) declares
+    the peer dead and closes the session, so a live peer's half is
+    torn down too; each half re-establishes — with a full
     re-advertisement, as after a real session reset — on the next
-    hello heard. This is what lets neighbors detect a crashed domain
+    hello it hears. This is what lets neighbors detect a crashed domain
     (E31's crash sweeps) at the cost of the keepalive traffic counted
     in {!stats}. Hold expiries after [until] are ignored — the hellos
     stopped, which proves nothing about the peer — so for the final
@@ -93,5 +102,7 @@ val stats : t -> stats
 
 val agrees_with_synchronous : t -> (unit, string) result
 (** Run the synchronous engine over the same internet, config and
-    origins and compare every (domain, prefix) best path. [Error]
-    carries the first disagreement. *)
+    origins and compare, at every domain, the best route of every
+    prefix some domain originates or holds a route for — so a route
+    that outlived its last origin is a disagreement too. [Error]
+    carries the first one, by domain then prefix. *)

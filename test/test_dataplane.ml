@@ -653,6 +653,70 @@ let prop_partial_refresh =
              && warm_hit = not listed)
            routers)
 
+(* A rollout installs, step by step, exactly the ordered slices that
+   explicit [refresh ~routers] calls would: [ceil (n / window)] routers
+   per step, in the given order, starting over on [restart]. *)
+let test_rollout_steps_ordered_slices () =
+  let inet, env, service = default_setup () in
+  let n = Internet.num_routers inet in
+  let order = Array.init n (fun i -> (i * 37) mod n) in
+  check Alcotest.int "the order is a permutation" n
+    (List.length (List.sort_uniq Int.compare (Array.to_list order)));
+  let window = 3 in
+  let size = (n + window - 1) / window in
+  let slice k =
+    List.filteri (fun i _ -> i >= k * size && i < (k + 1) * size) (Array.to_list order)
+  in
+  let stepped = Pump.create env and explicit = Pump.create env in
+  let rollout = Dataplane.Rollout.create ~order ~window in
+  let same_tables what =
+    for router = 0 to n - 1 do
+      check Alcotest.bool
+        (Printf.sprintf "%s: router %d" what router)
+        true
+        (same_bindings (Pump.table stepped ~router) (Pump.table explicit ~router))
+    done
+  in
+  let old_tables = Array.init n (fun router -> Pump.table stepped ~router) in
+  Service.remove_participant service ~domain:5;
+  (* a new rollout is finished: nothing moves before a restart *)
+  Dataplane.Rollout.step rollout stepped;
+  check Alcotest.bool "finished before a restart" true
+    (Dataplane.Rollout.finished rollout);
+  same_tables "no step before a restart";
+  (* a partial rollout, then a second change restarts from slice 0 *)
+  Dataplane.Rollout.restart rollout;
+  Dataplane.Rollout.step rollout stepped;
+  Pump.refresh ~routers:(slice 0) explicit;
+  same_tables "first slice";
+  check (Alcotest.float 1e-12) "one slice of progress"
+    (float_of_int size /. float_of_int n)
+    (Dataplane.Rollout.progress rollout);
+  check Alcotest.bool "the change reached the first slice" true
+    (List.exists
+       (fun router -> not (same_bindings old_tables.(router) (Pump.table stepped ~router)))
+       (slice 0));
+  Service.remove_participant service ~domain:9;
+  Dataplane.Rollout.restart rollout;
+  check (Alcotest.float 0.0) "restart: no progress" 0.0
+    (Dataplane.Rollout.progress rollout);
+  for k = 0 to window - 1 do
+    Dataplane.Rollout.step rollout stepped;
+    Pump.refresh ~routers:(slice k) explicit;
+    same_tables (Printf.sprintf "step %d" (k + 1));
+    check Alcotest.bool
+      (Printf.sprintf "finished after step %d" (k + 1))
+      (k = window - 1)
+      (Dataplane.Rollout.finished rollout)
+  done;
+  check (Alcotest.float 0.0) "finished: full progress" 1.0
+    (Dataplane.Rollout.progress rollout);
+  Dataplane.Rollout.step rollout stepped;
+  same_tables "a finished rollout installs nothing";
+  Alcotest.check_raises "window 0 refused"
+    (Invalid_argument "Rollout.create: window must be positive")
+    (fun () -> ignore (Dataplane.Rollout.create ~order ~window:0))
+
 (* ------------------------------------------------------------------ *)
 (* Linkq: finite-capacity link queues (DESIGN.md §13)                  *)
 
@@ -844,6 +908,8 @@ let () =
           Alcotest.test_case "refresh clears caches" `Quick
             test_refresh_clears_caches;
           QCheck_alcotest.to_alcotest prop_partial_refresh;
+          Alcotest.test_case "rollout steps the ordered slices" `Quick
+            test_rollout_steps_ordered_slices;
         ] );
       ( "linkq",
         [

@@ -321,6 +321,40 @@ let test_pool_uncached () =
     (Invalid_argument "Domainpool.create: cache_slots must be non-negative")
     (fun () -> ignore (Domainpool.create ~cache_slots:(-1) env ~shards:1 ~seed:11L))
 
+(* the lowest free descriptor: the one the next open returns *)
+let lowest_free_fd () =
+  let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  Unix.close fd;
+  fd
+
+(* A refused create holds no descriptor: each shard's doorbell pipe is
+   opened only once nothing else can refuse. *)
+let test_refused_create_leaks_no_fd () =
+  let env, _, _ = Lazy.force pool_fixture in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let before = lowest_free_fd () in
+  let n = Internet.num_routers env.Forward.inet in
+  let map = Shardmap.create ~routers:n ~shards:1 in
+  let tables = Array.make n Netcore.Lpm.empty in
+  for _ = 1 to 10 do
+    refused "Shard.create ~cache_slots:(-1)" (fun () ->
+        ignore
+          (Shard.create ~sid:0 ~map ~tables ~cache_slots:(-1)
+             ~rng:(Topology.Rng.create 1L) ~live:(Atomic.make 0) ()))
+  done;
+  for _ = 1 to 3 do
+    refused "Domainpool.create ~cache_slots:max_int" (fun () ->
+        ignore (Domainpool.create ~cache_slots:max_int env ~shards:2 ~seed:11L));
+    refused "Domainpool.create ~ring_capacity:0" (fun () ->
+        ignore (Domainpool.create ~ring_capacity:0 env ~shards:2 ~seed:11L))
+  done;
+  check Alcotest.bool "the lowest free descriptor is unchanged" true
+    (lowest_free_fd () = before)
+
 let test_pool_telemetry_accumulates () =
   (* two runs of the same batch double every counter, like the pump *)
   let env, flows, _ = Lazy.force pool_fixture in
@@ -561,6 +595,8 @@ let () =
           Alcotest.test_case "0 cache slots = uncached" `Quick
             test_pool_uncached;
           qcheck prop_pool_equals_pump;
+          Alcotest.test_case "a refused create leaks no descriptor" `Quick
+            test_refused_create_leaks_no_fd;
         ] );
       ( "overload",
         [

@@ -1249,6 +1249,352 @@ let test_bgpdyn_survives_overload () =
   check Alcotest.int "overload alone resets no session" 0 s.Bgpdyn.resets
 
 (* ------------------------------------------------------------------ *)
+(* Bgpdyn on faulty generated internets vs a fresh Bgp.converge        *)
+
+module Bgp = Interdomain.Bgp
+
+(* what the property's cases exercised, summed over its cases *)
+type bgp_tally = {
+  mutable cases : int;
+  mutable reset : int;  (* cases with a session reset *)
+  mutable crashed : int;  (* cases where a domain crashed and restarted *)
+  mutable shed : int;  (* cases where the fabric shed a message *)
+  mutable withdrew : int;  (* cases that withdrew an originated prefix *)
+  mutable refused : int;  (* cases whose filter refused an originated prefix *)
+}
+
+let path_string = function
+  | None -> "-"
+  | Some path -> String.concat "," (List.map string_of_int path)
+
+(* One random case: a transit-stub or preferential-attachment internet,
+   a lossy, jittery FIFO fabric (capacity-limited or slow on some cases),
+   crashes and restarts, hold timers on some cases, anycast prefixes
+   originated and withdrawn at random times, and a fixed random filter
+   on some cases. Faults cease at [cease]; every outage ends before it.
+   [Error] names the first domain whose route differs from a fresh
+   [Bgp.converge] over the origins the case left in place. *)
+let bgpdyn_case tally seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let inet =
+    if Rng.bool rng then
+      Internet.build
+        {
+          Internet.default_params with
+          Internet.transit_domains = Rng.int_in rng 2 4;
+          stubs_per_transit = Rng.int_in rng 1 3;
+          routers_per_transit = 2;
+          routers_per_stub = 1;
+          endhosts_per_domain = 1;
+          seed = Rng.int64 rng;
+        }
+    else
+      Internet.build_ba
+        {
+          Internet.default_ba_params with
+          Internet.ba_domains = Rng.int_in rng 6 16;
+          ba_routers_core = 2;
+          ba_routers_edge = 1;
+          ba_endhosts_per_domain = 1;
+          ba_seed = Rng.int64 rng;
+        }
+  in
+  let n = Internet.num_domains inet in
+  let cease = 20.0 in
+  let anycast = List.init 3 (fun g -> Addressing.anycast_global ~group:(g + 1)) in
+  let refusals =
+    if Rng.int rng 3 > 0 then []
+    else
+      List.concat_map
+        (fun p ->
+          List.filter_map
+            (fun d -> if Rng.int rng 4 = 0 then Some (d, p) else None)
+            (List.init n Fun.id))
+        (anycast @ [ (Internet.domain inet (Rng.int rng n)).Internet.prefix ])
+  in
+  let same (d, p) (d', p') = d = d' && Netcore.Prefix.equal p p' in
+  let refuses d p = List.exists (same (d, p)) refusals in
+  let config =
+    { Bgp.default_config with Bgp.propagate = (fun d p -> not (refuses d p)) }
+  in
+  let policy =
+    let loss = Rng.float rng 0.3 and jitter = Rng.float rng 0.5 in
+    let capacity = if Rng.int rng 4 = 0 then Rng.int_in rng 1 4 else 0 in
+    (* long delays on some cases: a hold timer then expires on a live
+       peer *)
+    let extra_delay = if Rng.int rng 3 = 0 then Rng.float rng 1.0 else 0.0 in
+    Faults.lossy ~jitter ~capacity ~extra_delay loss
+  in
+  let faults = Faults.create ~fifo:true ~policy:(fun ~src:_ ~dst:_ -> policy) (Rng.int64 rng) in
+  let dyn =
+    Bgpdyn.create ~mrai:(0.1 +. Rng.float rng 2.0) ~jitter:(Rng.float rng 1.0) ~config
+      ~faults inet
+  in
+  let engine = Engine.create () in
+  if Rng.bool rng then
+    Bgpdyn.enable_timers dyn engine ~keepalive:1.0 ~hold:3.5 ~until:(cease +. 10.0);
+  let crashes = ref 0 and restarts = ref 0 in
+  Faults.on_crash faults (fun _ _ -> incr crashes);
+  Faults.on_restart faults (fun _ _ -> incr restarts);
+  Bgpdyn.originate_all_domain_prefixes dyn engine;
+  List.iter
+    (fun node ->
+      Faults.schedule_outage faults engine ~node ~at:(Rng.float rng 12.0)
+        ~duration:(0.5 +. Rng.float rng 6.0))
+    (Rng.sample rng (Rng.int rng 3) (List.init n Fun.id));
+  (* the origins the events leave in place, besides every domain's /16;
+     the events pick from a few member domains, so withdrawals often
+     hit a prefix the member originates *)
+  let origins = ref [] and withdrew = ref false in
+  let members = Rng.sample rng 3 (List.init n Fun.id) in
+  for _ = 1 to Rng.int_in rng 2 8 do
+    let domain = Rng.pick rng members and p = Rng.pick rng anycast in
+    let originate = Rng.bool rng in
+    Engine.schedule_at engine ~time:(Rng.float rng cease) (fun engine ->
+        let held = List.exists (same (domain, p)) !origins in
+        if originate then begin
+          Bgpdyn.originate dyn engine ~domain p;
+          if not held then origins := (domain, p) :: !origins
+        end
+        else begin
+          Bgpdyn.withdraw dyn engine ~domain p;
+          if held then begin
+            withdrew := true;
+            origins := List.filter (fun o -> not (same (domain, p) o)) !origins
+          end
+        end)
+  done;
+  Engine.schedule_at engine ~time:cease (fun _ ->
+      Faults.set_policy faults (fun ~src:_ ~dst:_ -> Faults.reliable));
+  ignore (Engine.run engine);
+  let reference = Bgp.create ~config inet in
+  Bgp.originate_all_domain_prefixes reference;
+  List.iter (fun (domain, p) -> Bgp.originate reference ~domain p) !origins;
+  ignore (Bgp.converge reference);
+  let prefixes =
+    anycast @ List.init n (fun d -> (Internet.domain inet d).Internet.prefix)
+  in
+  let mismatch =
+    List.find_map
+      (fun d ->
+        List.find_map
+          (fun p ->
+            let sync =
+              Option.map (fun r -> r.Bgp.as_path) (Bgp.route_to reference ~domain:d p)
+            and dyn = Bgpdyn.best_path dyn ~domain:d p in
+            if Option.equal (List.equal Int.equal) sync dyn then None
+            else
+              Some
+                (Printf.sprintf "domain %d, %s: sync=%s dyn=%s" d
+                   (Netcore.Prefix.to_string p) (path_string sync)
+                   (path_string dyn)))
+          prefixes)
+      (List.init n Fun.id)
+  in
+  let originated p =
+    List.exists (fun (_, p') -> Netcore.Prefix.equal p p') !origins
+    || List.exists
+         (fun d -> Netcore.Prefix.equal p (Internet.domain inet d).Internet.prefix)
+         (List.init n Fun.id)
+  in
+  let count flag = if flag then 1 else 0 in
+  tally.cases <- tally.cases + 1;
+  tally.reset <- tally.reset + count ((Bgpdyn.stats dyn).Bgpdyn.resets > 0);
+  tally.crashed <- tally.crashed + count (!crashes > 0 && !restarts = !crashes);
+  tally.shed <- tally.shed + count ((Faults.stats faults).Faults.shed > 0);
+  tally.withdrew <- tally.withdrew + count !withdrew;
+  tally.refused <-
+    tally.refused + count (List.exists (fun (_, p) -> originated p) refusals);
+  match (mismatch, Bgpdyn.agrees_with_synchronous dyn) with
+  | Some msg, _ | None, Error msg -> Error msg
+  | None, Ok () -> Ok ()
+
+let test_bgpdyn_faulty_internets () =
+  let tally =
+    { cases = 0; reset = 0; crashed = 0; shed = 0; withdrew = 0; refused = 0 }
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make
+       ~name:"Bgpdyn = fresh Bgp.converge (faulty generated internets)"
+       ~count:250
+       QCheck.(int_bound 1_000_000)
+       (fun seed ->
+         match bgpdyn_case tally seed with
+         | Ok () -> true
+         | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg));
+  (* the cases reached every fault the property is meant to cover *)
+  List.iter
+    (fun (what, cases) ->
+      check Alcotest.bool (Printf.sprintf "%s (%d cases)" what cases) true (cases > 0))
+    [
+      ("session resets", tally.reset);
+      ("crashes and restarts", tally.crashed);
+      ("sheds", tally.shed);
+      ("withdrawals", tally.withdrew);
+      ("a refusing filter", tally.refused);
+    ]
+
+(* An origin whose own filter refuses its prefix holds no route for it,
+   so nobody learns one: the filter is read where a route is chosen,
+   originations included, as in [Bgp]. *)
+let test_bgpdyn_origin_refuses_own_prefix () =
+  let inet = Internet.small_example () in
+  let g = Addressing.anycast_global ~group:0 in
+  let config =
+    {
+      Bgp.default_config with
+      Bgp.propagate = (fun d p -> not (d = 3 && Netcore.Prefix.equal p g));
+    }
+  in
+  let dyn = Bgpdyn.create ~config inet in
+  let engine = Engine.create () in
+  Bgpdyn.originate_all_domain_prefixes dyn engine;
+  Bgpdyn.originate dyn engine ~domain:3 g;
+  ignore (Engine.run engine);
+  (match Bgpdyn.agrees_with_synchronous dyn with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  for d = 0 to Internet.num_domains inet - 1 do
+    check Alcotest.string
+      (Printf.sprintf "no route at domain %d" d)
+      "-"
+      (path_string (Bgpdyn.best_path dyn ~domain:d g))
+  done
+
+(* A neighbour's withdrawal is lost on the FIFO session, which resets:
+   the receiver must drop what the neighbour told it and recompute, or
+   it keeps (and passes on) a route whose origin is gone. *)
+let test_bgpdyn_lost_withdrawal () =
+  let stub = { Internet.routers = 1; endhosts = 1; transit = false } in
+  let inet =
+    Internet.build_custom ~seed:5L
+      [| { Internet.routers = 2; endhosts = 1; transit = true }; stub; stub |]
+      [
+        { Internet.a = 1; b = 0; rel_of_b = Relationship.Provider };
+        { Internet.a = 2; b = 0; rel_of_b = Relationship.Provider };
+      ]
+  in
+  let faults = Faults.create ~fifo:true 3L in
+  let dyn = Bgpdyn.create ~faults inet in
+  let engine = Engine.create () in
+  let g = Addressing.anycast_global ~group:4 in
+  Bgpdyn.originate_all_domain_prefixes dyn engine;
+  Bgpdyn.originate dyn engine ~domain:1 g;
+  ignore (Engine.run engine);
+  check Alcotest.string "the provider learned the route" "0,1"
+    (path_string (Bgpdyn.best_path dyn ~domain:0 g));
+  (* lose exactly the next message from 1 to 0: the withdrawal *)
+  let armed = ref true in
+  Faults.set_policy faults (fun ~src ~dst ->
+      if !armed && src = 1 && dst = 0 then begin
+        armed := false;
+        Faults.lossy 1.0
+      end
+      else Faults.reliable);
+  Bgpdyn.withdraw dyn engine ~domain:1 g;
+  ignore (Engine.run engine);
+  check Alcotest.int "the withdrawal was lost" 1 (Faults.stats faults).Faults.lost;
+  check Alcotest.bool "the session reset" true ((Bgpdyn.stats dyn).Bgpdyn.resets > 0);
+  for d = 0 to Internet.num_domains inet - 1 do
+    check Alcotest.string
+      (Printf.sprintf "no stale route at domain %d" d)
+      "-"
+      (path_string (Bgpdyn.best_path dyn ~domain:d g))
+  done;
+  match Bgpdyn.agrees_with_synchronous dyn with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
+(* An announcement is in flight when its session resets, and its
+   origin withdraws before the re-advertisement: the reset connection
+   must not deliver the announcement, or the provider keeps a route
+   nobody will ever withdraw. *)
+let test_bgpdyn_update_crossing_a_reset () =
+  let inet =
+    Internet.build_custom ~seed:5L
+      [|
+        { Internet.routers = 2; endhosts = 1; transit = true };
+        { Internet.routers = 1; endhosts = 1; transit = false };
+      |]
+      [ { Internet.a = 1; b = 0; rel_of_b = Relationship.Provider } ]
+  in
+  let faults = Faults.create ~fifo:true 3L in
+  let dyn = Bgpdyn.create ~faults inet in
+  let engine = Engine.create () in
+  Bgpdyn.originate_all_domain_prefixes dyn engine;
+  ignore (Engine.run engine);
+  let g = Addressing.anycast_global ~group:4 and h = Addressing.anycast_global ~group:5 in
+  (* the next message from 0 to 1 is lost: a transport failure resets
+     both halves of the session *)
+  let armed = ref true in
+  Faults.set_policy faults (fun ~src ~dst ->
+      if !armed && src = 0 && dst = 1 then begin
+        armed := false;
+        Faults.lossy 1.0
+      end
+      else Faults.reliable);
+  (* well after the boot, when no MRAI gate holds a flush back: 1
+     announces g, which lands a session delay (0.1) later *)
+  let t0 = Engine.now engine +. 10.0 in
+  Engine.schedule_at engine ~time:t0 (fun engine ->
+      Bgpdyn.originate dyn engine ~domain:1 g);
+  Engine.schedule_at engine ~time:(t0 +. 0.05) (fun engine ->
+      Bgpdyn.originate dyn engine ~domain:0 h);
+  (* before the MRAI lets 1 re-advertise, it withdraws g again *)
+  Engine.schedule_at engine ~time:(t0 +. 1.0) (fun engine ->
+      Bgpdyn.withdraw dyn engine ~domain:1 g);
+  ignore (Engine.run engine);
+  check Alcotest.int "the announcement of h was lost" 1 (Faults.stats faults).Faults.lost;
+  check Alcotest.int "both halves reset" 2 (Bgpdyn.stats dyn).Bgpdyn.resets;
+  check Alcotest.string "the provider holds no route for g" "-"
+    (path_string (Bgpdyn.best_path dyn ~domain:0 g));
+  check Alcotest.string "the customer learned h after the resync" "1,0"
+    (path_string (Bgpdyn.best_path dyn ~domain:1 h));
+  match Bgpdyn.agrees_with_synchronous dyn with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
+(* One message from a live peer is held up far longer than the hold
+   time, and the FIFO channel queues every later one behind it: the
+   provider's hold expires while the customer is alive. The expiry must
+   close both halves, or the customer keeps believing the provider
+   holds its routes and never re-sends them. *)
+let test_bgpdyn_hold_expiry_on_a_live_peer () =
+  let inet =
+    Internet.build_custom ~seed:5L
+      [|
+        { Internet.routers = 2; endhosts = 1; transit = true };
+        { Internet.routers = 1; endhosts = 1; transit = false };
+      |]
+      [ { Internet.a = 1; b = 0; rel_of_b = Relationship.Provider } ]
+  in
+  let faults = Faults.create ~fifo:true 3L in
+  let dyn = Bgpdyn.create ~faults inet in
+  let engine = Engine.create () in
+  Bgpdyn.enable_timers dyn engine ~keepalive:1.0 ~hold:3.5 ~until:40.0;
+  Bgpdyn.originate_all_domain_prefixes dyn engine;
+  ignore (Engine.run ~until:10.0 engine);
+  let customer = (Internet.domain inet 1).Internet.prefix in
+  check Alcotest.string "the provider learned the customer's prefix" "0,1"
+    (path_string (Bgpdyn.best_path dyn ~domain:0 customer));
+  let armed = ref true in
+  Faults.set_policy faults (fun ~src ~dst ->
+      if !armed && src = 1 && dst = 0 then begin
+        armed := false;
+        Faults.lossy ~jitter:1000.0 0.0
+      end
+      else Faults.reliable);
+  ignore (Engine.run engine);
+  let s = Faults.stats faults in
+  check Alcotest.int "nothing was lost" 0 (s.Faults.lost + s.Faults.cut + s.Faults.dead);
+  check Alcotest.bool "a hold expired" true ((Bgpdyn.stats dyn).Bgpdyn.resets > 0);
+  check Alcotest.string "the provider relearned the customer's prefix" "0,1"
+    (path_string (Bgpdyn.best_path dyn ~domain:0 customer));
+  match Bgpdyn.agrees_with_synchronous dyn with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
+(* ------------------------------------------------------------------ *)
 (* Lsproto under faults                                                *)
 
 let test_lsproto_crash_restart_reconverges () =
@@ -1437,5 +1783,15 @@ let () =
             test_bgpdyn_crash_restart_converges;
           Alcotest.test_case "survives overload via shed retries" `Quick
             test_bgpdyn_survives_overload;
+          Alcotest.test_case "an origin's filter refuses its own prefix" `Quick
+            test_bgpdyn_origin_refuses_own_prefix;
+          Alcotest.test_case "a lost withdrawal is dropped on reset" `Quick
+            test_bgpdyn_lost_withdrawal;
+          Alcotest.test_case "a reset drops the updates in flight" `Quick
+            test_bgpdyn_update_crossing_a_reset;
+          Alcotest.test_case "agrees with Bgp on faulty generated internets"
+            `Quick test_bgpdyn_faulty_internets;
+          Alcotest.test_case "a hold expiry on a live peer closes both halves"
+            `Quick test_bgpdyn_hold_expiry_on_a_live_peer;
         ] );
     ]

@@ -74,8 +74,9 @@ let rules =
        record (eN_row), a registry entry (the \"eN\" id literal inside the \
        `registry` binding), an EXPERIMENTS.md entry (\"## EN\") and a \
        shape-asserting suite (\"eN\") in test/test_experiments.ml. The \
-       report, the CLI and the bench all iterate the registry, so one \
-       entry wires all three. Provenance: CLAUDE.md experiment rule." );
+       report (and so bench/perf's report workload) and the CLI iterate \
+       the registry, so one entry wires them all. Provenance: CLAUDE.md \
+       experiment rule." );
     ( "parse-error",
       "Every .ml/.mli in lib/, bin/, bench/ and test/ and every lib/*/dune \
        must parse; the other rules are only as good as the parse." );
