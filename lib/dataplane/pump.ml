@@ -75,6 +75,7 @@ let send_data t ~src ~dst ~payload =
   inject t p ~entry:hs.Internet.access_router
 
 let run_flow t (f : Workload.flow) =
+  Workload.validate f;
   let payload = String.make f.Workload.bytes_per_packet 'x' in
   for _ = 1 to f.Workload.packets do
     ignore (send_data t ~src:f.Workload.src ~dst:f.Workload.dst ~payload)

@@ -91,6 +91,9 @@ val send_data : t -> src:int -> dst:int -> payload:string -> Simcore.Forward.tra
     router hop, as in {!Simcore.Forward.send_from_endhost}). *)
 
 val run_flow : t -> Workload.flow -> unit
-(** Send all of a flow's packets natively, for the telemetry. *)
+(** Send all of a flow's packets natively, for the telemetry.
+    @raise Invalid_argument when the flow fails {!Workload.validate}
+    (checked before any packet is sent), or its packet fails
+    {!Netcore.Wire.encode}. *)
 
 val run_batch : t -> Workload.flow list -> unit

@@ -75,5 +75,9 @@ let next t =
     bytes_per_packet = Rng.pick_array t.rng t.payload_mix;
   }
 
+let validate f =
+  if f.packets < 0 then
+    invalid_arg "Workload.validate: packets must be non-negative"
+
 let batch t ~count = List.init count (fun _ -> next t)
 let total_packets flows = List.fold_left (fun n f -> n + f.packets) 0 flows

@@ -43,6 +43,11 @@ val create :
 val next : t -> flow
 (** Draw the next flow (advances the generator state). *)
 
+val validate : flow -> unit
+(** The one check a flow must pass before either data plane sends it
+    ({!Pump.run_flow}, and [Multicore.Domainpool] for a whole batch).
+    @raise Invalid_argument when [packets] is negative. *)
+
 val batch : t -> count:int -> flow list
 (** [count] successive flows. *)
 

@@ -1,5 +1,4 @@
 module Wire = Netcore.Wire
-module Arena = Netcore.Arena
 module Packet = Netcore.Packet
 module Internet = Topology.Internet
 module Rng = Topology.Rng
@@ -7,6 +6,7 @@ module Fib = Simcore.Fib
 module Forward = Simcore.Forward
 module Workload = Dataplane.Workload
 module Telemetry = Dataplane.Telemetry
+module Hop = Dataplane.Hop
 
 type t = {
   env : Forward.env;
@@ -56,39 +56,41 @@ let map t = t.map
 let num_shards t = Array.length t.shards
 let shard t i = t.shards.(i)
 
-(* Stage a batch: encode nothing yet, but distribute every flow to its
-   entry shard's pending queue and size each arena for its share.
-   Returns the pool-wide packet count; the caller publishes it into
-   [t.live] before any worker starts. *)
+(* Stage a batch on the caller's domain: encode each flow's packet once
+   with the pump's codec, keep the header fields a walk reads, and
+   queue them at the entry router's shard. Everything that can refuse
+   (a negative count, an oversized body) runs before the first
+   enqueue, so a refused batch leaves every queue empty. A flow of no
+   packets is skipped, as the pump sends nothing for it. Returns the
+   pool-wide packet count; the caller publishes it into [t.live]
+   before any worker starts. *)
 let stage t (flows : Workload.flow list) =
   let inet = t.env.Forward.inet in
-  let nshards = Array.length t.shards in
-  let bytes = Array.make nshards 0 in
-  let total = ref 0 in
-  List.iter
-    (fun (f : Workload.flow) ->
-      let hs = Internet.endhost inet f.Workload.src
-      and hd = Internet.endhost inet f.Workload.dst in
-      let payload = String.make f.Workload.bytes_per_packet 'x' in
-      let p =
-        Packet.make_data ~src:hs.Internet.haddr ~dst:hd.Internet.haddr payload
-      in
-      let entry = hs.Internet.access_router in
-      let sid = Shardmap.shard_of t.map entry in
-      bytes.(sid) <- bytes.(sid) + Wire.wire_length p;
-      total := !total + f.Workload.packets;
-      Shard.enqueue t.shards.(sid)
-        { Shard.i_packet = p; i_entry = entry; i_count = f.Workload.packets })
-    flows;
-  (* size each shard's slab for the whole batch before any worker
-     starts: nothing is in flight, so reset + ensure are safe *)
-  Array.iteri
-    (fun sid s ->
-      let a = Shard.arena s in
-      Arena.reset a;
-      Arena.ensure a ~bytes:bytes.(sid))
-    t.shards;
-  !total
+  let staged =
+    List.filter_map
+      (fun (f : Workload.flow) ->
+        Workload.validate f;
+        if f.Workload.packets = 0 then None
+        else
+          let hs = Internet.endhost inet f.Workload.src
+          and hd = Internet.endhost inet f.Workload.dst in
+          let p =
+            Packet.make_data ~src:hs.Internet.haddr ~dst:hd.Internet.haddr
+              (String.make f.Workload.bytes_per_packet 'x')
+          in
+          let wire = Wire.encode p in
+          let len = String.length wire in
+          let entry = hs.Internet.access_router in
+          Some
+            ( Shardmap.shard_of t.map entry,
+              Shard.msg ~cls:(Hop.cls_of p)
+                ~dst:(Wire.peek_dst_or wire ~default:p.Packet.dst)
+                ~bytes:len ~encap_bytes:(Hop.encap_of p ~len)
+                ~count:f.Workload.packets ~router:entry ~ttl:p.Packet.ttl ))
+      flows
+  in
+  List.iter (fun (sid, m) -> Shard.enqueue t.shards.(sid) m) staged;
+  Workload.total_packets flows
 
 (* Supervisor action for a dead shard: revive it (flow caches rebuild
    warm from the shared FIB snapshots — Shard.revive) and count the

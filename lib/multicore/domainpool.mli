@@ -6,12 +6,15 @@
     realistic traffic volumes, and a single pump tops out at a couple
     of million packets per second. The pool shards the router id space
     with a fixed {!Shardmap}, gives every {!Shard} its own caches,
-    telemetry, arena and rng stream, and hands packets between shards
-    through SPSC {!Ring}s. Determinism survives parallelism because
-    everything order-dependent is shard-private and everything shared
-    is read-only or commutative — experiment E33 asserts the delivery
-    verdict counts are byte-identical for 1/2/4/8 shards on one seed
-    (DESIGN.md §11 has the full argument). *)
+    telemetry and rng stream, and hands flowlets between shards
+    through SPSC {!Ring}s. A batch is staged on the caller's domain
+    with the pump's own codec ({!Netcore.Wire.encode}, then
+    {!Netcore.Wire.peek_dst_or}); walks and handoffs carry only the
+    header fields read from that image. Determinism survives
+    parallelism because everything order-dependent is shard-private
+    and everything shared is read-only or commutative — experiment E33
+    asserts the delivery verdict counts are byte-identical for 1/2/4/8
+    shards on one seed (DESIGN.md §11 has the full argument). *)
 
 type t
 
@@ -44,18 +47,24 @@ val shard : t -> int -> Shard.t
 (** Direct access to a worker, for tests and per-shard telemetry. *)
 
 val run : t -> Dataplane.Workload.flow list -> unit
-(** Forward every packet of every flow to a terminal verdict: expand
-    flows into per-shard injection queues (by entry router), size the
-    arenas, then run one worker per shard — inline for one shard,
-    [Domain.spawn]/[join] otherwise. Returns when all packets have
-    terminated. Telemetry accumulates across runs, like the pump's.
+(** Forward every packet of every flow to a terminal verdict: stage
+    the batch on the caller's domain — encode each flow's packet once,
+    as {!Dataplane.Pump.run_flow} does, and queue its header fields at
+    the shard of its entry router — then run one worker per shard —
+    inline for one shard, [Domain.spawn]/[join] otherwise. Returns
+    when all packets have terminated. Telemetry accumulates across
+    runs, like the pump's. A flow of 0 packets is skipped.
 
     When any shard has a crash armed ({!Shard.arm_crash}) the main
     domain becomes a supervisor: it polls the published dead flags,
     joins the exited worker, revives its shard ({!Shard.revive} — flow
     caches rebuild warm from the shared FIB snapshots) and respawns
     it, so the batch always drains. With no crash armed the spawn/join
-    path is byte-for-byte the pre-supervision one. *)
+    path is byte-for-byte the pre-supervision one.
+    @raise Invalid_argument when a flow fails
+    {!Dataplane.Workload.validate} or its packet fails
+    {!Netcore.Wire.encode}; the refusal comes before any flow is
+    queued, so the pool is left as it was. *)
 
 val run_cooperative : ?slow:int * int -> t -> Dataplane.Workload.flow list -> int
 (** Deterministic single-domain driver: stage the batch, then
@@ -64,7 +73,9 @@ val run_cooperative : ?slow:int * int -> t -> Dataplane.Workload.flow list -> in
     end of its round. [slow:(victim, period)] starves shard [victim]
     to one pass every [period] rounds — sustained backpressure with
     bit-reproducible spill/shed behaviour, which the slow-consumer
-    drill and experiment E37 rely on. Returns the number of rounds. *)
+    drill and experiment E37 rely on. Returns the number of rounds.
+    @raise Invalid_argument as {!run} does, before any flow is
+    queued. *)
 
 val restarts : t -> int
 (** Shard restarts the supervisor performed (all shards, lifetime). *)

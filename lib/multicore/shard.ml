@@ -1,42 +1,37 @@
-module Wire = Netcore.Wire
-module Arena = Netcore.Arena
 module Ipv4 = Netcore.Ipv4
-module Packet = Netcore.Packet
 module Rng = Topology.Rng
 module Hop = Dataplane.Hop
 module Telemetry = Dataplane.Telemetry
 
-(* A cross-shard handoff: an (off, len) view into the producing
-   shard's arena plus the pre-peeked header fields the next hop
-   needs. Immutable — published through a Ring, read by one consumer. *)
+(* A flowlet waiting at router [m_router] of the shard that holds it:
+   the header fields its next walk reads, never the wire bytes (§3.3.2:
+   transit treats the payload as opaque). A staged injection is a
+   handoff that has not moved yet. Immutable — published through a
+   Ring, read by one consumer. *)
 type msg = {
-  m_buf : Arena.buf;
-  m_off : int;
-  m_len : int;
+  m_len : int; (* wire bytes per packet *)
   m_dst : Ipv4.t;
   m_ttl : int;
-  m_router : int; (* next hop — owned by the receiving shard *)
+  m_router : int; (* next router to decide — owned by the holding shard *)
   m_cls : Telemetry.cls;
   m_encap : int;
   m_count : int; (* flowlet width: byte-identical packets in this handoff *)
 }
 
-let dummy_msg =
+let msg ~cls ~dst ~bytes ~encap_bytes ~count ~router ~ttl =
   {
-    m_buf = Arena.buf (Arena.create ~bytes:0);
-    m_off = 0;
-    m_len = 0;
-    m_dst = Ipv4.of_int 0;
-    m_ttl = 0;
-    m_router = 0;
-    m_cls = Telemetry.Native;
-    m_encap = 0;
-    m_count = 0;
+    m_len = bytes;
+    m_dst = dst;
+    m_ttl = ttl;
+    m_router = router;
+    m_cls = cls;
+    m_encap = encap_bytes;
+    m_count = count;
   }
 
-(* A pending injection: one flow's packet encoded once, walked
-   [i_count] times (the packets of a flow are byte-identical). *)
-type inj = { i_packet : Packet.t; i_entry : int; i_count : int }
+let dummy_msg =
+  msg ~cls:Telemetry.Native ~dst:(Ipv4.of_int 0) ~bytes:0 ~encap_bytes:0
+    ~count:0 ~router:0 ~ttl:0
 
 type t = {
   sid : int;
@@ -46,8 +41,7 @@ type t = {
          persistent, safe across domains), the caches of this shard's
          block and its telemetry *)
   rng : Rng.t; (* per-shard stream, split from the pool seed *)
-  arena : Arena.t;
-  pending : inj Queue.t;
+  pending : msg Queue.t; (* staged injections, in batch order *)
   (* The spill buffer: handoffs that hit a full ring wait here, as a
      bounded circular FIFO pre-allocated at [spill_cap] (no growth on
      the hot path). When it too is full the shard sheds — drop-tail
@@ -99,7 +93,6 @@ let create ?(spill_cap = 65536) ?(inject_per_pass = max_int) ~sid ~map
     map;
     hop;
     rng;
-    arena = Arena.create ~bytes:0;
     pending = Queue.create ();
     spill;
     inject_per_pass;
@@ -146,9 +139,8 @@ let passes t = t.passes
 let sid t = t.sid
 let telemetry t = Hop.telemetry t.hop
 let crossings t = t.crossings
-let arena t = t.arena
 let rng t = t.rng
-let enqueue t j = Queue.add j t.pending
+let enqueue t m = Queue.add m t.pending
 let overflow_high_water t = t.spill_hw
 let overflow_len t = t.spill_len
 let overflow_cap t = t.spill_cap
@@ -250,51 +242,26 @@ let offer st c (m : msg) =
     spill_append st m
   else shed_msg st m
 
-(* Walk a flowlet — [count] byte-identical packets of one flow —
-   through the kernel from owned router [r] until it terminates or
-   reaches a router owned by another shard. The packets of a flow take
-   the same route (the FIB snapshot is immutable during a run), so one
-   count-weighted walk leaves every counter exactly as [count]
+(* Walk a flowlet — [m_count] byte-identical packets of one flow —
+   through the kernel from its router until it terminates or reaches a
+   router owned by another shard. The packets of a flow take the same
+   route (the FIB snapshot is immutable during a run), so one
+   count-weighted walk leaves every counter exactly as [m_count]
    per-packet walks would. Terminal verdicts retire the flowlet from
    the pool-wide live count; a handoff does not. *)
-let walk st ~buf ~off ~len ~cls ~encap ~dst ~count r ttl =
+let handle st (m : msg) =
+  st.handled <- st.handled + 1;
   match
-    Hop.walk st.hop ~cls ~dst ~bytes:len ~encap_bytes:encap ~count ~entry:r
-      ~ttl
+    Hop.walk st.hop ~cls:m.m_cls ~dst:m.m_dst ~bytes:m.m_len
+      ~encap_bytes:m.m_encap ~count:m.m_count ~entry:m.m_router ~ttl:m.m_ttl
   with
   | Hop.Handoff ->
       st.crossings <- st.crossings + 1;
       let nh = Hop.router st.hop in
-      let m =
-        {
-          m_buf = buf;
-          m_off = off;
-          m_len = len;
-          m_dst = dst;
-          m_ttl = Hop.ttl st.hop;
-          m_router = nh;
-          m_cls = cls;
-          m_encap = encap;
-          m_count = count;
-        }
-      in
-      offer st (Shardmap.shard_of st.map nh) m
-  | Hop.Local | Hop.Attached | Hop.Dropped _ -> retire st count
-
-let handle st (m : msg) =
-  st.handled <- st.handled + 1;
-  walk st ~buf:m.m_buf ~off:m.m_off ~len:m.m_len ~cls:m.m_cls ~encap:m.m_encap
-    ~dst:m.m_dst ~count:m.m_count m.m_router m.m_ttl
-
-let inject_flow st (j : inj) =
-  st.handled <- st.handled + 1;
-  let len = Wire.wire_length j.i_packet in
-  let off = Wire.encode_into j.i_packet st.arena in
-  let buf = Arena.buf st.arena in
-  let dst = Wire.peek_dst_big buf ~off ~len ~default:j.i_packet.Packet.dst in
-  walk st ~buf ~off ~len ~cls:(Hop.cls_of j.i_packet)
-    ~encap:(Hop.encap_of j.i_packet ~len) ~dst ~count:j.i_count j.i_entry
-    j.i_packet.Packet.ttl
+      offer st
+        (Shardmap.shard_of st.map nh)
+        { m with m_ttl = Hop.ttl st.hop; m_router = nh }
+  | Hop.Local | Hop.Attached | Hop.Dropped _ -> retire st m.m_count
 
 (* Retry stalled handoffs in strict FIFO order; stop at the first
    still-full ring. Returns whether anything moved. *)
@@ -373,7 +340,7 @@ let pass st =
         for _ = 1 to st.inject_per_pass do
           if Queue.is_empty st.pending then raise Exit;
           if crash_due st then raise Crashed;
-          inject_flow st (Queue.take st.pending);
+          handle st (Queue.take st.pending);
           progress := true
         done
       with Exit -> ())

@@ -4,27 +4,41 @@
 
     Each shard owns every piece of state it writes — the
     {!Dataplane.Hop} kernel state of its router block (flow caches and
-    its own {!Dataplane.Telemetry}), arena, rng stream and counters —
-    which is what lets the evolvelint domain-safety pack prove the
-    sharded hot path race-free from the {!run} root, the same §9.4
-    proof that covers the serial pump. Routing state is shared
-    read-only: compiled {!Simcore.Fib} snapshots (§3.2's per-router
-    data-plane state) are persistent maps, safe across domains without
-    locks. A shard walks each flowlet through the same kernel as the
-    serial pump, with the flowlet's count, every link up and no link
-    queues, and hands it to the owning shard when the next hop leaves
-    its block. *)
+    its own {!Dataplane.Telemetry}), its queue of staged injections,
+    rng stream and counters — which is what lets the evolvelint
+    domain-safety pack prove the sharded hot path race-free from the
+    {!run} root, the same §9.4 proof that covers the serial pump.
+    Routing state is shared read-only: compiled {!Simcore.Fib}
+    snapshots (§3.2's per-router data-plane state) are persistent
+    maps, safe across domains without locks. A shard walks each
+    flowlet through the same kernel as the serial pump, with the
+    flowlet's count, every link up and no link queues, and hands it to
+    the owning shard when the next hop leaves its block. A flowlet
+    carries header fields only: §3.3.2's transit routers treat the
+    payload as opaque, so no wire bytes cross a shard. *)
 
 type msg
-(** A cross-shard handoff: an arena view plus pre-peeked header
-    fields, published through a {!Ring} to the owning shard. *)
+(** A flowlet at one router: the header fields its next walk reads
+    (destination, TTL, wire length, class, encapsulation bytes) and
+    its packet count. A staged injection and a cross-shard handoff
+    published through a {!Ring} are the same value. *)
+
+val msg :
+  cls:Dataplane.Telemetry.cls ->
+  dst:Netcore.Ipv4.t ->
+  bytes:int ->
+  encap_bytes:int ->
+  count:int ->
+  router:int ->
+  ttl:int ->
+  msg
+(** [count] byte-identical packets of class [cls], [bytes] wire bytes
+    each ([encap_bytes] of them encapsulation overhead), toward [dst]
+    with TTL [ttl], waiting at [router] — the arguments of
+    {!Dataplane.Hop.walk}, whose contract they must meet. *)
 
 val dummy_msg : msg
 (** Filler for empty ring slots ({!Ring.create}'s [dummy]). *)
-
-type inj = { i_packet : Netcore.Packet.t; i_entry : int; i_count : int }
-(** A pending injection: [i_count] byte-identical packets of one flow,
-    entering at router [i_entry]. Encoded into the shard's arena once. *)
 
 type t
 
@@ -104,16 +118,13 @@ val telemetry : t -> Dataplane.Telemetry.t
 val crossings : t -> int
 (** Handoffs this shard initiated (lifetime total). *)
 
-val arena : t -> Netcore.Arena.t
-(** The slab this shard encodes injected packets into. The pool
-    rewinds and resizes it between batches, never mid-flight. *)
-
 val rng : t -> Topology.Rng.t
 (** The shard's private randomness stream, split from the pool seed —
     the only randomness a worker may use (CLAUDE.md). *)
 
-val enqueue : t -> inj -> unit
-(** Queue a flow for injection. Setup-time only (before {!run}). *)
+val enqueue : t -> msg -> unit
+(** Queue a staged flowlet for injection at its router, which must
+    lie in this shard's block. Setup-time only (before {!run}). *)
 
 val overflow_high_water : t -> int
 (** Most handoffs the spill buffer ever held at once (lifetime). *)

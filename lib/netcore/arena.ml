@@ -1,20 +1,16 @@
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type t = { mutable slab : buf; mutable used : int }
-
-let make_slab bytes : buf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout bytes
+type t = { slab : buf; mutable used : int }
 
 let create ~bytes =
   if bytes < 0 then invalid_arg "Arena.create: negative size";
-  { slab = make_slab bytes; used = 0 }
+  { slab = Bigarray.Array1.create Bigarray.char Bigarray.c_layout bytes; used = 0 }
 
-let capacity t = Bigarray.Array1.dim t.slab
-let used t = t.used
 let buf t = t.slab
 
 (* Bump allocation: a single mutable cursor, no per-packet header, no
-   free list. Returns -1 on exhaustion instead of an option so callers
-   on the forwarding path stay allocation-free (hot-path-alloc). *)
+   free list. Returns -1 on exhaustion instead of an option, so a caller
+   allocates nothing to learn it. *)
 let alloc t len =
   if len < 0 then invalid_arg "Arena.alloc: negative length";
   let off = t.used in
@@ -25,7 +21,3 @@ let alloc t len =
   end
 
 let reset t = t.used <- 0
-
-let ensure t ~bytes =
-  if t.used <> 0 then invalid_arg "Arena.ensure: arena in use";
-  if bytes > Bigarray.Array1.dim t.slab then t.slab <- make_slab bytes

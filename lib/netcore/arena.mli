@@ -1,19 +1,15 @@
-(** Pre-allocated packet-buffer slabs for the data-plane hot path.
+(** Pre-allocated byte slabs for packet wire images.
 
-    §3.3.2's forwarding model treats packet payloads as opaque bytes;
-    nothing on the per-hop path needs to parse or copy them. An arena
-    makes that concrete: one [Bigarray] slab of raw bytes, a bump
-    cursor, and offset-based views ({!Wire.encode_into},
-    {!Wire.peek_dst_big}), so packet bytes in steady state live
-    outside the OCaml heap and never touch the GC. Lifetime rule
-    (DESIGN.md §11): offsets handed out by {!alloc} stay valid until
-    the owner calls {!reset}; the owner resets only between batches,
-    when no packet is in flight. *)
+    §3.3.2's forwarding model treats packet payloads as opaque bytes.
+    An arena is one [Bigarray] slab of raw bytes outside the OCaml
+    heap, with a bump cursor handing out offsets; {!Wire.encode_into}
+    copies a packet's wire image into it. The data plane does not use
+    one: its walks and handoffs carry header fields only (DESIGN.md
+    §11.3). Lifetime rule: offsets handed out by {!alloc} stay valid
+    until the owner calls {!reset}. *)
 
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** The raw slab: a C-layout byte bigarray, safe to read from other
-    domains once the offset has been published (the bytes are written
-    before the offset escapes, and never mutated afterwards). *)
+(** The raw slab: a C-layout byte bigarray. *)
 
 type t
 (** An arena: one slab plus a bump cursor. Owned by a single writer. *)
@@ -25,23 +21,12 @@ val create : bytes:int -> t
 val alloc : t -> int -> int
 (** [alloc t len] reserves [len] bytes and returns the slab offset, or
     [-1] when the slab is exhausted — an int sentinel rather than an
-    option so the packet path allocates nothing (hot-path-alloc).
+    option, so learning it allocates nothing.
     @raise Invalid_argument when [len] is negative. *)
 
 val buf : t -> buf
 (** The backing slab. Offsets from {!alloc} index into this. *)
 
-val capacity : t -> int
-(** Slab size in bytes. *)
-
-val used : t -> int
-(** Bytes allocated since the last {!reset}. *)
-
 val reset : t -> unit
 (** Rewind the bump cursor to zero, invalidating all outstanding
-    offsets. Steady-state batches reuse the slab with zero GC work. *)
-
-val ensure : t -> bytes:int -> unit
-(** [ensure t ~bytes] grows the slab to at least [bytes] if needed.
-    Setup-time only: @raise Invalid_argument when the arena has live
-    allocations ([used t <> 0]). *)
+    offsets, so the slab is reused without new allocation. *)

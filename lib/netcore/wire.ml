@@ -188,150 +188,17 @@ let encode (p : Packet.t) =
   (* [b] is never written again, so handing it out as a string is safe *)
   Bytes.unsafe_to_string b
 
-(* --- arena views ---------------------------------------------------- *)
+(* --- arena copy ----------------------------------------------------- *)
 
-(* Two accessor families. The unsafe one (big_put8 .. big_put_body,
-   big_u32, the peeks) may only be used where evolvelint's bounds pack
-   (rules_bounds.ml, DESIGN.md §9.5) proves every offset in-bounds —
-   `dune build @lint` fails otherwise, and CI independently checks
-   that each unchecked access site appears in the prover's
-   `--proven` list. The checked one (big_put8c .. big_put_ipvnc) is
-   for the encap encoder, whose field widths depend on Ipvn.is_self —
-   a relational fact outside the prover's linear domain — so those
-   writes keep the dynamic bigarray check. *)
-
-let big_put8 (b : Arena.buf) i v =
-  Bigarray.Array1.unsafe_set b i (Char.unsafe_chr (v land 0xFF))
-
-let big_put16 b i v =
-  big_put8 b i (v lsr 8);
-  big_put8 b (i + 1) v
-
-let big_put32 b i v =
-  big_put16 b i (v lsr 16);
-  big_put16 b (i + 2) v
-
-let big_put_body b i body =
-  if String.length body > 0xFFFF then
-    invalid_arg "Wire.encode_into: body exceeds 65535 bytes";
-  let n = String.length body in
-  big_put16 b i n;
-  for k = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set b (i + 2 + k) (String.unsafe_get body k)
-  done;
-  i + 2 + n
-
-(* Checked variants for the encap path: Bigarray.Array1.set keeps the
-   runtime bounds check. The width of each ipvn field (5 or 9 bytes)
-   depends on Ipvn.is_self, so relating the writes to the wire_length
-   the arena allocated needs relational reasoning the bounds prover
-   does not attempt; these sites carry an arena-bounds allowlist entry
-   instead of a proof. *)
-
-let big_put8c (b : Arena.buf) i v =
-  Bigarray.Array1.set b i (Char.unsafe_chr (v land 0xFF))
-
-let big_put16c b i v =
-  big_put8c b i (v lsr 8);
-  big_put8c b (i + 1) v
-
-let big_put32c b i v =
-  big_put16c b i (v lsr 16);
-  big_put16c b (i + 2) v
-
-let big_put_bodyc b i body =
-  if String.length body > 0xFFFF then
-    invalid_arg "Wire.encode_into: body exceeds 65535 bytes";
-  let n = String.length body in
-  big_put16c b i n;
-  for k = 0 to n - 1 do
-    Bigarray.Array1.set b (i + 2 + k) (String.unsafe_get body k)
-  done;
-  i + 2 + n
-
-let big_put_ipvnc b i a =
-  if Ipvn.is_self a then begin
-    big_put8c b i 0;
-    big_put32c b (i + 1) (Ipv4.to_int (Ipvn.raw_ipv4 a));
-    i + 5
-  end
-  else begin
-    big_put8c b i 1;
-    big_put32c b (i + 1) (Ipvn.raw_domain a);
-    big_put32c b (i + 5) (Ipvn.raw_host a);
-    i + 9
-  end
-
-(* The payload match comes first so each branch can bind the length the
-   prover needs: the data branch states it as header + u16 + body
-   inline, which — together with the Arena.alloc postcondition and the
-   off < 0 guard — is exactly what licenses its unsafe writes. *)
+(* One image from [encode], then one checked copy into the slab, so the
+   slab bytes are [encode]'s by construction. *)
 let encode_into (p : Packet.t) arena =
-  check_ttl p.Packet.ttl;
-  match p.Packet.payload with
-  | Packet.Data body ->
-      let len = header_bytes + 2 + String.length body in
-      let off = Arena.alloc arena len in
-      if off < 0 then invalid_arg "Wire.encode_into: arena exhausted";
-      let b = Arena.buf arena in
-      big_put8 b off format_version;
-      big_put8 b (off + 1) 0;
-      big_put32 b (off + 2) (Ipv4.to_int p.Packet.src);
-      big_put32 b (off + 6) (Ipv4.to_int p.Packet.dst);
-      big_put8 b (off + 10) p.Packet.ttl;
-      ignore (big_put_body b (off + 11) body : int);
-      off
-  | Packet.Encap vn ->
-      check_ttl vn.Packet.vttl;
-      let len = wire_length p in
-      let off = Arena.alloc arena len in
-      if off < 0 then invalid_arg "Wire.encode_into: arena exhausted";
-      let b = Arena.buf arena in
-      big_put8c b off format_version;
-      big_put8c b (off + 1) 1;
-      big_put32c b (off + 2) (Ipv4.to_int p.Packet.src);
-      big_put32c b (off + 6) (Ipv4.to_int p.Packet.dst);
-      big_put8c b (off + 10) p.Packet.ttl;
-      big_put8c b (off + 11) vn.Packet.version;
-      big_put8c b (off + 12) vn.Packet.vttl;
-      let i = big_put_ipvnc b (off + 13) vn.Packet.vsrc in
-      let i = big_put_ipvnc b i vn.Packet.vdst in
-      let i =
-        match vn.Packet.dest_v4_hint with
-        | Some a ->
-            big_put8c b i 1;
-            big_put32c b (i + 1) (Ipv4.to_int a);
-            i + 5
-        | None ->
-            big_put8c b i 0;
-            i + 1
-      in
-      ignore (big_put_bodyc b i vn.Packet.body : int);
-      off
-
-let big_u32 (b : Arena.buf) i =
-  (Char.code (Bigarray.Array1.unsafe_get b i) lsl 24)
-  lor (Char.code (Bigarray.Array1.unsafe_get b (i + 1)) lsl 16)
-  lor (Char.code (Bigarray.Array1.unsafe_get b (i + 2)) lsl 8)
-  lor Char.code (Bigarray.Array1.unsafe_get b (i + 3))
-
-let big_peek_ok (b : Arena.buf) ~off ~len =
-  len >= header_bytes && off >= 0
-  && off + len <= Bigarray.Array1.dim b
-  && Char.code (Bigarray.Array1.unsafe_get b off) = format_version
-
-let peek_dst_big b ~off ~len ~default =
-  if big_peek_ok b ~off ~len then Ipv4.of_int (big_u32 b (off + 6)) else default
-
-let peek_ttl_big b ~off ~len ~default =
-  if big_peek_ok b ~off ~len then
-    Char.code (Bigarray.Array1.unsafe_get b (off + 10))
-  else default
-
-let decode_big b ~off ~len =
-  if off < 0 || len < 0 || off + len > Bigarray.Array1.dim b then
-    Error "view out of bounds"
-  else
-    (* the guard above is the proof: off >= 0, len >= 0 and
-       off + len <= dim, and String.init keeps i < len *)
-    decode (String.init len (fun i -> Bigarray.Array1.unsafe_get b (off + i)))
+  let s = encode p in
+  let len = String.length s in
+  let off = Arena.alloc arena len in
+  if off < 0 then invalid_arg "Wire.encode_into: arena exhausted";
+  let b = Arena.buf arena in
+  for i = 0 to len - 1 do
+    Bigarray.Array1.set b (off + i) s.[i]
+  done;
+  off

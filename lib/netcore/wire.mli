@@ -19,7 +19,12 @@
 
     IPvN addresses encode as a tag byte (0 = self, 1 = provider)
     followed by the embedded IPv4 (self) or u32 domain + u32 host
-    (provider). *)
+    (provider).
+
+    One codec: {!encode} is the only writer. The serial pump and the
+    sharded pool both encode a packet with it and read its destination
+    back with {!peek_dst_or}; {!encode_into} copies the same image into
+    an {!Arena} slab. *)
 
 val encode : Packet.t -> string
 (** Serialize. Allocates one string of exactly {!wire_length}[ p]
@@ -55,31 +60,14 @@ val peek_dst_or : string -> default:Ipv4.t -> Ipv4.t
     version 1. Returning the fallback instead of an option lets the
     per-packet path read the destination without allocating. *)
 
-(** {2 Arena views}
-
-    The sharded data plane (DESIGN.md §11) keeps packet bytes in
-    pre-allocated {!Arena} slabs so the steady-state forwarding loop
-    never touches the GC. These variants encode into and peek out of
-    an [(off, len)] view of a slab instead of a heap string; §3.3.2's
-    opaque-payload rule means per-hop forwarding only ever reads the
-    fixed 11-byte header of the view. *)
+(** {2 Arena copy} *)
 
 val encode_into : Packet.t -> Arena.t -> int
-(** [encode_into p arena] serializes [p] into freshly bump-allocated
-    arena bytes and returns the slab offset; the view length is
-    {!wire_length}[ p]. Byte-for-byte identical to {!encode}.
-    @raise Invalid_argument when the arena is exhausted, a body
-    exceeds 65535 bytes, or a TTL is outside [\[0, 255\]]. *)
-
-val peek_dst_big : Arena.buf -> off:int -> len:int -> default:Ipv4.t -> Ipv4.t
-(** IPv4 destination of the encoded packet at [(off, len)], or
-    [default] when the view is out of bounds, shorter than the fixed
-    header, or not format version 1. Allocation-free. *)
-
-val peek_ttl_big : Arena.buf -> off:int -> len:int -> default:int -> int
-(** TTL (byte 10) of the encoded packet at [(off, len)], or [default]
-    under the same conditions as {!peek_dst_big}. Allocation-free. *)
-
-val decode_big : Arena.buf -> off:int -> len:int -> (Packet.t, string) result
-(** Copying decode of the view — the boundary/test-suite counterpart
-    proving {!encode_into} round-trips; not for the per-hop path. *)
+(** [encode_into p arena] is {!encode}[ p] copied into freshly
+    bump-allocated arena bytes; it returns the slab offset, and the
+    view is {!wire_length}[ p] bytes long. The data plane never calls
+    it: a shard reads only the header fields staged from {!encode}'s
+    image (§3.3.2: transit treats the payload as opaque bytes).
+    @raise Invalid_argument when the arena has fewer than
+    {!wire_length}[ p] bytes left, a body exceeds 65535 bytes, or a
+    TTL is outside [\[0, 255\]]. *)

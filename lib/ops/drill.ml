@@ -735,10 +735,11 @@ let transcript r =
   let p fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   p "drill %s (seed %Ld, %s)" b.Drillbook.name b.Drillbook.seed
     (Drillbook.kind_label b.Drillbook.kind);
+  (* the counts that ran: [prepare] clamps both to what the internet has *)
   p "  topology: %d transit x %d stubs; deploy %d domain(s); %d probes over \
      %d ticks"
-    b.Drillbook.transit b.Drillbook.stubs b.Drillbook.deploy_domains
-    b.Drillbook.probes b.Drillbook.ticks;
+    b.Drillbook.transit b.Drillbook.stubs (List.length r.deployed)
+    (List.length r.probe_hosts) b.Drillbook.ticks;
   p "  fault: [%.2f, %.2f]  loss %.3f  jitter %.3f  recovery %s (detection \
      delay %.2f)"
     b.Drillbook.fault_at b.Drillbook.fault_until b.Drillbook.loss

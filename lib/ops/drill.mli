@@ -90,8 +90,10 @@ val detected_at : run -> float option
 
 val transcript : run -> string
 (** The full drill record as stable text: scenario header, incident
-    log, per-tick delivery table. Same seed, same book, same params —
-    byte-identical output. *)
+    log, per-tick delivery table. The header's deploy and probe counts
+    are those that ran, after {!prepare} clamped the book's to the
+    stubs and endhosts the internet has. Same seed, same book, same
+    params — byte-identical output. *)
 
 (** {2 Live state, for the looking glass} *)
 

@@ -568,7 +568,6 @@ let test_taint_report_generate_surface () =
 (* --- atomics protocol (v4) ------------------------------------------- *)
 
 module RA = Lintcore.Rules_atomic
-module RB = Lintcore.Rules_bounds
 
 (* Run the atomics pack alone over one fixture with a custom role
    table, exactly as typed_pass drives it with Lint.atomic_roles. *)
@@ -780,106 +779,48 @@ let test_atomic_coverage_and_stale_via_real_table () =
        (fun (d : L.diag) -> contains_sub d.L.msg "Ring.t.head")
        diags)
 
-(* --- arena bounds (v4) ----------------------------------------------- *)
+(* --- unsafe ban --------------------------------------------------- *)
 
-let bounds ?(roots = []) ~modname src =
-  let filename =
-    Printf.sprintf "lib/fixture/%s.ml" (String.lowercase_ascii modname)
-  in
-  match Lintcore.Typed.of_string ~filename ~modname src with
+let unsafe_count ?allow ~modname src =
+  count_rule "unsafe-unproven" (typed ?allow ~modname src)
+
+let test_unsafe_fires_rooted_or_not () =
+  (* guarded or not, on a hot-path root or off every root, through an
+     alias or an open: any unsafe access in lib/ fires *)
+  check Alcotest.int "guarded, on the Shard.run root" 1
+    (unsafe_count ~modname:"Shard"
+       "let run (b : Bytes.t) i =\n\
+       \  if i >= 0 && i < Bytes.length b then Bytes.unsafe_get b i else 'x'\n");
+  check Alcotest.int "unguarded, off every root" 1
+    (unsafe_count ~modname:"Coldfx"
+       "let get (b : Bytes.t) i = Bytes.unsafe_get b i\n");
+  check Alcotest.int "through a module alias and an open" 2
+    (unsafe_count ~modname:"Aliasfx"
+       "module B = Bytes\n\
+        let put (b : Bytes.t) i = B.unsafe_set b i 'x'\n\
+        let get (a : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) \
+        Bigarray.Array1.t) i = let open Bigarray in Array1.unsafe_get a i\n");
+  check Alcotest.int "a checked access stays quiet" 0
+    (unsafe_count ~modname:"Chkfx" "let get (b : Bytes.t) i = Bytes.get b i\n");
+  match
+    Lintcore.Typed.of_string ~filename:"bench/fixture.ml" ~modname:"Benchfx"
+      "let get (b : Bytes.t) i = Bytes.unsafe_get b i\n"
+  with
   | Error d -> Alcotest.failf "fixture rejected: %s" (L.to_string d)
-  | Ok m -> RB.analyze ~roots (CG.build [ m ])
+  | Ok m ->
+      check Alcotest.int "outside lib/ the ban does not apply" 0
+        (count_rule "unsafe-unproven"
+           (L.typed_pass ~decls:(Lintcore.Typed.decls_of_mods [ m ]) [ m ]))
 
-let test_bounds_provable_vs_unprovable () =
-  let sites, diags =
-    bounds ~roots:[ "Bndfx.get" ] ~modname:"Bndfx"
-      "let get (b : Bytes.t) i =\n\
-      \  if i >= 0 && i < Bytes.length b then Bytes.unsafe_get b i else 'x'\n"
-  in
-  check Alcotest.int "one obligation site" 1 (List.length sites);
-  check Alcotest.bool "guarded unsafe access proven" true
-    (List.hd sites).RB.sp_proven;
-  check Alcotest.int "no findings on the proven site" 0 (List.length diags);
-  let sites, diags =
-    bounds ~roots:[ "Bndfx.get" ] ~modname:"Bndfx"
-      "let get (b : Bytes.t) i = Bytes.unsafe_get b i\n"
-  in
-  check Alcotest.bool "unguarded access unproven" false
-    (List.hd sites).RB.sp_proven;
-  check Alcotest.int "rooted obligation fires arena-bounds" 1
-    (count_rule "arena-bounds" diags);
-  check Alcotest.int "unsafe access fires unsafe-unproven" 1
-    (count_rule "unsafe-unproven" diags)
-
-let test_bounds_unrooted_unsafe_still_licensed () =
-  (* off the bounds roots, arena-bounds stays quiet but the unsafe
-     license is unconditional for lib/ files *)
-  let _, diags =
-    bounds ~roots:[] ~modname:"Coldfx"
-      "let get (b : Bytes.t) i = Bytes.unsafe_get b i\n"
-  in
-  check Alcotest.int "unrooted: no arena-bounds" 0
-    (count_rule "arena-bounds" diags);
-  check Alcotest.int "unsafe-unproven still fires" 1
-    (count_rule "unsafe-unproven" diags)
-
-let test_bounds_checked_access_is_an_obligation () =
-  let _, diags =
-    bounds ~roots:[ "Chkfx.get" ] ~modname:"Chkfx"
-      "let get (b : Bytes.t) i = Bytes.get b i\n"
-  in
-  check Alcotest.int "checked rooted access fires arena-bounds" 1
-    (count_rule "arena-bounds" diags);
-  check Alcotest.int "checked access is not an unsafe license" 0
-    (count_rule "unsafe-unproven" diags)
-
-let test_bounds_interprocedural_discharge () =
-  let guarded =
-    "let put (b : Bytes.t) i = Bytes.unsafe_set b i 'x'\n\
-     let run (b : Bytes.t) i =\n\
-    \  if i >= 0 && i < Bytes.length b then put b i\n"
-  in
-  let sites, diags = bounds ~roots:[ "Ipfx.run" ] ~modname:"Ipfx" guarded in
-  check Alcotest.bool "callee obligation discharged at the call site" true
-    (List.hd sites).RB.sp_proven;
-  check Alcotest.int "no findings" 0 (List.length diags);
-  let unguarded =
-    "let put (b : Bytes.t) i = Bytes.unsafe_set b i 'x'\n\
-     let run (b : Bytes.t) i = put b i\n"
-  in
-  let sites, diags = bounds ~roots:[ "Ipfx.run" ] ~modname:"Ipfx" unguarded in
-  check Alcotest.bool "obligation escapes at the root" false
-    (List.hd sites).RB.sp_proven;
-  check Alcotest.int "escape is a rooted finding" 1
-    (count_rule "arena-bounds" diags)
-
-let test_bounds_for_loop_range () =
-  let sites, diags =
-    bounds ~roots:[ "Loopfx.fill" ] ~modname:"Loopfx"
-      "let fill (b : Bytes.t) =\n\
-      \  for i = 0 to Bytes.length b - 1 do Bytes.unsafe_set b i 'x' done\n"
-  in
-  check Alcotest.bool "loop-range access proven" true
-    (List.hd sites).RB.sp_proven;
-  check Alcotest.int "no findings" 0 (List.length diags)
-
-let test_bounds_allowlist_precedence () =
+let test_unsafe_allowlist_precedence () =
   let allow =
     L.Allowlist.parse ~path:"allowlist"
-      "arena-bounds lib/fixture/chkfx.ml:get  # relational width\n\
-       unsafe-unproven lib/fixture/bndfx.ml:get  # measured risk\n"
+      "unsafe-unproven lib/fixture/bndfx.ml:get  # measured risk\n"
   in
-  let _, d1 =
-    bounds ~roots:[ "Chkfx.get" ] ~modname:"Chkfx"
-      "let get (b : Bytes.t) i = Bytes.get b i\n"
-  in
-  let _, d2 =
-    bounds ~roots:[] ~modname:"Bndfx"
-      "let get (b : Bytes.t) i = Bytes.unsafe_get b i\n"
-  in
-  let left = L.filter_suppressed ~allow ~baseline:empty (d1 @ d2) in
-  check Alcotest.int "both pack findings suppressed" 0 (List.length left);
-  check Alcotest.int "entries live, not stale" 0
+  check Alcotest.int "the allowlisted finding is suppressed" 0
+    (unsafe_count ~allow ~modname:"Bndfx"
+       "let get (b : Bytes.t) i = Bytes.unsafe_get b i\n");
+  check Alcotest.int "the entry is live, not stale" 0
     (List.length (L.Allowlist.stale allow))
 
 let test_baseline_suppresses_then_goes_stale () =
@@ -1038,8 +979,6 @@ let test_summary_dump_deterministic () =
   check Alcotest.string "json dump byte-identical across runs" j1 j2;
   check Alcotest.bool "covers the pump entry point" true
     (contains_sub j1 "Pump.inject");
-  check Alcotest.bool "json carries the bounds sites" true
-    (contains_sub j1 "\"bounds_sites\"");
   check Alcotest.bool "json carries the spawned callees" true
     (contains_sub j1 "\"spawn_callees\"");
   let t = L.summary_dump ~root:repo_root ~json:false in
@@ -1048,36 +987,17 @@ let test_summary_dump_deterministic () =
   check Alcotest.bool "accessor map sees through asleep_flag" true
     (contains_sub t "Shard.asleep_flag -> Shard.t.asleep");
   check Alcotest.bool "spawned-closure callees listed" true
-    (contains_sub t "# spawned-closure callees");
-  check Alcotest.bool "bounds site list present" true
-    (contains_sub t "# bounds sites")
-
-let test_proven_dump_on_tree () =
-  let p1 = L.proven_dump ~root:repo_root in
-  let p2 = L.proven_dump ~root:repo_root in
-  check Alcotest.string "proven dump byte-identical across runs" p1 p2;
-  check Alcotest.bool "data-path unsafe put proven" true
-    (contains_sub p1 "Wire.big_put8 proven");
-  check Alcotest.bool "checked encap funnel stays unproven" true
-    (contains_sub p1 "Wire.big_put8c unproven");
-  (* the license invariant CI enforces: every unsafe accessor line in
-     the committed tree must be proven *)
-  List.iter
-    (fun line ->
-      if contains_sub line "unsafe_" then
-        check Alcotest.bool ("unsafe site licensed: " ^ line) true
-          (contains_sub line " proven"))
-    (String.split_on_char '\n' p1)
+    (contains_sub t "# spawned-closure callees")
 
 (* The root lists must name real bindings: a fixture graph holding
-   every declared root but Wire.decode_big yields exactly one
-   stale-root finding, naming it, and the committed tree none. *)
+   every declared root but Wire.peek_* (a hot-path root) yields
+   exactly one stale-root finding, naming it, and the committed tree
+   none. *)
 let test_stale_root () =
   let fixture =
     [
       ("Pump", "let inject x = x\n");
       ("Flowcache", "let lookup x = x\n");
-      ("Wire", "let peek_dst_or x = x\nlet encode_into x = x\nlet big_peek_ok x = x\n");
       ("Shard", "let run x = x\n");
       ("Ring", "let push x = x\nlet pop x = x\n");
     ]
@@ -1094,7 +1014,7 @@ let test_stale_root () =
   let diags = L.stale_roots (CG.build mods) in
   check Alcotest.int "one stale root" 1 (count_rule "stale-root" diags);
   check Alcotest.bool "it names the missing root" true
-    (List.for_all (fun (d : L.diag) -> contains_sub d.L.msg "Wire.decode_big") diags);
+    (List.for_all (fun (d : L.diag) -> contains_sub d.L.msg "Wire.peek_*") diags);
   let tree = Lintcore.Typed.load_tree ~root:repo_root in
   check Alcotest.(list string) "the committed tree has none" []
     (List.map L.to_string (L.stale_roots (CG.build tree.Lintcore.Typed.tmods)))
@@ -1226,20 +1146,12 @@ let () =
           Alcotest.test_case "coverage and stale table entries" `Quick
             test_atomic_coverage_and_stale_via_real_table;
         ] );
-      ( "arena-bounds",
+      ( "unsafe-unproven",
         [
-          Alcotest.test_case "provable vs unprovable offset" `Quick
-            test_bounds_provable_vs_unprovable;
-          Alcotest.test_case "unrooted unsafe still licensed" `Quick
-            test_bounds_unrooted_unsafe_still_licensed;
-          Alcotest.test_case "checked access is an obligation" `Quick
-            test_bounds_checked_access_is_an_obligation;
-          Alcotest.test_case "interprocedural discharge" `Quick
-            test_bounds_interprocedural_discharge;
-          Alcotest.test_case "for-loop range proves" `Quick
-            test_bounds_for_loop_range;
+          Alcotest.test_case "fires rooted or not" `Quick
+            test_unsafe_fires_rooted_or_not;
           Alcotest.test_case "allowlist precedence" `Quick
-            test_bounds_allowlist_precedence;
+            test_unsafe_allowlist_precedence;
         ] );
       ( "baseline",
         [
@@ -1269,8 +1181,6 @@ let () =
             test_outputs_byte_identical;
           Alcotest.test_case "summary dump is deterministic" `Quick
             test_summary_dump_deterministic;
-          Alcotest.test_case "proven dump licenses every unsafe site" `Quick
-            test_proven_dump_on_tree;
           Alcotest.test_case "stale root fires on a missing binding" `Quick
             test_stale_root;
         ] );

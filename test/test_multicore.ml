@@ -1,20 +1,16 @@
 (* Tests for the sharded multicore data plane (DESIGN.md §11): the
    SPSC ring must be a faithful FIFO under concurrent producers and
-   consumers, the shard map a total contiguous partition, the arena
-   wire path byte-equal to the string encoder, and the domain pool's
-   verdicts identical to the serial pump oracle at every shard
-   count — with a one-shard pool matching the pump's telemetry field
-   for field, cache statistics included. *)
+   consumers, the shard map a total contiguous partition, and the
+   domain pool's verdicts identical to the serial pump oracle at every
+   shard count — with a one-shard pool matching the pump's telemetry
+   field for field, cache statistics included, and a bad batch refused
+   before any of it is queued. *)
 
 module Internet = Topology.Internet
 module Forward = Simcore.Forward
 module Workload = Dataplane.Workload
 module Telemetry = Dataplane.Telemetry
 module Pump = Dataplane.Pump
-module Packet = Netcore.Packet
-module Ipv4 = Netcore.Ipv4
-module Wire = Netcore.Wire
-module Arena = Netcore.Arena
 module Ring = Multicore.Ring
 module Shardmap = Multicore.Shardmap
 module Shard = Multicore.Shard
@@ -177,54 +173,6 @@ let test_shardmap_validation () =
     (fun () -> ignore (Shardmap.create ~routers:4 ~shards:5))
 
 (* ---------------------------------------------------------------- *)
-(* Arena wire path                                                   *)
-
-let test_arena_roundtrip () =
-  let a = Arena.create ~bytes:4096 in
-  let packets =
-    [
-      Packet.make_data ~src:(Ipv4.of_int 1) ~dst:(Ipv4.of_int 2) "hello";
-      Packet.make_data ~src:(Ipv4.of_int 3) ~dst:(Ipv4.of_int 4) "";
-      Packet.make_data ~src:(Ipv4.of_int 0xCAFE) ~dst:(Ipv4.of_int 0xBEEF)
-        (String.make 200 'z');
-    ]
-  in
-  List.iter
-    (fun p ->
-      let len = Wire.wire_length p in
-      let off = Wire.encode_into p a in
-      let buf = Arena.buf a in
-      (* the slab bytes are exactly the string encoding *)
-      let s = Wire.encode p in
-      check Alcotest.int "wire_length matches encoding" (String.length s) len;
-      for i = 0 to len - 1 do
-        check Alcotest.char
-          (Printf.sprintf "byte %d" i)
-          s.[i]
-          (Bigarray.Array1.get buf (off + i))
-      done;
-      (* peeks agree with the decoded packet *)
-      check Alcotest.int "peeked dst"
-        (Ipv4.to_int p.Packet.dst)
-        (Ipv4.to_int (Wire.peek_dst_big buf ~off ~len ~default:(Ipv4.of_int 0)));
-      check Alcotest.int "peeked ttl" p.Packet.ttl
-        (Wire.peek_ttl_big buf ~off ~len ~default:(-1));
-      match Wire.decode_big buf ~off ~len with
-      | Ok q -> check Alcotest.bool "decode_big roundtrips" true (p = q)
-      | Error e -> Alcotest.failf "decode_big failed: %s" e)
-    packets
-
-let test_arena_exhaustion () =
-  let a = Arena.create ~bytes:8 in
-  check Alcotest.int "first alloc at offset 0" 0 (Arena.alloc a 8);
-  check Alcotest.int "exhausted alloc returns -1" (-1) (Arena.alloc a 1);
-  Arena.reset a;
-  check Alcotest.int "reset rewinds the cursor" 0 (Arena.alloc a 4);
-  Alcotest.check_raises "ensure with bytes in flight raises"
-    (Invalid_argument "Arena.ensure: arena in use") (fun () ->
-      Arena.ensure a ~bytes:1024)
-
-(* ---------------------------------------------------------------- *)
 (* Domainpool vs the serial pump oracle                              *)
 
 let pool_fixture =
@@ -253,8 +201,20 @@ let verdict t = routed (Telemetry.total t)
 
 let test_pool_one_shard_equals_pump () =
   let env, flows, pump = Lazy.force pool_fixture in
+  (* a flow of no packets sends nothing, as in the pump; toward a host
+     no flow of the batch reaches, walking it would leave a cache miss
+     in the pool's counters that the pump never records *)
+  let used = List.map (fun (f : Workload.flow) -> f.Workload.dst) flows in
+  let hosts = Array.length env.Forward.inet.Internet.endhosts in
+  let first = List.hd flows in
+  let unreached =
+    List.find
+      (fun h -> h <> first.Workload.src && not (List.mem h used))
+      (List.init hosts Fun.id)
+  in
+  let empty = { first with Workload.dst = unreached; packets = 0 } in
   let pool = Domainpool.create env ~shards:1 ~seed:11L in
-  Domainpool.run pool flows;
+  Domainpool.run pool (flows @ [ empty ]);
   let pt = Domainpool.telemetry pool and st = Pump.telemetry pump in
   (* full structural equality, cache statistics included: one shard
      forwards in exactly the serial order *)
@@ -284,25 +244,56 @@ let test_pool_verdicts_shard_invariant () =
         true (v = oracle))
     [ 1; 2; 3; 4; 8 ]
 
-(* CI runs the whole suite a second time with EVOLVENET_SHARDS=4, so
-   the oracle comparison below actually executes a parallel pool on
-   that pass; unset, a modest default still covers the ring path *)
-let test_pool_env_shard_count () =
+(* A bad batch is refused on the caller's domain before any flow is
+   queued: an oversized body, here on a flow entering shard 1's block,
+   where a worker that raised would leave the pool waiting for ever,
+   and a negative count, which no telemetry can account for. Each bad
+   batch leads with valid flows, so a partly staged batch would show
+   in the next run's verdict. *)
+let test_pool_refuses_bad_batch () =
   let env, flows, pump = Lazy.force pool_fixture in
-  let shards =
-    match Sys.getenv_opt "EVOLVENET_SHARDS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 2)
-    | None -> 2
+  let inet = env.Forward.inet in
+  let two = Shardmap.create ~routers:(Internet.num_routers inet) ~shards:2 in
+  let entry (f : Workload.flow) =
+    (Internet.endhost inet f.Workload.src).Internet.access_router
   in
-  let pool = Domainpool.create env ~shards ~seed:11L in
-  Domainpool.run pool flows;
-  let v = verdict (Domainpool.telemetry pool) in
-  Domainpool.close pool;
-  check Alcotest.bool
-    (Printf.sprintf "EVOLVENET_SHARDS=%d verdict equals the serial pump"
-       shards)
-    true
-    (v = verdict (Pump.telemetry pump))
+  let f = List.find (fun f -> Shardmap.shard_of two (entry f) = 1) flows in
+  let lead = List.filteri (fun i _ -> i < 8) flows in
+  let oversized =
+    ( Invalid_argument "Wire.encode: body exceeds 65535 bytes",
+      lead @ [ { f with Workload.bytes_per_packet = 70_000 } ] )
+  and negative =
+    ( Invalid_argument "Workload.validate: packets must be non-negative",
+      lead @ [ { f with Workload.packets = -3 } ] )
+  in
+  Alcotest.check_raises "the pump refuses a negative count" (fst negative)
+    (fun () -> Pump.run_flow pump { f with Workload.packets = -3 });
+  List.iter
+    (fun shards ->
+      let pool = Domainpool.create env ~shards ~seed:11L in
+      List.iter
+        (fun (exn, batch) ->
+          Alcotest.check_raises
+            (Printf.sprintf "run refuses at %d shard(s)" shards)
+            exn
+            (fun () -> Domainpool.run pool batch);
+          Alcotest.check_raises
+            (Printf.sprintf "run_cooperative refuses at %d shard(s)" shards)
+            exn
+            (fun () -> ignore (Domainpool.run_cooperative pool batch : int)))
+        [ oversized; negative ];
+      (* run_cooperative drains every queue in its first pass, so a
+         flow left over from a refused batch shows in the verdict
+         instead of hanging the live count *)
+      ignore (Domainpool.run_cooperative pool flows : int);
+      let v = verdict (Domainpool.telemetry pool) in
+      Domainpool.close pool;
+      check Alcotest.bool
+        (Printf.sprintf "then a valid batch at %d shard(s) gives the pump's"
+           shards)
+        true
+        (v = verdict (Pump.telemetry pump)))
+    [ 1; 2 ]
 
 (* 0 cache slots means no flow cache, as for the pump: every hop a
    table lookup, the same verdicts, no cache probe counted. *)
@@ -576,20 +567,14 @@ let () =
             test_shardmap_partition;
           Alcotest.test_case "validation" `Quick test_shardmap_validation;
         ] );
-      ( "arena",
-        [
-          Alcotest.test_case "wire roundtrip" `Quick test_arena_roundtrip;
-          Alcotest.test_case "exhaustion and reset" `Quick
-            test_arena_exhaustion;
-        ] );
       ( "domainpool",
         [
           Alcotest.test_case "one shard equals the pump" `Quick
             test_pool_one_shard_equals_pump;
           Alcotest.test_case "verdicts shard-invariant" `Quick
             test_pool_verdicts_shard_invariant;
-          Alcotest.test_case "env-selected shard count" `Quick
-            test_pool_env_shard_count;
+          Alcotest.test_case "a bad batch is refused before queueing" `Quick
+            test_pool_refuses_bad_batch;
           Alcotest.test_case "telemetry accumulates" `Quick
             test_pool_telemetry_accumulates;
           Alcotest.test_case "0 cache slots = uncached" `Quick

@@ -393,6 +393,7 @@ let test_packet_dest_ipv4 () =
 (* Wire                                                                *)
 
 module Wire = Netcore.Wire
+module Arena = Netcore.Arena
 
 let arbitrary_packet =
   let open QCheck.Gen in
@@ -454,6 +455,35 @@ let prop_wire_decode_total =
     QCheck.(string_of_size (QCheck.Gen.int_bound 80))
     (fun s ->
       match Wire.decode s with Ok _ -> true | Error _ -> true)
+
+(* encode_into is encode plus one checked copy: behind [used] bytes
+   already taken, the slab holds encode's image at the returned offset,
+   and an arena one byte short of the image raises. *)
+let prop_wire_encode_into =
+  QCheck.Test.make ~name:"encode_into = encode in a slab" ~count:300
+    QCheck.(pair arbitrary_packet (int_bound 64))
+    (fun (p, used) ->
+      let s = Wire.encode p in
+      let len = String.length s in
+      let a = Arena.create ~bytes:(used + len) in
+      ignore (Arena.alloc a used : int);
+      let off = Wire.encode_into p a in
+      let b = Arena.buf a in
+      let copied = String.init len (fun i -> Bigarray.Array1.get b (off + i)) in
+      let short = Arena.create ~bytes:(len - 1) in
+      let refused =
+        match Wire.encode_into p short with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      off = used && String.equal copied s && refused)
+
+let test_arena_exhaustion () =
+  let a = Arena.create ~bytes:8 in
+  check Alcotest.int "first alloc at offset 0" 0 (Arena.alloc a 8);
+  check Alcotest.int "exhausted alloc returns -1" (-1) (Arena.alloc a 1);
+  Arena.reset a;
+  check Alcotest.int "reset rewinds the cursor" 0 (Arena.alloc a 4)
 
 let test_wire_malformed () =
   let sample =
@@ -569,9 +599,13 @@ let () =
           qcheck prop_wire_length;
           qcheck prop_wire_rejects_truncation;
           qcheck prop_wire_decode_total;
+          qcheck prop_wire_encode_into;
           Alcotest.test_case "malformed inputs" `Quick test_wire_malformed;
           Alcotest.test_case "oversized body" `Quick test_wire_rejects_oversized_body;
         ] );
+      ( "arena",
+        [ Alcotest.test_case "exhaustion and reset" `Quick test_arena_exhaustion ]
+      );
       ( "addressing",
         [
           Alcotest.test_case "plan" `Quick test_addressing_plan;

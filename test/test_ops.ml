@@ -285,6 +285,36 @@ let test_no_recovery_is_graded_worse_or_equal () =
   check Alcotest.bool "recovery does not add blackhole seconds" true
     (with_pb.Slo.blackhole_s <= without.Slo.blackhole_s +. 1e-9)
 
+let test_transcript_prints_clamped_counts () =
+  (* [prepare] clamps a book's deploy and probe counts to the stubs and
+     endhosts the internet has; the header prints the counts that ran *)
+  let b =
+    {
+      Drillbook.prefix_hijack with
+      Drillbook.deploy_domains = 999;
+      probes = 99999;
+    }
+  in
+  let r = Drill.prepare ~params:small_params b in
+  let inet = Drill.internet r in
+  let stubs =
+    Array.fold_left
+      (fun n d -> if d.Internet.is_transit then n else n + 1)
+      0 inet.Internet.domains
+  in
+  let hosts = Array.length inet.Internet.endhosts in
+  let header = List.nth (String.split_on_char '\n' (Drill.transcript r)) 1 in
+  Drill.close r;
+  check Alcotest.int "every stub deployed" stubs (List.length (Drill.deployed r));
+  let expected =
+    Printf.sprintf "deploy %d domain(s); %d probes over %d ticks" stubs hosts
+      b.Drillbook.ticks
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%S ends with %S" header expected)
+    true
+    (String.ends_with ~suffix:expected header)
+
 (* --- looking glass -------------------------------------------------- *)
 
 let test_glass_parse () =
@@ -367,6 +397,8 @@ let () =
             test_every_drill_detects;
           Alcotest.test_case "catalog SLOs hold" `Slow test_catalog_slos_hold;
           Alcotest.test_case "NaN budget fails" `Slow test_nan_budget_fails;
+          Alcotest.test_case "transcript prints clamped counts" `Quick
+            test_transcript_prints_clamped_counts;
           Alcotest.test_case "recovery never hurts" `Slow
             test_no_recovery_is_graded_worse_or_equal;
         ] );

@@ -201,38 +201,19 @@ let rules =
        different instants (the Ring.length clamp exists because this \
        pack was dogfooded on it). Provenance: DESIGN.md \u{00A7}9.5; \
        the publication-order argument in lib/multicore/ring.ml." );
-    ( "arena-bounds",
-      "A linear-arithmetic bounds prover over the typed tree: every \
-       Bigarray/Bytes index reachable from the bounds-proof roots must \
-       be proved in-bounds from the facts that dominate it — branch \
-       guards (with \u{00B1}1 tightening on strict integer \
-       comparisons), for-loop ranges, early-exit raise guards, \
-       `&&`-chain predicates exported as postconditions, and the arena \
-       contract: `let off = Arena.alloc a len` plus a later `off >= 0` \
-       licenses `off + len <= dim(a)`. Obligations a binding cannot \
-       discharge locally are re-expressed over its formal parameters \
-       and discharged at call sites, one reverse-topological pass over \
-       the call-graph SCCs; what still escapes at a root is a finding. \
-       Checked String.get/Array.get stay out of scope by design — the \
-       decode cursor and the ring's masked indexing rely on runtime \
-       checks. Provenance: DESIGN.md \u{00A7}9.5; the paper's \
-       \u{00A7}3 requirement that the cost of a data-plane change be \
-       measured, which the unsafe flip's delta in bench/perf's \
-       `ops_per_s` on the pool workloads quantifies." );
     ( "unsafe-unproven",
-      "The license that makes `unsafe_get`/`unsafe_set` a proof \
-       artifact instead of a judgment call: any unsafe access in lib/ \
-       whose site the bounds prover did not prove in-bounds is a \
-       finding, whether or not it is reachable from the bounds roots. \
-       Together with the CI gate — every unsafe occurrence in lib/ must \
-       appear in the `--proven` site list as proven — an unsafe access \
-       can exist only where a machine-checked proof, or an allowlist \
-       entry with a written justification, stands behind it. \
-       Provenance: DESIGN.md \u{00A7}9.5; CLAUDE.md (unsafe accesses \
-       are lint-licensed only)." );
+      "A flat ban: no `unsafe_get`/`unsafe_set` of any module anywhere \
+       in lib/. Every string, bytes, bigarray and array access there \
+       keeps its runtime bounds check, so a wrong index fails loudly \
+       instead of corrupting memory, and no access needs a proof or a \
+       judgment call. References are resolved on the typed tree, so an \
+       alias or an `open` does not hide one; CI repeats the check \
+       textually, outside the lint binary. The one escape is an \
+       allowlist entry `unsafe-unproven file.ml:binding` with a written \
+       justification. Provenance: DESIGN.md \u{00A7}9.5." );
     ( "stale-root",
-      "Every entry of the hot-path, domain-safety and bounds-proof root \
-       lists must name at least one binding of the call graph. A root \
+      "Every entry of the hot-path and domain-safety root lists must \
+       name at least one binding of the call graph. A root \
        that names nothing — its function deleted or renamed — silently \
        narrows the gate it seeds, so the whole-tree run reports it; \
        rename or delete the entry in tools/lint/lint.ml." );
@@ -280,7 +261,7 @@ let domain_safety_roots =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* evolvelint v4: atomic roles and bounds roots (DESIGN.md §9.5)       *)
+(* evolvelint v4: atomic roles (DESIGN.md §9.5)                       *)
 
 (* The declared per-field protocol for every Atomic.t in lib/multicore.
    rules_atomic checks the whole call graph against this table, and the
@@ -332,19 +313,6 @@ let atomic_scope (m : Typed.modinfo) =
          | Some i -> String.sub f 0 i = m.Typed.ti_module
          | None -> false)
        atomic_roles
-
-(* Roots of the bounds-proof obligation set: the arena-walking worker
-   loop plus the Wire slab codecs it drives. Wire.big_peek_ok is
-   named explicitly — the peek_* wildcard does not cover it, and its
-   &&-chain is the postcondition the peek proofs instantiate. *)
-let bounds_roots =
-  [
-    "Shard.run";
-    "Wire.peek_*";
-    "Wire.encode_into";
-    "Wire.decode_big";
-    "Wire.big_peek_ok";
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Small string helpers                                                *)
@@ -1126,14 +1094,12 @@ let catalog_md () =
      bottom-up to a fixpoint with recursive SCCs collapsed, and runs the \
      comparison-safety, exception-hygiene, hot-path allocation, \
      shared-state, domain-safety, determinism-taint, atomics-protocol \
-     and arena-bounds rule packs over the Typedtree. `--summaries` \
+     and unsafe-ban rule packs over the Typedtree. `--summaries` \
      dumps the summaries, the shared-state inventory, the accessor \
-     aliases, the spawned-closure callees and the bounds-proof site \
-     list (text or `--format json`); `--proven` prints the site list \
-     alone, which CI joins against every `unsafe_get`/`unsafe_set` \
-     occurrence in lib/. DESIGN.md \u{00A7}9.4 documents the effect \
-     lattice and the ownership rule, \u{00A7}9.5 the role lattice and \
-     the interval domain behind the v4 packs.\n\n\
+     aliases and the spawned-closure callees (text or `--format \
+     json`). DESIGN.md \u{00A7}9.4 documents the effect lattice and the \
+     ownership rule, \u{00A7}9.5 the role lattice behind the atomics \
+     pack and the unsafe ban.\n\n\
      Suppression: diagnostics carrying a `RULE FILE:BINDING` key honor \
      two files. `tools/lint/allowlist` records deliberate, justified \
      exceptions and is meant to be permanent; `tools/lint/baseline` \
@@ -1148,10 +1114,7 @@ let catalog_md () =
     (String.concat ", " (List.map (fun r -> "`" ^ r ^ "`") domain_safety_roots));
   Buffer.add_string b
     " — plus, automatically, every callee invoked inside a \
-     `Domain.spawn` closure.\n\nBounds-proof roots: ";
-  Buffer.add_string b
-    (String.concat ", " (List.map (fun r -> "`" ^ r ^ "`") bounds_roots));
-  Buffer.add_string b ".\n";
+     `Domain.spawn` closure.\n";
   List.iter
     (fun (id, why) ->
       Buffer.add_string b (Printf.sprintf "\n## %s\n\n%s\n" id why))
@@ -1179,9 +1142,10 @@ let files_with_suffix root dir suffix =
 (* The typed pass over a loaded tree: call graph, effect summaries,
    reachability from the hot-path and domain-safety roots, then the
    per-module packs (comparison safety, exception hygiene, hot-path
-   allocation) and the whole-graph v3 packs (shared-state inventory,
-   domain-safety, determinism taint). Shared by [run] and the fixture
-   tests (which build one-module trees). *)
+   allocation, the unsafe ban) and the whole-graph packs (shared-state
+   inventory, domain-safety, determinism taint, atomics protocol).
+   Shared by [run] and the fixture tests (which build one-module
+   trees). *)
 let typed_pass_on ~decls cg mods =
   let sums = Summary.compute cg in
   let hot = Callgraph.reachable cg ~roots:hot_path_roots in
@@ -1198,13 +1162,13 @@ let typed_pass_on ~decls cg mods =
     (fun (m : Typed.modinfo) ->
       Rules_compare.check ~decls m
       @ Rules_exn.check m
-      @ Rules_alloc.check ~hot ~roots:hot_path_roots m)
+      @ Rules_alloc.check ~hot ~roots:hot_path_roots m
+      @ Rules_unsafe.check m)
     mods
   @ Rules_state.check ~decls ~sums ~dom cg mods
   @ Rules_domain.check ~sums ~dom ~roots:domain_safety_roots cg
   @ Rules_taint.check ~sums cg
   @ Rules_atomic.check ~roles:atomic_roles ~scope:atomic_scope sums cg mods
-  @ snd (Rules_bounds.analyze ~roots:bounds_roots cg)
 
 let typed_pass ~decls mods = typed_pass_on ~decls (Callgraph.build mods) mods
 
@@ -1227,7 +1191,6 @@ let stale_roots cg =
     [
       ("hot_path_roots", hot_path_roots);
       ("domain_safety_roots", domain_safety_roots);
-      ("bounds_roots", bounds_roots);
     ]
 
 (* Two diagnostics at the same rule+site — one from the untyped pass,
@@ -1350,7 +1313,6 @@ let summary_dump ~root ~json =
          (fun k v acc -> (k, v) :: acc)
          sums.Summary.accessors [])
   in
-  let sites, _ = Rules_bounds.analyze ~roots:bounds_roots cg in
   let effects n = Summary.describe (Summary.get sums.Summary.full n) in
   if json then
     jobj
@@ -1406,27 +1368,6 @@ let summary_dump ~root ~json =
                  jobj [ ("node", jstr n); ("field", jstr f) ])
                accessors) );
         ("spawn_callees", jarr (List.map jstr spawned));
-        ( "bounds_sites",
-          jarr
-            (List.map
-               (fun (s : Rules_bounds.site) ->
-                 jobj
-                   [
-                     ("file", jstr s.Rules_bounds.sp_file);
-                     ("line", string_of_int s.Rules_bounds.sp_line);
-                     ("col", string_of_int s.Rules_bounds.sp_col);
-                     ("accessor", jstr s.Rules_bounds.sp_accessor);
-                     ("node", jstr s.Rules_bounds.sp_node);
-                     ( "unsafe",
-                       if s.Rules_bounds.sp_unsafe then "true" else "false"
-                     );
-                     ( "proven",
-                       if s.Rules_bounds.sp_proven then "true" else "false"
-                     );
-                     ( "reasons",
-                       jarr (List.map jstr s.Rules_bounds.sp_reasons) );
-                   ])
-               sites) );
       ]
   else begin
     let b = Buffer.create 4096 in
@@ -1477,42 +1418,5 @@ let summary_dump ~root ~json =
       (Printf.sprintf "\n# spawned-closure callees (%d)\n"
          (List.length spawned));
     List.iter (fun n -> Buffer.add_string b (n ^ "\n")) spawned;
-    Buffer.add_string b
-      (Printf.sprintf "\n# bounds sites (%d; roots: %s)\n"
-         (List.length sites)
-         (String.concat ", " bounds_roots));
-    List.iter
-      (fun (s : Rules_bounds.site) ->
-        Buffer.add_string b
-          (Printf.sprintf "%s:%d:%d  %s  %s  %s%s\n" s.Rules_bounds.sp_file
-             s.Rules_bounds.sp_line s.Rules_bounds.sp_col
-             s.Rules_bounds.sp_accessor s.Rules_bounds.sp_node
-             (if s.Rules_bounds.sp_proven then "proven" else "unproven")
-             (match s.Rules_bounds.sp_reasons with
-             | [] -> ""
-             | rs -> "  (" ^ String.concat "; " rs ^ ")")))
-      sites;
     Buffer.contents b
   end
-
-(* ------------------------------------------------------------------ *)
-(* `--proven`: the bounds prover's site list alone, one line per
-   access — `file:line:col accessor node proven|unproven`. CI joins
-   every `unsafe_get`/`unsafe_set` occurrence in lib/ against the
-   proven lines, so an unlicensed unsafe access fails the build even
-   if the lint run itself were skipped. *)
-
-let proven_dump ~root =
-  let tree = Typed.load_tree ~root in
-  let cg = Callgraph.build tree.Typed.tmods in
-  let sites, _ = Rules_bounds.analyze ~roots:bounds_roots cg in
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (s : Rules_bounds.site) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s:%d:%d %s %s %s\n" s.Rules_bounds.sp_file
-           s.Rules_bounds.sp_line s.Rules_bounds.sp_col
-           s.Rules_bounds.sp_accessor s.Rules_bounds.sp_node
-           (if s.Rules_bounds.sp_proven then "proven" else "unproven")))
-    sites;
-  Buffer.contents b

@@ -54,11 +54,6 @@ val atomic_scope : Typed.modinfo -> bool
 (** Modules whose Atomic fields must be covered by {!atomic_roles}:
     lib/multicore plus any module the table itself names. *)
 
-val bounds_roots : string list
-(** Roots of the bounds-proof obligation set (rules_bounds): the
-    per-packet entry points plus the Wire slab codecs they drive; a
-    trailing ['*'] is a prefix wildcard. *)
-
 (** Sites exempted from a rule. One entry per line: [RULE FILE:KEY]
     ([#] starts a comment). For [hashtbl-order] and the typed rules the
     key is [file.ml:binding]; for [experiment-artifacts] it is
@@ -119,9 +114,10 @@ val typed_pass : decls:Typed.decls -> Typed.modinfo list -> diag list
 (** The typed rule packs over an already-loaded module set: build the
     call graph, compute the effect summaries (Summary), compute
     reachability from {!hot_path_roots} and {!domain_safety_roots},
-    then run comparison safety, exception hygiene and hot-path
-    allocation per module plus the whole-graph v3 packs (shared-state
-    inventory, domain-safety race detector, determinism taint).
+    then run comparison safety, exception hygiene, hot-path
+    allocation and the unsafe ban per module plus the whole-graph
+    packs (shared-state inventory, domain-safety race detector,
+    determinism taint, atomics protocol).
     Unfiltered — pass the result through {!filter_suppressed}. *)
 
 val dedupe_diags : diag list -> diag list
@@ -143,10 +139,10 @@ val catalog_md : unit -> string
     {!rules}. *)
 
 val stale_roots : Callgraph.t -> diag list
-(** One [stale-root] finding per entry of {!hot_path_roots},
-    {!domain_safety_roots} or {!bounds_roots} that names no binding of
-    the call graph. {!run} applies it to the whole tree; fixture runs
-    of {!typed_pass} do not. *)
+(** One [stale-root] finding per entry of {!hot_path_roots} or
+    {!domain_safety_roots} that names no binding of the call graph.
+    {!run} applies it to the whole tree; fixture runs of {!typed_pass}
+    do not. *)
 
 val run : root:string -> allow:Allowlist.t -> baseline:Allowlist.t -> diag list
 (** Both passes over a repo checkout; sorted, deduplicated. The typed
@@ -158,12 +154,4 @@ val summary_dump : root:string -> json:bool -> string
 (** The `--summaries` report over a built checkout: every binding's
     propagated effect summary, the toplevel shared-state inventory
     with escape classes, the mutable-field inventory with writers, the
-    accessor aliases, the spawned-closure callees and the bounds-proof
-    site list. Deterministic: same tree, byte-identical output. *)
-
-val proven_dump : root:string -> string
-(** The `--proven` report: the bounds prover's site list alone, one
-    [file:line:col accessor binding proven|unproven] line per
-    Bigarray/Bytes access reached by the analysis. CI joins every
-    [unsafe_get]/[unsafe_set] occurrence in lib/ against the proven
-    lines — the unsafe-license gate. *)
+    accessor aliases and the spawned-closure callees. Deterministic: same tree, byte-identical output. *)

@@ -5,16 +5,14 @@
    evolvelint --summaries [--format text|json]  dump effect summaries
                                                 and shared-state inventory
    evolvelint --explain RULE|all                print a rule's rationale
-   evolvelint --catalog                         print doc/LINT.md
-   evolvelint --proven [--root DIR]             print the bounds prover's
-                                                site list (CI unsafe gate) *)
+   evolvelint --catalog                         print doc/LINT.md *)
 
 module Lint = Lintcore.Lint
 
 let usage =
   "evolvelint [--root DIR] [--allowlist FILE] [--baseline FILE] \
    [--format text|json|sarif] [--summaries] [--explain RULE|all] \
-   [--catalog] [--proven]"
+   [--catalog]"
 
 let () =
   let root = ref "." in
@@ -24,7 +22,6 @@ let () =
   let explain = ref "" in
   let catalog = ref false in
   let summaries = ref false in
-  let proven = ref false in
   Arg.parse
     [
       ("--root", Arg.Set_string root, "DIR repository root (default .)");
@@ -50,16 +47,10 @@ let () =
       ( "--catalog",
         Arg.Set catalog,
         " print the generated rule catalog (doc/LINT.md)" );
-      ( "--proven",
-        Arg.Set proven,
-        " print the bounds prover's site list, one `file:line:col \
-         accessor binding proven|unproven` per Bigarray/Bytes access \
-         (the CI unsafe-license gate joins against it)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
     usage;
   if !catalog then print_string (Lint.catalog_md ())
-  else if !proven then print_string (Lint.proven_dump ~root:!root)
   else if !explain <> "" then begin
     let print_rule (id, text) = Printf.printf "%-20s %s\n\n" id text in
     if !explain = "all" then List.iter print_rule Lint.rules
@@ -111,8 +102,8 @@ let () =
               "evolvelint: OK (layering, determinism, interfaces, \
                experiment artifacts, comparison safety, exception \
                hygiene, hot-path allocation, shared state, domain \
-               safety, determinism taint, atomics protocol, arena \
-               bounds)"
+               safety, determinism taint, atomics protocol, unsafe \
+               ban)"
         | _ -> Printf.printf "evolvelint: %d violation(s)\n" (List.length diags))
     | _ -> assert false (* validated above *));
     if diags <> [] then exit 1
