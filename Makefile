@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-json lint-sarif summaries explain catalog perf-smoke report
+.PHONY: build test lint lint-json lint-sarif summaries explain catalog perf-smoke perf-pairs report
 
 build:        ## build everything (zero warnings expected)
 	dune build @all
@@ -36,6 +36,15 @@ perf-smoke:   ## 1 s of every bench/perf workload, traced and oracle-checked
 	for w in $$workloads; do \
 	  bash bench/perf/run.sh --workload "$$w" --seed 1 --seconds 1 --trace 1 --out "perf-$$w.json"; \
 	done
+
+# Alternating paired runs of one workload against another checkout
+# (bench/perf/README.md's "Claiming a gain"), one seed per pair from
+# SEED (default 1) on, --compare per pair, then both sides' medians and
+# quartiles and the change's win count; exits 1 on any "worse".
+perf-pairs:   ## PARENT=<checkout> WORKLOAD=<name> PAIRS=<n> [SEED=<first>]: paired runs vs PARENT
+	@test -n "$(PARENT)" && test -n "$(WORKLOAD)" && test -n "$(PAIRS)" || \
+	  { echo "usage: make perf-pairs PARENT=<checkout> WORKLOAD=<name> PAIRS=<n> [SEED=<first>]" >&2; exit 2; }
+	bash tools/perf_pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(or $(SEED),1)"
 
 report:       ## regenerate RESULTS.md
 	dune exec bin/evolvenet.exe -- report -o RESULTS.md

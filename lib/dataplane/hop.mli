@@ -19,7 +19,9 @@
     endhost, or the handoff hop and TTL in the state for the caller to
     read. A miss refills the cache with the table's own [Some] cell,
     the one {!Netcore.Lpm.lookup_value} returned; on the frozen tables
-    {!Simcore.Fib} compiles, that lookup is a binary search. *)
+    {!Simcore.Fib} compiles, that lookup is a binary search over the
+    maximal intervals of equal action, and the cell is the interval's,
+    shared by every destination in it. *)
 
 type t
 (** Kernel state for one caller: the shared FIB tables, the flow

@@ -81,4 +81,8 @@ let run_flow t (f : Workload.flow) =
     ignore (send_data t ~src:f.Workload.src ~dst:f.Workload.dst ~payload)
   done
 
-let run_batch t flows = List.iter (run_flow t) flows
+(* Every flow is checked before the first is sent, so a refused batch
+   sends nothing. *)
+let run_batch t flows =
+  List.iter Workload.validate flows;
+  List.iter (run_flow t) flows

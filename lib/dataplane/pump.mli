@@ -93,7 +93,10 @@ val send_data : t -> src:int -> dst:int -> payload:string -> Simcore.Forward.tra
 val run_flow : t -> Workload.flow -> unit
 (** Send all of a flow's packets natively, for the telemetry.
     @raise Invalid_argument when the flow fails {!Workload.validate}
-    (checked before any packet is sent), or its packet fails
-    {!Netcore.Wire.encode}. *)
+    (checked before any packet is sent). *)
 
 val run_batch : t -> Workload.flow list -> unit
+(** {!run_flow} over the batch in order.
+    @raise Invalid_argument when any flow fails {!Workload.validate};
+    every flow is checked before the first is sent, so a refused
+    batch leaves the pump as it was. *)

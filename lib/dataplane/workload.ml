@@ -77,7 +77,10 @@ let next t =
 
 let validate f =
   if f.packets < 0 then
-    invalid_arg "Workload.validate: packets must be non-negative"
+    invalid_arg "Workload.validate: packets must be non-negative";
+  (* Wire's body limit *)
+  if f.bytes_per_packet < 0 || f.bytes_per_packet > 0xFFFF then
+    invalid_arg "Workload.validate: bytes_per_packet must be in [0, 65535]"
 
 let batch t ~count = List.init count (fun _ -> next t)
 let total_packets flows = List.fold_left (fun n f -> n + f.packets) 0 flows

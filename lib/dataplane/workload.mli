@@ -45,8 +45,11 @@ val next : t -> flow
 
 val validate : flow -> unit
 (** The one check a flow must pass before either data plane sends it
-    ({!Pump.run_flow}, and [Multicore.Domainpool] for a whole batch).
-    @raise Invalid_argument when [packets] is negative. *)
+    ({!Pump.run_flow}, and {!Pump.run_batch} and
+    [Multicore.Domainpool] for a whole batch before any of it).
+    @raise Invalid_argument when [packets] is negative, or
+    [bytes_per_packet] lies outside [\[0, 65535\]], the largest body
+    {!Netcore.Wire} encodes. *)
 
 val batch : t -> count:int -> flow list
 (** [count] successive flows. *)

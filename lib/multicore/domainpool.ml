@@ -59,11 +59,11 @@ let shard t i = t.shards.(i)
 (* Stage a batch on the caller's domain: encode each flow's packet once
    with the pump's codec, keep the header fields a walk reads, and
    queue them at the entry router's shard. Everything that can refuse
-   (a negative count, an oversized body) runs before the first
-   enqueue, so a refused batch leaves every queue empty. A flow of no
-   packets is skipped, as the pump sends nothing for it. Returns the
-   pool-wide packet count; the caller publishes it into [t.live]
-   before any worker starts. *)
+   ([Workload.validate]: a negative count, a body Wire cannot carry)
+   runs before the first enqueue, so a refused batch leaves every
+   queue empty. A flow of no packets is skipped, as the pump sends
+   nothing for it. Returns the pool-wide packet count; the caller
+   publishes it into [t.live] before any worker starts. *)
 let stage t (flows : Workload.flow list) =
   let inet = t.env.Forward.inet in
   let staged =

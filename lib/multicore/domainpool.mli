@@ -62,9 +62,8 @@ val run : t -> Dataplane.Workload.flow list -> unit
     it, so the batch always drains. With no crash armed the spawn/join
     path is byte-for-byte the pre-supervision one.
     @raise Invalid_argument when a flow fails
-    {!Dataplane.Workload.validate} or its packet fails
-    {!Netcore.Wire.encode}; the refusal comes before any flow is
-    queued, so the pool is left as it was. *)
+    {!Dataplane.Workload.validate}; the refusal comes before any flow
+    is queued, so the pool is left as it was. *)
 
 val run_cooperative : ?slow:int * int -> t -> Dataplane.Workload.flow list -> int
 (** Deterministic single-domain driver: stage the batch, then

@@ -735,10 +735,18 @@ let transcript r =
   let p fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   p "drill %s (seed %Ld, %s)" b.Drillbook.name b.Drillbook.seed
     (Drillbook.kind_label b.Drillbook.kind);
-  (* the counts that ran: [prepare] clamps both to what the internet has *)
+  (* the counts that ran: [params] may replace the book's topology, and
+     [prepare] clamps the deploy and probe counts to what it has *)
+  let transit =
+    Array.fold_left
+      (fun n d -> if d.Internet.is_transit then n + 1 else n)
+      0 r.inet.Internet.domains
+  in
+  (* stub domains per transit, as a book counts them *)
+  let stubs = Array.length r.inet.Internet.domains - transit in
   p "  topology: %d transit x %d stubs; deploy %d domain(s); %d probes over \
      %d ticks"
-    b.Drillbook.transit b.Drillbook.stubs (List.length r.deployed)
+    transit (stubs / max 1 transit) (List.length r.deployed)
     (List.length r.probe_hosts) b.Drillbook.ticks;
   p "  fault: [%.2f, %.2f]  loss %.3f  jitter %.3f  recovery %s (detection \
      delay %.2f)"

@@ -29,14 +29,23 @@ let compiler (env : Forward.env) =
           lazy (Bgp.egress_links env.Forward.bgp ~domain));
   }
 
+let action_equal a b =
+  match (a, b) with
+  | Local, Local -> true
+  | Attached x, Attached y -> x = y
+  | Next_hop x, Next_hop y -> x = y
+  | (Local | Attached _ | Next_hop _), _ -> false
+
 let router_table c r =
   let env = c.env in
   let inet = env.Forward.inet in
   let router = Internet.router inet r in
   let d = router.Internet.rdomain in
   let igp = env.Forward.igps.(d) in
-  let table = ref Lpm.empty in
-  let add p a = table := Lpm.add p a !table in
+  (* the bindings in reverse add order; where a prefix is bound twice,
+     the later binding wins *)
+  let bindings = ref [] in
+  let add p a = bindings := (p, a) :: !bindings in
   (* 1. inter-domain routes (most generic; overwritten by longer/equal
      local entries below) *)
   List.iter
@@ -76,7 +85,7 @@ let router_table c r =
         | Some nh -> add (host_prefix h.Internet.haddr) (Next_hop nh)
         | None -> ())
     (Internet.domain inet d).Internet.endhost_ids;
-  Lpm.freeze !table
+  Lpm.freeze ~equal:action_equal (List.rev !bindings)
 
 let compile env =
   let c = compiler env in
@@ -84,13 +93,6 @@ let compile env =
 
 let lookup t ~router addr = Lpm.lookup_value addr t.tables.(router)
 let table t ~router = t.tables.(router)
-
-let action_equal a b =
-  match (a, b) with
-  | Local, Local -> true
-  | Attached x, Attached y -> x = y
-  | Next_hop x, Next_hop y -> x = y
-  | (Local | Attached _ | Next_hop _), _ -> false
 
 let size t ~router = Lpm.cardinal t.tables.(router)
 

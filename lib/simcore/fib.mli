@@ -12,10 +12,13 @@
       on-the-fly forwarder everywhere (asserted by the test-suite).
 
     Tables are snapshots: recompile after any routing or deployment
-    change. Every compiled table is {!Netcore.Lpm.freeze}d — only read
-    once built, it carries the flat interval layout that makes a
-    lookup a binary search — and can be shared read-only by the data
-    plane's domains. *)
+    change. Each router's table is compiled straight from its binding
+    list by {!Netcore.Lpm.freeze}, with no trie built in between: the
+    sorted bindings plus the maximal address intervals over which the
+    forwarding action is constant (neighbours equal under
+    {!action_equal} merge), so a lookup is a binary search over a few
+    dozen intervals. A compiled table is only read once built, and can
+    be shared read-only by the data plane's domains. *)
 
 type action =
   | Local  (** the address terminates at this router (own address or
@@ -41,7 +44,10 @@ val compiler : Forward.env -> compiler
     domain is resolved until one of its routers is compiled. *)
 
 val router_table : compiler -> int -> action Netcore.Lpm.t
-(** Compile one router's table, frozen. The per-router entry point of the
+(** Compile one router's table: collect its bindings (BGP routes, then
+    anycast groups, then the domain's routers and endhosts, a later
+    binding of a prefix replacing an earlier one) and freeze them. The
+    per-router entry point of the
     only compile path: {!compile} maps it over every router, and a
     staged line-card refresh calls it for just the routers in the
     batch, so its cost is proportional to the routers compiled (plus
@@ -59,8 +65,9 @@ val table : t -> router:int -> action Netcore.Lpm.t
     engine forwards against (and caches in front of). *)
 
 val action_equal : action -> action -> bool
-(** Structural equality on forwarding actions; the hook cache layers
-    and agreement tests use to compare compiled decisions. *)
+(** Structural equality on forwarding actions: the [equal] a compiled
+    table's intervals are merged under, and the hook cache layers and
+    agreement tests use to compare compiled decisions. *)
 
 val size : t -> router:int -> int
 (** Number of FIB entries at one router. *)

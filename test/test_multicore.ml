@@ -246,10 +246,12 @@ let test_pool_verdicts_shard_invariant () =
 
 (* A bad batch is refused on the caller's domain before any flow is
    queued: an oversized body, here on a flow entering shard 1's block,
-   where a worker that raised would leave the pool waiting for ever,
-   and a negative count, which no telemetry can account for. Each bad
-   batch leads with valid flows, so a partly staged batch would show
-   in the next run's verdict. *)
+   where a worker that raised would leave the pool waiting for ever, a
+   negative body, and a negative count, which no telemetry can account
+   for. Each bad batch leads with valid flows, so a partly staged
+   batch would show in the next run's verdict, and a partly sent one
+   in the pump's telemetry. Both engines refuse with the same
+   [Workload.validate] message. *)
 let test_pool_refuses_bad_batch () =
   let env, flows, pump = Lazy.force pool_fixture in
   let inet = env.Forward.inet in
@@ -259,15 +261,29 @@ let test_pool_refuses_bad_batch () =
   in
   let f = List.find (fun f -> Shardmap.shard_of two (entry f) = 1) flows in
   let lead = List.filteri (fun i _ -> i < 8) flows in
-  let oversized =
-    ( Invalid_argument "Wire.encode: body exceeds 65535 bytes",
-      lead @ [ { f with Workload.bytes_per_packet = 70_000 } ] )
+  let bad_body =
+    Invalid_argument "Workload.validate: bytes_per_packet must be in [0, 65535]"
+  in
+  let oversized = (bad_body, lead @ [ { f with Workload.bytes_per_packet = 70_000 } ])
+  and negative_body = (bad_body, lead @ [ { f with Workload.bytes_per_packet = -5 } ])
   and negative =
     ( Invalid_argument "Workload.validate: packets must be non-negative",
       lead @ [ { f with Workload.packets = -3 } ] )
   in
+  let bad = [ oversized; negative_body; negative ] in
   Alcotest.check_raises "the pump refuses a negative count" (fst negative)
     (fun () -> Pump.run_flow pump { f with Workload.packets = -3 });
+  (* a pump of its own, so that a partly sent batch cannot leak into
+     the fixture's telemetry *)
+  let serial = Pump.create env in
+  List.iter
+    (fun (exn, batch) ->
+      let before = Telemetry.total (Pump.telemetry serial) in
+      Alcotest.check_raises "the pump's run_batch refuses" exn (fun () ->
+          Pump.run_batch serial batch);
+      check Alcotest.bool "and sends none of the batch" true
+        (Telemetry.total (Pump.telemetry serial) = before))
+    bad;
   List.iter
     (fun shards ->
       let pool = Domainpool.create env ~shards ~seed:11L in
@@ -281,7 +297,7 @@ let test_pool_refuses_bad_batch () =
             (Printf.sprintf "run_cooperative refuses at %d shard(s)" shards)
             exn
             (fun () -> ignore (Domainpool.run_cooperative pool batch : int)))
-        [ oversized; negative ];
+        bad;
       (* run_cooperative drains every queue in its first pass, so a
          flow left over from a refused batch shows in the verdict
          instead of hanging the live count *)

@@ -115,12 +115,16 @@ let naive_lookup addr table =
       else acc)
     None table
 
+(* Values are distinct in half the tables and drawn from 0-2 in the
+   other half, so that a frozen table has equal neighbours to merge. *)
+let value_span = QCheck.Gen.oneofl [ 3; max_int ]
+
 let arbitrary_table =
   let gen =
     QCheck.Gen.(
-      list_size (int_bound 40) (pair (int_bound 0xFFFF) (int_bound 32))
-      >|= List.mapi (fun i (v, len) ->
-              (Prefix.make (Ipv4.of_int (v * 65521)) len, i)))
+      pair value_span (list_size (int_bound 40) (pair (int_bound 0xFFFF) (int_bound 32)))
+      >|= fun (span, l) ->
+      List.mapi (fun i (v, len) -> (Prefix.make (Ipv4.of_int (v * 65521)) len, i mod span)) l)
   in
   QCheck.make gen
 
@@ -141,9 +145,15 @@ let lookups_agree t table addr =
   let want = naive_lookup addr table in
   Lpm.lookup addr t = want && Lpm.lookup_value addr t = Option.map snd want
 
-(* [freeze] keeps every binding *)
+(* [freeze] keeps every binding, and folds over them in the trie's
+   order *)
 let same_bindings a b =
-  Lpm.bindings a = Lpm.bindings b && Lpm.cardinal a = Lpm.cardinal b
+  let folded t = Lpm.fold (fun p v acc -> (p, v) :: acc) t [] in
+  Lpm.bindings a = Lpm.bindings b
+  && Lpm.cardinal a = Lpm.cardinal b
+  && folded a = folded b
+
+let freeze = Lpm.freeze ~equal:Int.equal
 
 let prop_lpm_matches_naive =
   QCheck.Test.make ~name:"lpm lookup = naive scan" ~count:300
@@ -157,11 +167,19 @@ let prop_lpm_matches_naive =
           [] table
       in
       let t = Lpm.of_list (List.rev dedup) in
-      let frozen = Lpm.freeze t in
+      (* frozen from the trie's bindings, and from the raw list, where
+         the last binding of a prefix must win as it does for [add] *)
+      let frozen = freeze (Lpm.bindings t) and raw = freeze table in
       let probes = Ipv4.of_int (probe * 12347) :: edge_probes dedup in
-      List.for_all (fun a -> lookups_agree t dedup a && lookups_agree frozen dedup a) probes
+      List.for_all
+        (fun a ->
+          lookups_agree t dedup a && lookups_agree frozen dedup a && lookups_agree raw dedup a)
+        probes
       && same_bindings frozen t
-      && List.for_all (fun (p, v) -> Lpm.find_exact p frozen = Some v) dedup)
+      && same_bindings raw t
+      && List.for_all
+           (fun (p, v) -> Lpm.find_exact p frozen = Some v && Lpm.find_exact p raw = Some v)
+           dedup)
 
 let prop_lpm_remove =
   QCheck.Test.make ~name:"remove erases exactly one binding" ~count:200
@@ -191,47 +209,64 @@ let arbitrary_op_sequence =
       pair (int_bound 0xFFFF) (int_bound 32)
       >|= fun (v, len) -> Prefix.make (Ipv4.of_int (v * 65521)) len)
   in
-  let gen_op =
+  let gen_op span =
     QCheck.Gen.(
       frequency
         [
-          (3, map2 (fun p v -> Op_add (p, v)) gen_prefix (int_bound 1000));
+          (3, map2 (fun p v -> Op_add (p, v mod span)) gen_prefix (int_bound 1000));
           (1, map (fun p -> Op_remove p) gen_prefix);
           (2, map (fun n -> Op_probe (Ipv4.of_int (n * 12347))) (int_bound 0xFFFFFF));
         ])
   in
-  QCheck.make QCheck.Gen.(list_size (int_bound 60) gen_op)
+  QCheck.make QCheck.Gen.(value_span >>= fun span -> list_size (int_bound 60) (gen_op span))
 
-(* The same ops run on a trie [t] and on [f], which is frozen again
-   after every op: an add or remove on a frozen table must give the
-   trie's bindings, and both must look up as the model does. *)
+(* The same ops run on a trie [t]; on [f], which is frozen again from
+   its bindings after every op; and on [r], frozen after every op from
+   the raw list of adds so far, duplicate prefixes included, less the
+   removed ones. An add or remove on a frozen table must give the
+   trie's bindings, and all three must look up as the model does. *)
 let prop_lpm_sequence =
   QCheck.Test.make ~name:"add/remove/lookup sequence = naive model" ~count:200
     arbitrary_op_sequence (fun ops ->
-      let step (t, f, model, ok) op =
-        if not ok then (t, f, model, false)
+      let step (t, f, (raw, r), model, ok) op =
+        if not ok then (t, f, (raw, r), model, false)
         else
-          let write t' f' model =
-            (t', Lpm.freeze f', model, same_bindings t' f')
+          let write t' f' raw model =
+            let f' = freeze (Lpm.bindings f') and r' = freeze (List.rev raw) in
+            (t', f', (raw, r'), model, same_bindings t' f' && same_bindings t' r')
           in
           match op with
           | Op_add (p, v) ->
-              write (Lpm.add p v t) (Lpm.add p v f) ((p, v) :: List.remove_assoc p model)
-          | Op_remove p -> write (Lpm.remove p t) (Lpm.remove p f) (List.remove_assoc p model)
+              write (Lpm.add p v t) (Lpm.add p v f) ((p, v) :: raw)
+                ((p, v) :: List.remove_assoc p model)
+          | Op_remove p ->
+              write (Lpm.remove p t) (Lpm.remove p f)
+                (List.filter (fun (q, _) -> not (Prefix.equal p q)) raw)
+                (List.remove_assoc p model)
           | Op_probe addr ->
-              (t, f, model, lookups_agree t model addr && lookups_agree f model addr)
+              ( t,
+                f,
+                (raw, r),
+                model,
+                lookups_agree t model addr
+                && lookups_agree f model addr
+                && lookups_agree r model addr )
       in
-      let t, f, model, ok =
-        List.fold_left step (Lpm.empty, Lpm.freeze Lpm.empty, [], true) ops
+      let t, f, (_, r), model, ok =
+        List.fold_left step (Lpm.empty, freeze [], ([], freeze []), [], true) ops
       in
       ok
       && Lpm.cardinal t = List.length model
       && same_bindings f t
+      && same_bindings r t
       && List.for_all
-           (fun (p, v) -> Lpm.find_exact p t = Some v && Lpm.find_exact p f = Some v)
+           (fun (p, v) ->
+             Lpm.find_exact p t = Some v
+             && Lpm.find_exact p f = Some v
+             && Lpm.find_exact p r = Some v)
            model
       && List.for_all
-           (fun a -> lookups_agree t model a && lookups_agree f model a)
+           (fun a -> lookups_agree t model a && lookups_agree f model a && lookups_agree r model a)
            (edge_probes model))
 
 let test_lpm_longest_wins () =

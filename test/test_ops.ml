@@ -112,6 +112,32 @@ let test_example_files_match_catalog () =
       | Error e -> Alcotest.failf "%s: %s" path e)
     Drillbook.catalog
 
+(* [of_string] is total: whatever the input, it returns [Ok] or
+   [Error] and raises nothing. Inputs are arbitrary bytes, a catalog
+   book's rendering cut at any point, and a rendering with 1-3 bytes
+   replaced by characters the grammar gives meaning to. *)
+let arbitrary_drill_text =
+  let books = List.map Drillbook.to_sexp Drillbook.catalog in
+  let meaningful = List.of_seq (String.to_seq "()0123456789-. abcdefghijklmnopqrstuvwxyz\"") in
+  let open QCheck.Gen in
+  let truncated =
+    oneofl books >>= fun s -> int_bound (String.length s) >|= String.sub s 0
+  in
+  let substituted =
+    oneofl books >>= fun s ->
+    list_size (int_range 1 3) (pair (int_bound (String.length s - 1)) (oneofl meaningful))
+    >|= fun subs ->
+    let b = Bytes.of_string s in
+    List.iter (fun (i, c) -> Bytes.set b i c) subs;
+    Bytes.to_string b
+  in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (oneof [ string_size (int_bound 80); truncated; substituted ])
+
+let prop_of_string_total =
+  QCheck.Test.make ~name:"of_string never raises" ~count:3000 arbitrary_drill_text
+    (fun s -> match Drillbook.of_string s with Ok _ | Error _ -> true)
+
 let test_malformed_drill_files () =
   let expect_error s =
     match Drillbook.of_string s with
@@ -287,7 +313,9 @@ let test_no_recovery_is_graded_worse_or_equal () =
 
 let test_transcript_prints_clamped_counts () =
   (* [prepare] clamps a book's deploy and probe counts to the stubs and
-     endhosts the internet has; the header prints the counts that ran *)
+     endhosts the internet has, and [~params] replaces the book's
+     topology (4 transit x 6 stubs) with 3 x 4; the header prints the
+     counts that ran *)
   let b =
     {
       Drillbook.prefix_hijack with
@@ -307,13 +335,12 @@ let test_transcript_prints_clamped_counts () =
   Drill.close r;
   check Alcotest.int "every stub deployed" stubs (List.length (Drill.deployed r));
   let expected =
-    Printf.sprintf "deploy %d domain(s); %d probes over %d ticks" stubs hosts
-      b.Drillbook.ticks
+    Printf.sprintf
+      "  topology: %d transit x %d stubs; deploy %d domain(s); %d probes over %d ticks"
+      small_params.Internet.transit_domains small_params.Internet.stubs_per_transit stubs
+      hosts b.Drillbook.ticks
   in
-  check Alcotest.bool
-    (Printf.sprintf "%S ends with %S" header expected)
-    true
-    (String.ends_with ~suffix:expected header)
+  check Alcotest.string "the header's counts" expected header
 
 (* --- looking glass -------------------------------------------------- *)
 
@@ -386,6 +413,7 @@ let () =
             test_example_files_match_catalog;
           Alcotest.test_case "malformed files rejected" `Quick
             test_malformed_drill_files;
+          QCheck_alcotest.to_alcotest prop_of_string_total;
         ] );
       ( "drill",
         [
