@@ -1,4 +1,4 @@
-.PHONY: build test lint lint-json lint-sarif summaries explain catalog perf-smoke perf-pairs report
+.PHONY: build test lint lint-json lint-sarif summaries explain catalog perf-smoke perf-pairs same-outputs report
 
 build:        ## build everything (zero warnings expected)
 	dune build @all
@@ -45,6 +45,13 @@ perf-pairs:   ## PARENT=<checkout> WORKLOAD=<name> PAIRS=<n> [SEED=<first>]: pai
 	@test -n "$(PARENT)" && test -n "$(WORKLOAD)" && test -n "$(PAIRS)" || \
 	  { echo "usage: make perf-pairs PARENT=<checkout> WORKLOAD=<name> PAIRS=<n> [SEED=<first>]" >&2; exit 2; }
 	bash tools/perf_pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(or $(SEED),1)"
+
+# Byte-for-byte comparison of every deterministic output with another
+# checkout (tools/same_outputs.sh): `report`, each `exp`, `all` and each
+# catalog drill's `--report`; exits 1 at the first that differs.
+same-outputs: ## PARENT=<checkout>: byte-compare report, exp, all and drills with PARENT
+	@test -n "$(PARENT)" || { echo "usage: make same-outputs PARENT=<checkout>" >&2; exit 2; }
+	bash tools/same_outputs.sh "$(PARENT)"
 
 report:       ## regenerate RESULTS.md
 	dune exec bin/evolvenet.exe -- report -o RESULTS.md

@@ -4,14 +4,16 @@ module Internet = Topology.Internet
 module Forward = Simcore.Forward
 module Fib = Simcore.Fib
 
-type t = { env : Forward.env; hop : Hop.t }
+(* [compiler] is the last compile's, so that a refresh reuses the
+   per-domain plans it built. *)
+type t = { env : Forward.env; hop : Hop.t; mutable compiler : Fib.compiler }
 
 let create ?(cache_slots = 256) (env : Forward.env) =
   if cache_slots < 0 then invalid_arg "Pump.create: cache_slots must be non-negative";
-  let fib = Fib.compile env in
+  let compiler = Fib.compiler env in
   let n = Internet.num_routers env.Forward.inet in
-  let tables = Array.init n (fun r -> Fib.table fib ~router:r) in
-  { env; hop = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots }
+  let tables = Array.init n (Fib.router_table compiler) in
+  { env; hop = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots; compiler }
 
 let set_link_filter t f = Hop.set_link_filter t.hop (Some f)
 let clear_link_filter t = Hop.set_link_filter t.hop None
@@ -26,7 +28,8 @@ let table t ~router = Hop.table t.hop ~router
 let install t c r = Hop.install t.hop ~router:r (Fib.router_table c r)
 
 let refresh ?routers t =
-  let c = Fib.compiler t.env in
+  let c = Fib.recompiler t.compiler in
+  t.compiler <- c;
   match routers with
   | None ->
       for r = 0 to Internet.num_routers t.env.Forward.inet - 1 do

@@ -70,7 +70,9 @@ val refresh : ?routers:int list -> t -> unit
     snapshot — the mixed-table state of a convergence window. Only the
     listed routers are compiled ({!Simcore.Fib.router_table}), so the
     cost is proportional to the routers listed, plus one BGP egress
-    resolution per domain they span. *)
+    resolution per domain they span. The pump keeps its last compile's
+    per-domain plans ({!Simcore.Fib.recompiler}), so a domain's
+    prefixes are sorted again only when its prefix list changed. *)
 
 val table : t -> router:int -> Simcore.Fib.action Netcore.Lpm.t
 (** The table currently installed at [router] — read-only view of

@@ -6,7 +6,9 @@ type flow = { src : int; dst : int; packets : int; bytes_per_packet : int }
 
 type t = {
   inet : Internet.t;
-  weights : float array; (* per domain, normalized *)
+  cum : float array;
+      (* per domain, the running sum of the normalized weights up to it,
+         added left to right *)
   rng : Rng.t;
   packets_per_flow : int;
   payload_mix : int array;
@@ -18,6 +20,8 @@ let create ?(packets_per_flow = 4) ?(payload_mix = [| 64; 512; 1400 |])
     invalid_arg "Workload.create: packets_per_flow must be positive";
   if Array.length payload_mix = 0 then
     invalid_arg "Workload.create: payload_mix must be non-empty";
+  if Array.length inet.Internet.endhosts < 2 then
+    invalid_arg "Workload.create: needs at least two endhosts";
   let n = Internet.num_domains inet in
   let raw =
     match model with
@@ -33,25 +37,32 @@ let create ?(packets_per_flow = 4) ?(payload_mix = [| 64; 512; 1400 |])
             else 1.0 /. Float.pow (float_of_int (d + 1)) zipf_s)
   in
   let total = Array.fold_left ( +. ) 0.0 raw in
-  if total <= 0.0 then invalid_arg "Workload.create: no endhosts anywhere";
+  if total <= 0.0 then invalid_arg "Workload.create: every endhost has zero weight";
+  let cum = Array.make n 0.0 and acc = ref 0.0 in
+  Array.iteri
+    (fun d w ->
+      acc := !acc +. (w /. total);
+      cum.(d) <- !acc)
+    raw;
   {
     inet;
-    weights = Array.map (fun w -> w /. total) raw;
+    cum;
     rng = Rng.create seed;
     packets_per_flow;
     payload_mix;
   }
 
+(* The first domain d < n - 1 with u < cum.(d), or n - 1 if none: a
+   binary search, since the running sums never decrease. *)
 let pick_domain t =
   let u = Rng.float t.rng 1.0 in
-  let n = Array.length t.weights in
-  let rec go d acc =
-    if d >= n - 1 then n - 1
+  let rec go lo hi = (* the answer lies in [lo, hi] *)
+    if lo = hi then lo
     else
-      let acc = acc +. t.weights.(d) in
-      if u < acc then d else go (d + 1) acc
+      let mid = (lo + hi) lsr 1 in
+      if u < t.cum.(mid) then go lo mid else go (mid + 1) hi
   in
-  go 0 0.0
+  go 0 (Array.length t.cum - 1)
 
 let pick_endhost t =
   let rec try_domain () =

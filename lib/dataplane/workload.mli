@@ -37,11 +37,15 @@ val create :
 (** A workload generator over the internet's endhosts.
     [packets_per_flow] (default 4) sets {!flow.packets};
     [payload_mix] (default [[|64; 512; 1400|]]) the payload sizes
-    drawn per flow. @raise Invalid_argument when the internet has no
-    endhosts, [packets_per_flow <= 0], or the mix is empty. *)
+    drawn per flow. A flow's destination is never its source, so the
+    internet needs two endhosts. @raise Invalid_argument when the
+    internet has fewer than two endhosts, [packets_per_flow <= 0], or
+    the mix is empty. *)
 
 val next : t -> flow
-(** Draw the next flow (advances the generator state). *)
+(** Draw the next flow (advances the generator state). Each side draws
+    its domain by a binary search over the running sums of the domain
+    weights, which [create] adds once. *)
 
 val validate : flow -> unit
 (** The one check a flow must pass before either data plane sends it

@@ -274,21 +274,36 @@ let as_path_length r = List.length r.as_path
 let rib_size t ~domain = Lpm.cardinal t.ribs.(domain)
 let rib t ~domain = List.map snd (Lpm.bindings t.ribs.(domain))
 
+let link_of t ~domain r =
+  match next_hop_domain r with
+  | None -> None
+  | Some nb -> List.assoc_opt nb t.links.(domain)
+
 let egress_link t ~domain prefix =
   (* the neighbour the domain's route for the covering prefix goes
      through *)
   match Lpm.lookup_value (Prefix.network prefix) t.ribs.(domain) with
   | None -> None
-  | Some r -> (
-      match next_hop_domain r with
-      | None -> None
-      | Some nb -> List.assoc_opt nb t.links.(domain))
+  | Some r -> link_of t ~domain r
 
+(* [egress_link] of every RIB prefix, with no lookup: the covering
+   route of a prefix's network address is the longest route with that
+   same network (a longer prefix holding the address starts there), so
+   in the RIB's prefix order it is the last of the run of routes that
+   share the network, the prefix's own route first. *)
 let egress_links t ~domain =
-  List.filter_map
-    (fun r ->
-      Option.map (fun l -> (r.prefix, l)) (egress_link t ~domain r.prefix))
-    (rib t ~domain)
+  let rec covering net r = function
+    | r' :: rest when Netcore.Ipv4.equal (Prefix.network r'.prefix) net -> covering net r' rest
+    | _ -> r
+  in
+  let rec go = function
+    | [] -> []
+    | r :: rest -> (
+        match link_of t ~domain (covering (Prefix.network r.prefix) r rest) with
+        | Some l -> (r.prefix, l) :: go rest
+        | None -> go rest)
+  in
+  go (rib t ~domain)
 
 let domain_path t ~src addr =
   match lookup t ~domain:src addr with

@@ -160,7 +160,8 @@ val egress_links :
   t -> domain:int -> (Netcore.Prefix.t * Topology.Internet.interlink) list
 (** Every prefix of the domain's {!rib}, in RIB order, paired with its
     {!egress_link}; prefixes without one are left out — the per-domain
-    half of FIB compilation (§3.2's data-plane state). *)
+    half of FIB compilation (§3.2's data-plane state). One pass over
+    the RIB, with no lookup. *)
 
 val domain_path : t -> src:int -> Netcore.Ipv4.t -> int list option
 (** The AS-level path from [src] to the address's best-matching prefix:

@@ -2,14 +2,14 @@
    bounded by 32, so the lack of path compression costs little and keeps
    the structure easy to verify. A node is one inline-record block.
 
-   [Frozen] is the other form of a table, built by [freeze] from a
-   binding list and holding no trie: [keys]/[vals] are its bindings
+   [Frozen] is the other form of a table, built by [fill] over a
+   [layout] and holding no trie: [keys]/[vals] are its bindings
    sorted by [Prefix.compare], one per prefix, and [starts]/[cells] its
    interval layout — [starts.(i)] is the first address of interval i in
    increasing order ([starts.(0) = 0]) and [cells.(i)] the value cell
    of the longest bound prefix covering it, or [None] where nothing is
    bound. Adjacent intervals hold values that differ under the [equal]
-   given to [freeze]. A [Frozen] only ever stands at the root: [add],
+   given to [fill]. A [Frozen] only ever stands at the root: [add],
    [remove] and [map] rebuild a trie from its bindings. *)
 
 type 'a t =
@@ -159,67 +159,147 @@ let lookup_value addr t = lookup_value_bits (Ipv4.to_int addr) 0 t None
 
 (* --- freezing ------------------------------------------------------ *)
 
-(* The bindings sorted by [Prefix.compare] — every prefix before the
-   longer ones it covers, so the order of a trie's pre-order walk —
-   with the last binding of each prefix kept, as sequential [add]s
-   would. *)
-let sorted_bindings bindings =
-  let rec last_of_each = function
-    | (p, _) :: ((q, _) :: _ as rest) when Prefix.equal p q -> last_of_each rest
-    | b :: rest -> b :: last_of_each rest
-    | [] -> []
-  in
-  let kept = last_of_each (List.stable_sort (fun (p, _) (q, _) -> Prefix.compare p q) bindings) in
-  (Array.of_list (List.map fst kept), Array.of_list (List.map snd kept))
+(* A prefix as one int whose order is [Prefix.compare]'s: the network
+   above the length. *)
+let code p = (Ipv4.to_int (Prefix.network p) lsl 6) lor Prefix.length p
+let code_first c = c lsr 6
+let code_last c = (c lsr 6) + (1 lsl (32 - (c land 63))) - 1
 
-(* One sweep over the sorted keys, collecting the intervals latest
-   first. [stack] holds the open prefixes covering the sweep point,
-   innermost first, as (last address, cell); a sorted key either lies
-   inside the innermost one still open or after it, so the stack is at
-   most 33 deep. Each key emits a piece at its first address, and each
-   close a piece after its last address carrying the next enclosing
-   cell. [emit] drops a piece that a later one at the same address
-   replaces, and extends the previous interval over a piece whose value
-   is [equal] to it. Only the arrays the table keeps are allocated as
-   arrays: a table's intermediates are short-lived lists. *)
-let freeze ~equal bindings =
-  let keys, vals = sorted_bindings bindings in
+(* [keys]: the distinct prefixes in [Prefix.compare] order, every
+   prefix before the longer ones it covers; [slot_of.(i)] the key of
+   the i-th prefix given; [parent.(k)] the innermost key enclosing key
+   [k], or -1. [starts]/[inner]: the elementary intervals, [starts.(0)
+   = 0] and increasing, over each of which the innermost covering key
+   is [inner.(j)] (-1 where no key covers it). *)
+type layout = {
+  keys : Prefix.t array;
+  slot_of : int array;
+  parent : int array;
+  starts : int array;
+  inner : int array;
+}
+
+(* The index of [c] in the sorted, distinct [codes]. *)
+let find_code (codes : int array) (c : int) =
+  let rec go lo hi =
+    let mid = (lo + hi) lsr 1 in
+    let m = codes.(mid) in
+    if m = c then mid else if m < c then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length codes)
+
+(* One sweep over the sorted keys. [stack] holds the keys open at the
+   sweep point, innermost on top; a sorted key either lies inside the
+   innermost one still open or after it, so lengths rise strictly up
+   the stack, which is at most 33 deep. Each key emits a piece at its
+   first address, and each close a piece after its last address naming
+   the next enclosing key; a piece replaces one emitted at the same
+   address. Two adjacent pieces never name the same key. *)
+let layout ps =
+  let codes = Array.map code ps in
+  let sorted = Array.copy codes in
+  Array.stable_sort Int.compare sorted;
+  let distinct = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if i = 0 || sorted.(i - 1) <> c then begin
+        sorted.(!distinct) <- c;
+        incr distinct
+      end)
+    sorted;
+  let uniq = Array.sub sorted 0 !distinct in
+  let k = Array.length uniq in
+  let slot_of = Array.map (find_code uniq) codes in
+  let keys = if k = 0 then [||] else Array.make k ps.(0) in
+  Array.iteri (fun i s -> keys.(s) <- ps.(i)) slot_of;
+  let parent = Array.make k (-1) in
+  let starts = Array.make ((2 * k) + 1) 0 and inner = Array.make ((2 * k) + 1) (-1) in
+  let pieces = ref 1 in
+  let emit start key =
+    if starts.(!pieces - 1) = start then inner.(!pieces - 1) <- key
+    else begin
+      starts.(!pieces) <- start;
+      inner.(!pieces) <- key;
+      incr pieces
+    end
+  in
+  let stack = Array.make 33 0 and depth = ref 0 in
+  let top () = if !depth = 0 then -1 else stack.(!depth - 1) in
+  let close upto =
+    while !depth > 0 && code_last uniq.(top ()) < upto do
+      let last = code_last uniq.(top ()) in
+      decr depth;
+      emit (last + 1) (top ())
+    done
+  in
+  for key = 0 to k - 1 do
+    let first = code_first uniq.(key) in
+    close first;
+    parent.(key) <- top ();
+    stack.(!depth) <- key;
+    incr depth;
+    emit first key
+  done;
+  (* prefixes that end at the top of the space never close *)
+  close 0xFFFF_FFFF;
+  {
+    keys;
+    slot_of;
+    parent;
+    starts = Array.sub starts 0 !pieces;
+    inner = Array.sub inner 0 !pieces;
+  }
+
+let slots l = Array.length l.keys
+let slot l i = l.slot_of.(i)
+
+let fill ~equal l values =
+  let k = Array.length l.keys in
+  if Array.length values <> k then invalid_arg "Lpm.fill: one value per slot of the layout";
+  (* the longest bound match inside a key: its own, or its innermost
+     bound ancestor's *)
+  let rec resolve key =
+    if key < 0 then None
+    else match values.(key) with None -> resolve l.parent.(key) | v -> v
+  in
   let same a b =
     match (a, b) with
     | Some x, Some y -> equal x y
     | None, None -> true
     | _ -> false
   in
-  let emit start cell acc =
-    let acc = match acc with (s, _) :: earlier when s = start -> earlier | _ -> acc in
-    match acc with (_, c) :: _ when same c cell -> acc | _ -> (start, cell) :: acc
-  in
-  let enclosing = function (_, cell) :: _ -> cell | [] -> None in
-  let rec close stack upto acc =
-    match stack with
-    | (last, _) :: rest when last < upto -> close rest upto (emit (last + 1) (enclosing rest) acc)
-    | _ -> (stack, acc)
-  in
-  let rec sweep i stack acc =
-    if i = Array.length keys then
-      (* prefixes that end at the top of the space never close *)
-      snd (close stack 0xFFFF_FFFF acc)
+  (* the maximal runs of elementary intervals with [same] cells, each
+     keeping its first cell *)
+  let e = Array.length l.starts in
+  let starts = Array.make e 0 and cells = Array.make e None in
+  let n = ref 0 in
+  cells.(0) <- resolve l.inner.(0);
+  for j = 1 to e - 1 do
+    let c = resolve l.inner.(j) in
+    if not (same cells.(!n) c) then begin
+      incr n;
+      starts.(!n) <- l.starts.(j);
+      cells.(!n) <- c
+    end
+  done;
+  let starts = Array.sub starts 0 (!n + 1) and cells = Array.sub cells 0 (!n + 1) in
+  let kept = Array.fold_left (fun n v -> if Option.is_some v then n + 1 else n) 0 values in
+  let keys, vals =
+    if kept = k then (l.keys, Array.map Option.get values)
     else
-      let p = keys.(i) in
-      let first = Ipv4.to_int (Prefix.network p) in
-      let stack, acc = close stack first acc in
-      let cell = Some vals.(i) in
-      sweep (i + 1) ((first + Prefix.size p - 1, cell) :: stack) (emit first cell acc)
+      let idx =
+        Array.of_list (List.filter (fun key -> Option.is_some values.(key)) (List.init k Fun.id))
+      in
+      (Array.map (fun key -> l.keys.(key)) idx, Array.map (fun key -> Option.get values.(key)) idx)
   in
-  let latest_first = sweep 0 [] (emit 0 None []) in
-  let n = List.length latest_first in
-  let starts = Array.make n 0 and cells = Array.make n None in
-  List.iteri
-    (fun i (start, cell) ->
-      starts.(n - 1 - i) <- start;
-      cells.(n - 1 - i) <- cell)
-    latest_first;
   Frozen { keys; vals; starts; cells }
+
+let freeze ~equal bindings =
+  let l = layout (Array.of_list (List.map fst bindings)) in
+  let values = Array.make (slots l) None in
+  (* read as a sequence of adds: a later binding of a prefix wins *)
+  List.iteri (fun i (_, v) -> values.(l.slot_of.(i)) <- Some v) bindings;
+  fill ~equal l values
 
 (* --- whole-table views --------------------------------------------- *)
 
@@ -248,9 +328,7 @@ let fold f t acc =
 
 let iter f t = fold (fun p v () -> f p v) t ()
 
-let bindings t =
-  fold (fun p v acc -> (p, v) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
+let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
 let cardinal = function
   | Frozen f -> Array.length f.keys

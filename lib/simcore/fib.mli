@@ -12,13 +12,22 @@
       on-the-fly forwarder everywhere (asserted by the test-suite).
 
     Tables are snapshots: recompile after any routing or deployment
-    change. Each router's table is compiled straight from its binding
-    list by {!Netcore.Lpm.freeze}, with no trie built in between: the
-    sorted bindings plus the maximal address intervals over which the
-    forwarding action is constant (neighbours equal under
-    {!action_equal} merge), so a lookup is a binary search over a few
-    dozen intervals. A compiled table is only read once built, and can
-    be shared read-only by the data plane's domains. *)
+    change. Each router's table is frozen with no trie built in
+    between: the sorted bindings plus the maximal address intervals
+    over which the forwarding action is constant (neighbours equal
+    under {!action_equal} merge), so a lookup is a binary search over a
+    few dozen intervals. A compiled table is only read once built, and
+    can be shared read-only by the data plane's domains.
+
+    A compile splits its work per domain and per router. Every router
+    of a domain binds the same prefixes in the same order — the
+    domain's BGP egress prefixes, its anycast groups, its routers, its
+    endhosts — and only the actions differ. So the prefix-dependent
+    half of a freeze, the sort and the sweep ({!Netcore.Lpm.layout}),
+    runs once per domain, into the domain's {e plan}; each router then
+    computes one action per plan position, asking the IGP once per
+    router of its domain, and fills its table over the plan
+    ({!Netcore.Lpm.fill}). *)
 
 type action =
   | Local  (** the address terminates at this router (own address or
@@ -31,27 +40,39 @@ type t
 
 type compiler
 (** The compile state for one control-plane snapshot: the env plus,
-    per domain, the RIB prefixes paired with their BGP egress
-    interlinks. Egress resolution ({!Interdomain.Bgp.egress_links})
-    depends only on the domain, so it runs once per domain — lazily,
-    on the first router of that domain compiled — and is shared by all
-    of the domain's routers. Build a fresh compiler after any routing
-    or deployment change; one is not safe to use from several domains
-    at once. *)
+    per domain, the BGP egress interlinks
+    ({!Interdomain.Bgp.egress_links}) and the plan. Both depend only on
+    the domain, so each is built once per domain — lazily, on the first
+    router of that domain compiled — and shared by all of the domain's
+    routers. Build a fresh compiler (or a {!recompiler}) after any
+    routing or deployment change; one is not safe to use from several
+    domains at once. *)
 
 val compiler : Forward.env -> compiler
 (** Start compiling the env's current control-plane state. Cheap: no
     domain is resolved until one of its routers is compiled. *)
 
+val recompiler : compiler -> compiler
+(** [recompiler c] is a compiler for the env's current control-plane
+    state that reuses the plans [c] holds: a domain resolved again
+    keeps the plan [c] built (or itself reused) while the domain's
+    ordered prefix list is equal to the one that plan was built from,
+    and builds a new one otherwise. A plan is a function of that list alone, so the reuse
+    is exact: the tables equal a fresh {!compiler}'s. A staged
+    line-card refresh, which compiles a few routers in most domains on
+    every call, thereby sorts and sweeps a domain's prefixes only when
+    its RIB or anycast groups changed. *)
+
 val router_table : compiler -> int -> action Netcore.Lpm.t
-(** Compile one router's table: collect its bindings (BGP routes, then
-    anycast groups, then the domain's routers and endhosts, a later
-    binding of a prefix replacing an earlier one) and freeze them. The
-    per-router entry point of the
-    only compile path: {!compile} maps it over every router, and a
-    staged line-card refresh calls it for just the routers in the
-    batch, so its cost is proportional to the routers compiled (plus
-    one egress resolution per domain they span). *)
+(** Compile one router's table: one action per position of its
+    domain's plan (BGP routes, then anycast groups, then the domain's
+    routers and endhosts; none where the IGP has no route, and a later
+    binding of a prefix replacing an earlier one), filled over the
+    plan. The per-router entry point of the only compile path:
+    {!compile} maps it over every router, and a staged line-card
+    refresh calls it for just the routers in the batch, so its cost is
+    proportional to the routers compiled (plus one egress resolution,
+    and at most one plan, per domain they span). *)
 
 val compile : Forward.env -> t
 (** Materialize all routers' tables from the current control-plane

@@ -450,6 +450,133 @@ let test_workload_total_packets () =
   check Alcotest.int "total packets" 50
     (Workload.total_packets (Workload.batch wl ~count:10))
 
+(* The generator as it was before its draws became binary searches:
+   every draw re-adds the domain weights left to right and takes the
+   first domain whose running sum passes [u]. Its draws, host picks
+   and record construction mirror Workload's one for one, so equal
+   seeds must give equal flows. *)
+let linear_scan_batch ~packets_per_flow ~payload_mix inet model ~seed ~count =
+  let rng = Rng.create seed in
+  let n = Internet.num_domains inet in
+  let hosts d = (Internet.domain inet d).Internet.endhost_ids in
+  let raw =
+    Array.init n (fun d ->
+        match model with
+        | Workload.Uniform -> float_of_int (Array.length (hosts d))
+        | Workload.Gravity { zipf_s } ->
+            if Array.length (hosts d) = 0 then 0.0
+            else 1.0 /. Float.pow (float_of_int (d + 1)) zipf_s)
+  in
+  let total = Array.fold_left ( +. ) 0.0 raw in
+  let weights = Array.map (fun w -> w /. total) raw in
+  let pick_domain () =
+    let u = Rng.float rng 1.0 in
+    let rec go d acc =
+      if d >= n - 1 then n - 1
+      else
+        let acc = acc +. weights.(d) in
+        if u < acc then d else go (d + 1) acc
+    in
+    go 0 0.0
+  in
+  let rec pick_endhost () =
+    let hs = hosts (pick_domain ()) in
+    if Array.length hs = 0 then pick_endhost () else hs.(Rng.int rng (Array.length hs))
+  in
+  let next () =
+    let src = pick_endhost () in
+    let rec pick_dst () =
+      let d = pick_endhost () in
+      if d = src then pick_dst () else d
+    in
+    {
+      Workload.src;
+      dst = pick_dst ();
+      packets = packets_per_flow;
+      bytes_per_packet = Rng.pick_array rng payload_mix;
+    }
+  in
+  List.init count (fun _ -> next ())
+
+(* Uniform and gravity workloads over custom internets of 2-12 domains
+   with 0-5 endhosts each (so some domains have none, the last one
+   included), and over generated transit-stub internets. *)
+let prop_workload_equals_linear_scan =
+  QCheck.Test.make ~name:"batch = linear-scan reference (binary-search draws)"
+    ~count:60
+    QCheck.(pair (int_bound 100_000) (int_bound 2))
+    (fun (seed, kind) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let inet =
+        if kind = 0 then
+          Internet.build
+            {
+              Internet.default_params with
+              Internet.transit_domains = Rng.int_in rng 2 4;
+              stubs_per_transit = Rng.int_in rng 1 3;
+              endhosts_per_domain = Rng.int_in rng 1 4;
+              seed = Int64.of_int seed;
+            }
+        else
+          let n = Rng.int_in rng 2 12 in
+          let specs =
+            Array.init n (fun d ->
+                {
+                  Internet.routers = Rng.int_in rng 1 3;
+                  endhosts = (if d < 2 then 1 else Rng.int rng 6);
+                  transit = d = 0;
+                })
+          in
+          (* the two sure endhosts sit anywhere, not always up front *)
+          Rng.shuffle rng specs;
+          let links =
+            List.init (n - 1) (fun i ->
+                {
+                  Internet.a = i + 1;
+                  b = Rng.int rng (i + 1);
+                  rel_of_b = Topology.Relationship.Provider;
+                })
+          in
+          Internet.build_custom ~seed:(Int64.of_int seed) specs links
+      in
+      let model =
+        if Rng.bool rng then Workload.Uniform
+        else Workload.Gravity { zipf_s = Rng.float rng 2.0 }
+      in
+      let packets_per_flow = Rng.int_in rng 1 5 and payload_mix = [| 64; 512; 1400 |] in
+      let seed = Int64.of_int (seed + 1) and count = 500 in
+      Workload.batch (Workload.create ~packets_per_flow ~payload_mix inet model ~seed) ~count
+      = linear_scan_batch ~packets_per_flow ~payload_mix inet model ~seed ~count)
+
+(* One endhost can never be both ends of a flow: create refuses it
+   rather than letting the first draw look for ever. *)
+let test_workload_needs_two_endhosts () =
+  let one_host =
+    Internet.build_custom
+      [|
+        { Internet.routers = 2; endhosts = 1; transit = true };
+        { Internet.routers = 1; endhosts = 0; transit = false };
+      |]
+      [ { Internet.a = 1; b = 0; rel_of_b = Topology.Relationship.Provider } ]
+  in
+  check Alcotest.int "one endhost" 1 (Array.length one_host.Internet.endhosts);
+  List.iter
+    (fun model ->
+      Alcotest.check_raises "refused"
+        (Invalid_argument "Workload.create: needs at least two endhosts")
+        (fun () -> ignore (Workload.create one_host model ~seed:1L)))
+    [ Workload.Uniform; Workload.Gravity { zipf_s = 1.2 } ];
+  let two_hosts =
+    Internet.build_custom
+      [|
+        { Internet.routers = 2; endhosts = 1; transit = true };
+        { Internet.routers = 1; endhosts = 1; transit = false };
+      |]
+      [ { Internet.a = 1; b = 0; rel_of_b = Topology.Relationship.Provider } ]
+  in
+  check Alcotest.int "two endhosts draw" 4
+    (List.length (Workload.batch (Workload.create two_hosts Workload.Uniform ~seed:1L) ~count:4))
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
 
@@ -599,10 +726,29 @@ let test_refresh_clears_caches () =
   check Alcotest.int "first post-refresh pass misses" hits_before
     t.Telemetry.cache_hits
 
+(* [b] binds what [a] binds, and looks up as [a] does at each binding's
+   first and last address and one past the last: where a table's
+   merged intervals start and end. *)
 let same_bindings a b =
+  let module Lpm = Netcore.Lpm in
+  let module Prefix = Netcore.Prefix in
+  let lookups_agree addr =
+    match (Lpm.lookup_value addr a, Lpm.lookup_value addr b) with
+    | Some x, Some y -> Fib.action_equal x y
+    | None, None -> true
+    | _ -> false
+  in
   List.equal
-    (fun (p, x) (q, y) -> Netcore.Prefix.equal p q && Fib.action_equal x y)
-    (Netcore.Lpm.bindings a) (Netcore.Lpm.bindings b)
+    (fun (p, x) (q, y) -> Prefix.equal p q && Fib.action_equal x y)
+    (Lpm.bindings a) (Lpm.bindings b)
+  && List.for_all
+       (fun (p, _) ->
+         let first = Ipv4.to_int (Prefix.network p) in
+         let last = first + Prefix.size p - 1 in
+         List.for_all
+           (fun x -> lookups_agree (Ipv4.of_int x))
+           (first :: last :: (if last < 0xFFFF_FFFF then [ last + 1 ] else [])))
+       (Lpm.bindings a)
 
 (* A staged refresh touches exactly the routers it names: after a
    control-plane change, [refresh ~routers:rs] moves the routers in
@@ -629,6 +775,12 @@ let prop_partial_refresh =
       probe_all ();
       let old_tables = Array.init n (fun router -> Pump.table pump ~router) in
       Service.remove_participant service ~domain:5;
+      (* and a /16 goes, so every other domain's prefix list shrinks: a
+         refresh that kept a domain's stale plan would bind the wrong
+         prefixes *)
+      Interdomain.Bgp.withdraw_origin env.Forward.bgp ~domain:2
+        (Internet.domain inet 2).Internet.prefix;
+      ignore (Forward.reconverge env);
       let fresh = Fib.compile env in
       let hits_before =
         Array.init n (fun r -> (Telemetry.router tel r).Telemetry.cache_hits)
@@ -887,6 +1039,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_workload_deterministic;
           Alcotest.test_case "flows valid" `Quick test_workload_flows_valid;
           Alcotest.test_case "total packets" `Quick test_workload_total_packets;
+          QCheck_alcotest.to_alcotest prop_workload_equals_linear_scan;
+          Alcotest.test_case "needs two endhosts" `Quick test_workload_needs_two_endhosts;
         ] );
       ( "telemetry",
         [

@@ -327,8 +327,16 @@ let prop_egress_links_per_prefix =
       let inet = Internet.build params in
       let bgp = Bgp.create inet in
       Bgp.originate_all_domain_prefixes bgp;
-      Bgp.originate bgp ~domain:(seed mod Internet.num_domains inet)
-        (Addressing.anycast_global ~group:8);
+      let n = Internet.num_domains inet in
+      Bgp.originate bgp ~domain:(seed mod n) (Addressing.anycast_global ~group:8);
+      (* more-specifics sharing a /16's network, from other domains: a
+         prefix's egress is its covering route's, the longest of them *)
+      let covered = (Internet.domain inet ((seed + 1) mod n)).Internet.prefix in
+      List.iteri
+        (fun i len ->
+          Bgp.originate bgp ~domain:((seed + 2 + i) mod n)
+            (Prefix.make (Prefix.network covered) len))
+        [ 20; 24 ];
       ignore (Bgp.converge bgp);
       List.for_all
         (fun domain ->

@@ -170,13 +170,38 @@ let prop_lpm_matches_naive =
       (* frozen from the trie's bindings, and from the raw list, where
          the last binding of a prefix must win as it does for [add] *)
       let frozen = freeze (Lpm.bindings t) and raw = freeze table in
-      let probes = Ipv4.of_int (probe * 12347) :: edge_probes dedup in
+      (* filled over a layout of more prefixes than it binds, unbound
+         ones before and after the bound: their addresses must fall
+         through to the enclosing binding *)
+      let unbound =
+        List.concat_map
+          (fun (p, _) ->
+            [
+              Prefix.make (Prefix.network p) (max 0 (Prefix.length p - 2));
+              Prefix.make
+                (Ipv4.add (Prefix.network p) (Prefix.size p / 2))
+                (min 32 (Prefix.length p + 3));
+            ])
+          table
+      in
+      let padded =
+        let l = Lpm.layout (Array.of_list (unbound @ List.map fst table @ unbound)) in
+        let values = Array.make (Lpm.slots l) None in
+        List.iteri (fun i (_, v) -> values.(Lpm.slot l (List.length unbound + i)) <- Some v) table;
+        Lpm.fill ~equal:Int.equal l values
+      in
+      let probes =
+        Ipv4.of_int (probe * 12347)
+        :: edge_probes (dedup @ List.map (fun p -> (p, 0)) unbound)
+      in
       List.for_all
         (fun a ->
-          lookups_agree t dedup a && lookups_agree frozen dedup a && lookups_agree raw dedup a)
+          lookups_agree t dedup a && lookups_agree frozen dedup a && lookups_agree raw dedup a
+          && lookups_agree padded dedup a)
         probes
       && same_bindings frozen t
       && same_bindings raw t
+      && same_bindings padded t
       && List.for_all
            (fun (p, v) -> Lpm.find_exact p frozen = Some v && Lpm.find_exact p raw = Some v)
            dedup)

@@ -341,10 +341,8 @@ let compare_memo tally rng env dst ~ttls =
 
 (* A generated internet with one anycast service deployed, ~10% of its
    links removed and some touched domains' IGPs recomputed (so walks
-   hit No_route), sometimes mid-way through a /16's withdrawal; every
-   destination is compared from every router. *)
-let memo_case seed =
-  let rng = Rng.create (Int64.of_int seed) in
+   hit No_route), sometimes mid-way through a /16's withdrawal. *)
+let damaged_env rng seed =
   let inet =
     if Rng.bool rng then
       Internet.build
@@ -403,6 +401,14 @@ let memo_case seed =
       ignore (Interdomain.Bgp.step env.Forward.bgp)
     done
   end;
+  (env, service)
+
+(* A damaged internet with every destination compared from every
+   router. *)
+let memo_case seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let env, service = damaged_env rng seed in
+  let inet = env.Forward.inet in
   let routers = List.init (Internet.num_routers inet) Fun.id in
   let hosts = List.init (Array.length inet.Internet.endhosts) Fun.id in
   let dsts =
@@ -682,12 +688,38 @@ let fib_env =
     (let env = anycast_env () in
      (env, Fib.compile env))
 
+module Lpm = Netcore.Lpm
+module Prefix = Netcore.Prefix
+
+(* [b] binds what [a] binds, and looks up as [a] does at each binding's
+   first and last address and one past the last: where a table's
+   merged intervals start and end. *)
+let same_table a b =
+  let lookups_agree addr =
+    match (Lpm.lookup_value addr a, Lpm.lookup_value addr b) with
+    | Some x, Some y -> Fib.action_equal x y
+    | None, None -> true
+    | _ -> false
+  in
+  List.equal
+    (fun (p, x) (q, y) -> Prefix.equal p q && Fib.action_equal x y)
+    (Lpm.bindings a) (Lpm.bindings b)
+  && Lpm.cardinal a = Lpm.cardinal b
+  && List.for_all
+       (fun (p, _) ->
+         let first = Ipv4.to_int (Prefix.network p) in
+         let last = first + Prefix.size p - 1 in
+         List.for_all
+           (fun x -> lookups_agree (Ipv4.of_int x))
+           (first :: last :: (if last < 0xFFFF_FFFF then [ last + 1 ] else [])))
+       (Lpm.bindings a)
+
 let test_fib_router_table_equals_compile () =
   (* a private env: the membership change below must not leak into the
      shared fixture *)
   let env = anycast_env () in
   let inet = env.Forward.inet in
-  let same_table what =
+  let same_tables what =
     let fib = Fib.compile env and c = Fib.compiler env in
     (* descending, so the shared per-domain egress lists are built from
        a different router than in [compile] *)
@@ -695,13 +727,10 @@ let test_fib_router_table_equals_compile () =
       check Alcotest.bool
         (Printf.sprintf "%s: router %d" what r)
         true
-        (List.equal
-           (fun (p, a) (q, b) -> Netcore.Prefix.equal p q && Fib.action_equal a b)
-           (Netcore.Lpm.bindings (Fib.router_table c r))
-           (Netcore.Lpm.bindings (Fib.table fib ~router:r)))
+        (same_table (Fib.table fib ~router:r) (Fib.router_table c r))
     done
   in
-  same_table "initial";
+  same_tables "initial";
   (* membership change: domain 5 loses half its members and domain 9
      joins the group, so both IGP anycast and BGP entries move *)
   let group = Addressing.anycast_global ~group:8 in
@@ -715,7 +744,139 @@ let test_fib_router_table_equals_compile () =
     (Internet.domain inet 9).Internet.router_ids;
   Interdomain.Bgp.originate env.Forward.bgp ~domain:9 group;
   ignore (Forward.reconverge env);
-  same_table "after membership change"
+  same_tables "after membership change"
+
+(* The reference for a compiled table: the binding collection
+   [Fib.router_table] made before per-domain plans, one IGP query per
+   binding — BGP egress routes (each RIB prefix's [Bgp.egress_link]
+   lookup), then anycast groups, then the domain's routers and
+   endhosts — added in that order to a trie. Also says whether the
+   router binds fewer prefixes than its domain's plan because some
+   [Igp.next_hop] answered [None], and whether it binds a prefix
+   twice. *)
+let model_table (env : Forward.env) r =
+  let inet = env.Forward.inet in
+  let d = (Internet.router inet r).Internet.rdomain in
+  let dom = Internet.domain inet d in
+  let igp = env.Forward.igps.(d) in
+  let egress =
+    List.filter_map
+      (fun route ->
+        let p = route.Interdomain.Bgp.prefix in
+        Option.map
+          (fun link -> (p, link))
+          (Interdomain.Bgp.egress_link env.Forward.bgp ~domain:d p))
+      (Interdomain.Bgp.rib env.Forward.bgp ~domain:d)
+  in
+  let host a = Prefix.make a 32 in
+  let bindings = ref [] and skipped = ref false in
+  let add p a = bindings := (p, a) :: !bindings in
+  let toward p dst =
+    match Routing.Igp.next_hop igp ~src:r ~dst with
+    | Some nh -> add p (Fib.Next_hop nh)
+    | None -> skipped := true
+  in
+  List.iter
+    (fun (p, link) ->
+      if link.Internet.a_router = r then add p (Fib.Next_hop link.Internet.b_router)
+      else toward p link.Internet.a_router)
+    egress;
+  List.iter
+    (fun g ->
+      match Routing.Igp.anycast_route igp ~src:r ~group:g with
+      | Some a when a.Routing.Igp.deliver -> add g Fib.Local
+      | Some a -> add g (Fib.Next_hop a.Routing.Igp.next_hop)
+      | None -> ())
+    (Routing.Igp.groups igp);
+  Array.iter
+    (fun r2 ->
+      let p = host (Internet.router inet r2).Internet.raddr in
+      if r2 = r then add p Fib.Local else toward p r2)
+    dom.Internet.router_ids;
+  Array.iter
+    (fun h ->
+      let e = Internet.endhost inet h in
+      let p = host e.Internet.haddr in
+      if e.Internet.access_router = r then add p (Fib.Attached h)
+      else toward p e.Internet.access_router)
+    dom.Internet.endhost_ids;
+  let bindings = List.rev !bindings in
+  (* the domain's plan: every prefix any of its routers may bind *)
+  let plan =
+    List.map fst egress @ Routing.Igp.groups igp
+    @ List.map
+        (fun r2 -> host (Internet.router inet r2).Internet.raddr)
+        (Array.to_list dom.Internet.router_ids)
+    @ List.map
+        (fun h -> host (Internet.endhost inet h).Internet.haddr)
+        (Array.to_list dom.Internet.endhost_ids)
+  in
+  let distinct ps = List.length (List.sort_uniq Prefix.compare ps) in
+  let table = List.fold_left (fun t (p, a) -> Lpm.add p a t) Lpm.empty bindings in
+  ( table,
+    !skipped && Lpm.cardinal table < distinct plan,
+    distinct (List.map fst bindings) < List.length bindings )
+
+type compile_tally = { mutable fewer : int; mutable twice : int; mutable wrong : string list }
+
+(* Every router's table on a damaged internet (the memo generator's)
+   against the model; then, after withdrawing one more /16 and adding
+   an anycast member in a domain that BGP may already route the group
+   to elsewhere (so its routers bind the group's prefix twice), every
+   router's table from a [recompiler] of the first compiler, which
+   reuses the plans of the domains whose prefix lists did not change. *)
+let compile_case seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let env, service = damaged_env rng seed in
+  let inet = env.Forward.inet in
+  let tally = { fewer = 0; twice = 0; wrong = [] } in
+  let compare what c =
+    for r = 0 to Internet.num_routers inet - 1 do
+      let model, fewer, twice = model_table env r in
+      if fewer then tally.fewer <- tally.fewer + 1;
+      if twice then tally.twice <- tally.twice + 1;
+      if not (same_table model (Fib.router_table c r)) then
+        tally.wrong <- Printf.sprintf "%s: router %d" what r :: tally.wrong
+    done
+  in
+  let first = Fib.compiler env in
+  compare "compile" first;
+  let num = Internet.num_domains inet in
+  let d = Rng.int rng num in
+  Interdomain.Bgp.withdraw_origin env.Forward.bgp ~domain:d
+    (Internet.domain inet d).Internet.prefix;
+  ignore (Forward.reconverge env);
+  let d = Rng.int rng num in
+  let routers = (Internet.domain inet d).Internet.router_ids in
+  Routing.Igp.advertise_anycast env.Forward.igps.(d) ~group:(Service.group service)
+    ~member:routers.(Rng.int rng (Array.length routers));
+  compare "recompile" (Fib.recompiler first);
+  tally
+
+let prop_compile_equals_model =
+  QCheck.Test.make ~name:"compiled tables = sequential-add model (damaged internets)"
+    ~count:100
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      match (compile_case seed).wrong with
+      | [] -> true
+      | w :: _ as all -> QCheck.Test.fail_reportf "%d tables differ, e.g. %s" (List.length all) w)
+
+(* The property's generator reaches the two cases a per-domain plan
+   must handle: a router that binds fewer prefixes than its plan, and
+   a prefix bound twice. *)
+let test_compile_covers_cases () =
+  let fewer = ref 0 and twice = ref 0 in
+  for seed = 1 to 12 do
+    let t = compile_case seed in
+    check Alcotest.(list string) "no table differs" [] t.wrong;
+    fewer := !fewer + t.fewer;
+    twice := !twice + t.twice
+  done;
+  Printf.printf "routers binding fewer prefixes than their plan: %d; binding a prefix twice: %d\n"
+    !fewer !twice;
+  check Alcotest.bool "fewer than the plan" true (!fewer > 0);
+  check Alcotest.bool "a prefix bound twice" true (!twice > 0)
 
 let test_fib_agrees_with_decide () =
   let env, fib = Lazy.force fib_env in
@@ -1765,6 +1926,9 @@ let () =
           Alcotest.test_case "forwarding delivers" `Quick test_fib_forward_delivers;
           Alcotest.test_case "per-router compile = full compile" `Quick
             test_fib_router_table_equals_compile;
+          qcheck prop_compile_equals_model;
+          Alcotest.test_case "compile property reaches its cases" `Quick
+            test_compile_covers_cases;
         ] );
       ( "bgpdyn",
         [
