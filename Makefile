@@ -48,7 +48,8 @@ perf-pairs:   ## PARENT=<checkout> WORKLOAD=<name> PAIRS=<n> [SEED=<first>]: pai
 
 # Byte-for-byte comparison of every deterministic output with another
 # checkout (tools/same_outputs.sh): `report`, each `exp`, `all` and each
-# catalog drill's `--report`; exits 1 at the first that differs.
+# catalog drill's `--report`; names every output that differs, with the
+# head of its diff, and exits 1 when any does.
 same-outputs: ## PARENT=<checkout>: byte-compare report, exp, all and drills with PARENT
 	@test -n "$(PARENT)" || { echo "usage: make same-outputs PARENT=<checkout>" >&2; exit 2; }
 	bash tools/same_outputs.sh "$(PARENT)"

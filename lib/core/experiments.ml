@@ -1769,7 +1769,6 @@ type e29_row = {
   mean_stretch29 : float;  (** data-plane hops, evolved / native *)
   p99_stretch29 : float;
   byte_overhead29 : float;  (** evolved wire bytes / native - 1 *)
-  cache_hit29 : float;  (** flow-cache hit rate over the sweep point *)
 }
 
 let e29_dataplane_cost ?(params = Internet.default_params)
@@ -1875,7 +1874,6 @@ let e29_dataplane_cost ?(params = Internet.default_params)
                else
                  float_of_int !evolved_bytes /. float_of_int !native_bytes
                  -. 1.0);
-            cache_hit29 = Pump.cache_hit_rate pump;
           })
         fractions)
     strategies
@@ -1888,7 +1886,6 @@ let e29_cells (r : e29_row) =
     Table.ff r.mean_stretch29;
     Table.ff r.p99_stretch29;
     Table.fpct r.byte_overhead29;
-    Table.fpct r.cache_hit29;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -2631,8 +2628,7 @@ let e37_crash_recovery ?(params = Internet.default_params)
       ignore (Domainpool.run_cooperative p0 batch : int);
       let base = verdict p0 in
       Domainpool.close p0;
-      (* one worker crashes mid-batch; the supervisor revives it and
-         the flow caches rebuild warm from the shared FIB snapshots *)
+      (* one worker crashes mid-batch; the supervisor revives it *)
       let p1 = Domainpool.create env ~shards ~seed in
       let victim = if shards > 1 then 1 else 0 in
       Shard.arm_crash (Domainpool.shard p1 victim) ~after:crash_after;
@@ -2803,7 +2799,6 @@ let registry =
         "mean stretch";
         "p99 stretch";
         "byte overhead";
-        "cache hits";
       ]
       e29_cells (fun params -> e29_dataplane_cost ~params ());
     entry "e30" "traffic during churn"

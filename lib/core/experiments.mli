@@ -535,8 +535,8 @@ val e28_path_hunting :
 (** {1 E29 — the data-plane cost of evolution}
 
     The architectural bill measured where it is paid: gravity-model
-    flow batches pushed through compiled FIB snapshots with per-router
-    flow caches ({!Dataplane.Pump}), native IPv4 vs the encapsulated
+    flow batches pushed through compiled per-router FIB snapshots
+    ({!Dataplane.Pump}), native IPv4 vs the encapsulated
     IPvN journey, as deployment sweeps 0 to 100% under Option 1 and
     Option 2. Delivery, hop stretch (mean and p99) and wire-byte
     overhead all converge toward native as deployment completes. *)
@@ -548,7 +548,6 @@ type e29_row = {
   mean_stretch29 : float;
   p99_stretch29 : float;
   byte_overhead29 : float;
-  cache_hit29 : float;
 }
 
 val e29_dataplane_cost :
@@ -778,8 +777,8 @@ val e36_overload_response :
     data plane ({!Multicore.Domainpool}) crashes deterministically
     mid-batch, between flowlets; the supervisor detects the published
     dead flag, revives the shard and the batch drains to completion.
-    The only state a crash loses is the victim's flow caches, which
-    rebuild warm from the shared immutable FIB snapshots — so the
+    A crash loses no forwarding state — every walk reads the shared
+    immutable FIB snapshots — so the
     delivery verdicts (packets, bytes, delivered, dropped, TTL) are
     byte-identical to a never-crashed run at every shard count, and
     nothing is shed on the way (both asserted in the test-suite). *)

@@ -2,8 +2,8 @@ module Ipv4 = Netcore.Ipv4
 
 (* Split key/value arrays rather than one [(key * value) option array]:
    [values.(i)] holds the [Some v] that [lookup] returns, so a cache hit
-   allocates nothing. The cell is the one [refill] was given — for the
-   data plane, the FIB's own — so a miss allocates nothing either.
+   allocates nothing. The cell is the one [refill] was given, so a
+   refill with a cell the caller already holds allocates nothing either.
    [keys.(i)] is meaningful only where [values.(i)] is [Some _]. *)
 type 'a t = {
   keys : Ipv4.t array;

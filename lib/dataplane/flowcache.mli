@@ -1,21 +1,23 @@
-(** Per-router flow cache in front of the compiled FIB.
+(** A direct-mapped flow cache, kept for bench/perf's replay alone.
 
     The paper's routing-state concern (§3.2: anycast routes are
     non-aggregatable, so FIBs grow with deployment) makes the
-    longest-prefix match the expensive step of every hop. A real line
-    card hides that cost behind an exact-match flow cache; this module
-    is that cache: a direct-mapped (address → action) array indexed by
-    a multiplicative hash of the destination (raw low bits would alias
-    the whole internet onto a few slots, since endhost addresses are
-    /16-aligned), with hit/miss/eviction counters so experiments can
-    report how much locality the workload has.
+    longest-prefix match the expensive step of every hop, and a real
+    line card may hide it behind an exact-match flow cache. This
+    module is such a cache: a direct-mapped (address → value) array
+    indexed by a multiplicative hash of the destination (raw low bits
+    would alias the whole internet onto a few slots, since endhost
+    addresses are /16-aligned), with hit/miss/eviction counters.
 
-    A slot holds a [Some] cell and a hit returns that very cell. The
-    data plane fills slots with the FIB's own cells ({!refill}), so
-    neither a hit nor a miss allocates.
+    The data plane holds no flow cache: the {!Hop} kernel decides every
+    hop with one tag lookup in the router's compiled table (its header
+    says why). Nothing in lib/ uses this module; only bench/perf's
+    [flowcache.*] replay does, and it leaves with that replay.
 
-    Entries are forwarding decisions, so the cache must be {!clear}ed
-    whenever the FIB snapshot it fronts is recompiled. *)
+    A slot holds a [Some] cell and a hit returns that very cell, so a
+    {!refill} with a cell the caller already holds allocates nothing.
+    Entries are whatever the caller computed, so the cache must be
+    {!clear}ed whenever that computation's inputs change. *)
 
 type 'a t
 (** A direct-mapped cache from {!Netcore.Ipv4.t} to ['a]. *)
@@ -39,9 +41,8 @@ val refill : 'a t -> Netcore.Ipv4.t -> 'a option -> unit
     overwriting the slot (replacing a different address counts as an
     eviction); a [None] cell leaves the cache as it was. The slot keeps
     [cell] itself, and {!lookup} returns it on every hit, so a refill
-    with a cell the caller already holds allocates nothing — the data
-    plane refills with the [Some] that {!Netcore.Lpm.lookup_value}
-    returned, the FIB's own. *)
+    with a cell the caller already holds — say the [Some] that
+    {!Netcore.Lpm.lookup_value} returned — allocates nothing. *)
 
 val insert : 'a t -> Netcore.Ipv4.t -> 'a -> unit
 (** [insert t addr v] is [refill t addr (Some v)]: one new cell. *)
@@ -51,8 +52,7 @@ val find : 'a t -> Netcore.Ipv4.t -> compute:(Netcore.Ipv4.t -> 'a option) -> 'a
     the cell it returned. [None] results are not cached. *)
 
 val clear : 'a t -> unit
-(** Drop every entry (FIB recompile invalidation); counters are
-    kept. *)
+(** Drop every entry; counters are kept. *)
 
 val stats : 'a t -> stats
 val hit_rate : 'a t -> float

@@ -3,31 +3,33 @@
     Both data paths walk packets through {!walk} — the serial {!Pump}
     with count 1 over a block spanning every router, and each
     [Multicore.Shard] with a flowlet's count over its own router
-    block. A walk starts at an entry router and, hop by hop, probes
-    the router's flow cache in front of its compiled
-    {!Simcore.Fib} table (§3.2's per-router data-plane state), checks
-    TTL and a next hop that does not advance, consults the link
-    filter and the optional {!Linkq}, and records count-weighted
-    {!Telemetry}, until the packets are delivered, dropped, or the
-    next hop leaves the block. Its decisions are those of the
-    {!Simcore.Forward.forward} oracle over the installed tables; the
-    test-suite asserts that for both callers.
+    block. A walk starts at an entry router and, hop by hop, looks up
+    the tag of the router's compiled {!Simcore.Fib} table (§3.2's
+    per-router data-plane state) with {!Netcore.Lpm.lookup_tag} and
+    decodes it in place ({!Simcore.Fib.tag}), checks TTL and a next hop
+    that does not advance, consults the link filter and the optional
+    {!Linkq}, and records count-weighted {!Telemetry}, until the
+    packets are delivered, dropped, or the next hop leaves the block.
+    Its decisions are those of the {!Simcore.Forward.forward} oracle
+    over the installed tables; the test-suite asserts that for both
+    callers.
 
-    A walk allocates nothing, on a flow-cache hit or a miss (the
-    test-suite counts its minor words): it returns a constant verdict
-    and leaves the routers it visited, the terminal router, the
-    endhost, or the handoff hop and TTL in the state for the caller to
-    read. A miss refills the cache with the table's own [Some] cell,
-    the one {!Netcore.Lpm.lookup_value} returned; on the frozen tables
-    {!Simcore.Fib} compiles, that lookup is a binary search over the
-    maximal intervals of equal action, and the cell is the interval's,
-    shared by every destination in it. *)
+    A hop is a binary search over one int array that interleaves the
+    table's interval starts and action tags, and no flow cache sits in
+    front of it: on the frozen, merged tables {!Simcore.Fib} compiles,
+    the search costs less than a cache probe plus its misses on
+    uniform traffic and about as much as a hit on gravity traffic
+    walked packet by packet. Only hot flows walked as flowlets, as a
+    pool shard walks them, would see a cache pay.
+    A walk allocates nothing (the test-suite counts its minor words):
+    it returns a constant verdict and leaves the routers it visited,
+    the terminal router, the endhost, or the handoff hop and TTL in the
+    state for the caller to read. *)
 
 type t
-(** Kernel state for one caller: the shared FIB tables, the flow
-    caches of the caller's router block [\[lo, hi)], its telemetry,
-    its link filter and its optional link queues. Owned by one walker
-    at a time. *)
+(** Kernel state for one caller: the shared FIB tables, the caller's
+    router block [\[lo, hi)], its telemetry, its link filter and its
+    optional link queues. Owned by one walker at a time. *)
 
 type verdict =
   | Local  (** delivered at {!router}: its own or an anycast address *)
@@ -37,18 +39,13 @@ type verdict =
       (** admitted over a link to {!router}, which lies outside the
           block; the packets arrive there with TTL {!ttl} *)
 
-val create :
-  tables:Simcore.Fib.action Netcore.Lpm.t array ->
-  lo:int ->
-  hi:int ->
-  cache_slots:int ->
-  t
+val create : tables:Simcore.Fib.action Netcore.Lpm.t array -> lo:int -> hi:int -> t
 (** State over [tables] (indexed by router id; shared, and mutated
-    only through {!install}) for the block [\[lo, hi)]: one flow cache
-    of [cache_slots] per block router, or none for 0; fresh telemetry
-    over every router of [tables]; every link up and no link queues.
-    @raise Invalid_argument when [cache_slots] is negative, or too
-    large for {!Flowcache.create}. *)
+    only through {!install}) for the block [\[lo, hi)]: fresh
+    telemetry over every router of [tables], every link up and no link
+    queues. A walk looks up every table it reaches with
+    {!Netcore.Lpm.lookup_tag}, so the tables must be frozen, as
+    {!Simcore.Fib} compiles them. *)
 
 val telemetry : t -> Telemetry.t
 
@@ -56,11 +53,10 @@ val table : t -> router:int -> Simcore.Fib.action Netcore.Lpm.t
 (** The table installed at [router]. *)
 
 val install : t -> router:int -> Simcore.Fib.action Netcore.Lpm.t -> unit
-(** Install a table at [router], which must lie in the block, and
-    clear its flow cache. *)
-
-val clear_caches : t -> unit
-(** Empty every flow cache of the block. *)
+(** Install a frozen table at [router], in the shared array.
+    @raise Invalid_argument when [router] lies outside the block,
+    before anything is written: the tables of other blocks belong to
+    other walkers. *)
 
 val set_link_filter : t -> (int -> int -> bool) option -> unit
 (** Link liveness over (router, next-hop) pairs: a walk whose FIB
@@ -99,10 +95,11 @@ val walk :
 (** Walk [count] byte-identical packets of class [cls], [bytes] wire
     bytes each ([encap_bytes] of them overhead), toward [dst] from
     router [entry] with TTL [ttl]. Every counter ends exactly as
-    [count] walks with count 1 would leave it, cache statistics
-    included. [entry] must lie in the block, and [ttl] must be at
-    most 255, as {!Netcore.Wire} enforces; a larger one overflows the
-    256-slot path buffer with [Invalid_argument]. *)
+    [count] walks with count 1 would leave it. [entry] must lie in
+    the block, and [ttl] must be at most 255, as {!Netcore.Wire}
+    enforces; a larger one overflows the 256-slot path buffer with
+    [Invalid_argument]. A table that is not frozen also raises
+    [Invalid_argument] ({!Netcore.Lpm.lookup_tag}). *)
 
 val visits : t -> int
 (** Routers the last walk visited, the entry and a revisit included. *)

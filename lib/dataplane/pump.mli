@@ -5,12 +5,13 @@
     against the live control plane; the pump is the line-card view the
     ROADMAP's "heavy traffic" goal needs. It holds one compiled
     {!Simcore.Fib} table per router (a snapshot — §3.2's data-plane
-    state), fronts each with a {!Flowcache}, performs real {!Wire}
-    encode at injection / a header peek / decode-and-decap at delivery
-    (the IPvN-in-IPv4 encapsulation of §3.3.2), and records every
-    event into a {!Telemetry}. The hops themselves are the {!Hop}
-    kernel's, walked one packet at a time over a block spanning every
-    router — the same decision the sharded pool makes per flowlet.
+    state), performs real {!Wire} encode at injection / a header peek /
+    decode-and-decap at delivery (the IPvN-in-IPv4 encapsulation of
+    §3.3.2), and records every event into a {!Telemetry}. The hops
+    themselves are the {!Hop} kernel's, walked one packet at a time
+    over a block spanning every router — the same decision the sharded
+    pool makes per flowlet: one tag lookup per hop in the router's
+    table, with no flow cache in front.
 
     The pump forwards IPv4 packets only. Experiment E29 runs IPvN
     journeys over it by passing {!inject} as the forwarder of the
@@ -22,23 +23,17 @@
     control plane moves on but the pump keeps forwarding on stale
     tables until {!refresh} — exactly the convergence window experiment
     E30 measures. The pump must agree with the {!Simcore.Forward}
-    oracle whenever its snapshot is current (asserted, cache on and
-    off, by the test-suite). *)
+    oracle whenever its snapshot is current (asserted by the
+    test-suite). *)
 
 type t
 
-val create : ?cache_slots:int -> Simcore.Forward.env -> t
+val create : Simcore.Forward.env -> t
 (** Compile a FIB snapshot of the env's current control plane and
-    stand up per-router flow caches of [cache_slots] slots (default
-    256; 0 = no cache, every hop a table lookup) and telemetry.
-    @raise Invalid_argument when [cache_slots] is negative, or too
-    large for {!Flowcache.create}. *)
+    stand up the kernel and its telemetry. *)
 
 val env : t -> Simcore.Forward.env
 val telemetry : t -> Telemetry.t
-
-val cache_hit_rate : t -> float
-(** Aggregate flow-cache hit rate since creation. *)
 
 val set_link_filter : t -> (int -> int -> bool) -> unit
 (** Install a link-liveness predicate over (router, next-hop) pairs:
@@ -65,14 +60,18 @@ val detach_linkq : t -> unit
 
 val refresh : ?routers:int list -> t -> unit
 (** Recompile the FIB from the env's current control-plane state and
-    install it at the given routers (default: all), invalidating their
-    flow caches. Partial refresh leaves the rest forwarding on the old
-    snapshot — the mixed-table state of a convergence window. Only the
-    listed routers are compiled ({!Simcore.Fib.router_table}), so the
-    cost is proportional to the routers listed, plus one BGP egress
-    resolution per domain they span. The pump keeps its last compile's
-    per-domain plans ({!Simcore.Fib.recompiler}), so a domain's
-    prefixes are sorted again only when its prefix list changed. *)
+    install it at the given routers (default: all). Partial refresh
+    leaves the rest forwarding on the old snapshot — the mixed-table
+    state of a convergence window. Only the listed routers are
+    compiled ({!Simcore.Fib.router_table}), so the cost is
+    proportional to the routers listed, plus one BGP egress resolution
+    per domain they span. The pump keeps its last compile's per-domain
+    plans ({!Simcore.Fib.recompiler}), so a domain's prefixes are
+    sorted again only when its prefix list changed.
+    @raise Invalid_argument naming the router and the range when a
+    listed id lies outside [\[0, routers)]; every id is checked first,
+    so a refused call leaves every table and the kept plans as they
+    were. *)
 
 val table : t -> router:int -> Simcore.Fib.action Netcore.Lpm.t
 (** The table currently installed at [router] — read-only view of
@@ -93,7 +92,10 @@ val send_data : t -> src:int -> dst:int -> payload:string -> Simcore.Forward.tra
     router hop, as in {!Simcore.Forward.send_from_endhost}). *)
 
 val run_flow : t -> Workload.flow -> unit
-(** Send all of a flow's packets natively, for the telemetry.
+(** Send all of a flow's packets natively, for the telemetry: the
+    counters and verdicts of {!send_data} once per packet. The packet
+    is built once per flow, and each copy gets its own encode, walk and
+    decode but no trace.
     @raise Invalid_argument when the flow fails {!Workload.validate}
     (checked before any packet is sent). *)
 

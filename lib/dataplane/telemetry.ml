@@ -122,9 +122,3 @@ let total t =
   let acc = fresh () in
   Array.iter (add_into acc) t.per_router;
   acc
-
-let cache_hit_rate t =
-  let acc = total t in
-  let lookups = acc.cache_hits + acc.cache_misses in
-  if lookups = 0 then 0.0
-  else float_of_int acc.cache_hits /. float_of_int lookups

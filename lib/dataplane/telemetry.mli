@@ -37,6 +37,9 @@ type counters = {
           buffer (DESIGN.md §13) *)
   mutable cache_hits : int;
   mutable cache_misses : int;
+      (** flow-cache probes: recorded only by {!record_cache_n}, which
+          only bench/perf's flow-cache replay calls; the data plane
+          holds no cache *)
 }
 
 type t
@@ -56,10 +59,6 @@ val cls : t -> cls -> counters
 val total : t -> counters
 (** Fresh sum over all routers. *)
 
-val cache_hit_rate : t -> float
-(** [cache_hits / (cache_hits + cache_misses)] over all routers; 0
-    before any lookup. *)
-
 (** {2 Recording} — called by the {!Hop} kernel, which walks the
     [count] byte-identical packets of one flow as a unit (1 for the
     serial pump, a flowlet's width in the sharded pool, DESIGN.md
@@ -77,10 +76,9 @@ val record_queue_drop_n : t -> router:int -> cls:cls -> count:int -> unit
 val record_shed_n : t -> router:int -> cls:cls -> count:int -> unit
 
 val record_cache_n : t -> router:int -> cls:cls -> hits:int -> misses:int -> unit
-(** [hits] + [misses] probes' worth of cache statistics in one bump —
-    a batched walk probes once but accounts for every packet (a miss
-    followed by an insert makes the remaining [count - 1] packets
-    hits, exactly as they would serially). *)
+(** [hits] + [misses] probes' worth of cache statistics in one bump.
+    Nothing in the data plane calls it: only bench/perf's replay of a
+    flow cache does, timing telemetry beside its own {!Flowcache}s. *)
 
 val merge : t -> t -> t
 (** Field-wise sum; inputs are unchanged.

@@ -16,10 +16,8 @@ type t = {
   restarts : int array; (* per-shard revive count, bumped by the supervisor *)
 }
 
-let create ?(cache_slots = 256) ?(ring_capacity = 1024) ?spill_cap
-    ?inject_per_pass (env : Forward.env) ~shards ~seed =
-  if cache_slots < 0 then
-    invalid_arg "Domainpool.create: cache_slots must be non-negative";
+let create ?(ring_capacity = 1024) ?spill_cap ?inject_per_pass (env : Forward.env) ~shards
+    ~seed =
   let n = Internet.num_routers env.Forward.inet in
   let map = Shardmap.create ~routers:n ~shards in
   let fib = Fib.compile env in
@@ -37,8 +35,8 @@ let create ?(cache_slots = 256) ?(ring_capacity = 1024) ?spill_cap
   in
   let ss =
     Array.init shards (fun sid ->
-        Shard.create ?spill_cap ?inject_per_pass ~sid ~map ~tables ~cache_slots
-          ~rng:(Rng.split pool_rng) ~live ())
+        Shard.create ?spill_cap ?inject_per_pass ~sid ~map ~tables ~rng:(Rng.split pool_rng)
+          ~live ())
   in
   let peer_asleep = Array.map Shard.asleep_flag ss in
   let peer_wake = Array.map Shard.wake_fd ss in
@@ -92,9 +90,8 @@ let stage t (flows : Workload.flow list) =
   List.iter (fun (sid, m) -> Shard.enqueue t.shards.(sid) m) staged;
   Workload.total_packets flows
 
-(* Supervisor action for a dead shard: revive it (flow caches rebuild
-   warm from the shared FIB snapshots — Shard.revive) and count the
-   restart. The worker must not be running. *)
+(* Supervisor action for a dead shard: revive it (Shard.revive) and
+   count the restart. The worker must not be running. *)
 let restart_shard t sid =
   Shard.revive t.shards.(sid);
   t.restarts.(sid) <- t.restarts.(sid) + 1

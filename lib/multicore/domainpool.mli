@@ -5,8 +5,8 @@
     Option-1/Option-2 comparison (§3.2, §3.3.2) only carries weight at
     realistic traffic volumes, and a single pump tops out at a couple
     of million packets per second. The pool shards the router id space
-    with a fixed {!Shardmap}, gives every {!Shard} its own caches,
-    telemetry and rng stream, and hands flowlets between shards
+    with a fixed {!Shardmap}, gives every {!Shard} its own kernel
+    state, telemetry and rng stream, and hands flowlets between shards
     through SPSC {!Ring}s. A batch is staged on the caller's domain
     with the pump's own codec ({!Netcore.Wire.encode}, then
     {!Netcore.Wire.peek_dst_or}); walks and handoffs carry only the
@@ -19,7 +19,6 @@
 type t
 
 val create :
-  ?cache_slots:int ->
   ?ring_capacity:int ->
   ?spill_cap:int ->
   ?inject_per_pass:int ->
@@ -29,15 +28,13 @@ val create :
   t
 (** Compile one FIB snapshot of the env's control plane (shared
     read-only by all workers) and stand up [shards] workers with
-    [cache_slots] flow-cache slots per router (default 256; 0 = no
-    cache; as {!Dataplane.Pump.create}) and [ring_capacity]-slot
-    handoff rings (default 1024). [seed] feeds one {!Topology.Rng} per
+    [ring_capacity]-slot handoff rings (default 1024). [seed] feeds one {!Topology.Rng} per
     shard via deterministic splits. [spill_cap] and [inject_per_pass]
     configure each shard's overload behaviour — see {!Shard.create}.
     A refused call holds no descriptor.
     @raise Invalid_argument unless [0 < shards <= routers], or when
-    [ring_capacity] is not positive, or [cache_slots] is negative or
-    too large for {!Dataplane.Flowcache.create}. *)
+    [ring_capacity], [spill_cap] or [inject_per_pass] is not
+    positive. *)
 
 val env : t -> Simcore.Forward.env
 val map : t -> Shardmap.t
@@ -57,9 +54,8 @@ val run : t -> Dataplane.Workload.flow list -> unit
 
     When any shard has a crash armed ({!Shard.arm_crash}) the main
     domain becomes a supervisor: it polls the published dead flags,
-    joins the exited worker, revives its shard ({!Shard.revive} — flow
-    caches rebuild warm from the shared FIB snapshots) and respawns
-    it, so the batch always drains. With no crash armed the spawn/join
+    joins the exited worker, revives its shard ({!Shard.revive}) and
+    respawns it, so the batch always drains. With no crash armed the spawn/join
     path is byte-for-byte the pre-supervision one.
     @raise Invalid_argument when a flow fails
     {!Dataplane.Workload.validate}; the refusal comes before any flow

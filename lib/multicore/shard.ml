@@ -38,8 +38,8 @@ type t = {
   map : Shardmap.t;
   hop : Hop.t;
       (* kernel state: the shared read-only FIB snapshots (Lpm is
-         persistent, safe across domains), the caches of this shard's
-         block and its telemetry *)
+         persistent, safe across domains), this shard's block and its
+         telemetry *)
   rng : Rng.t; (* per-shard stream, split from the pool seed *)
   pending : msg Queue.t; (* staged injections, in batch order *)
   (* The spill buffer: handoffs that hit a full ring wait here, as a
@@ -76,12 +76,12 @@ type t = {
 }
 
 let create ?(spill_cap = 65536) ?(inject_per_pass = max_int) ~sid ~map
-    ~tables ~cache_slots ~rng ~live () =
+    ~tables ~rng ~live () =
   if spill_cap <= 0 then invalid_arg "Shard.create: spill_cap must be positive";
   if inject_per_pass <= 0 then
     invalid_arg "Shard.create: inject_per_pass must be positive";
   let lo, hi = Shardmap.range map sid in
-  let hop = Hop.create ~tables ~lo ~hi ~cache_slots in
+  let hop = Hop.create ~tables ~lo ~hi in
   let spill = Array.make spill_cap dummy_msg in
   (* the doorbell last: everything that can refuse has already run, so
      a refused call leaks no descriptor *)
@@ -161,15 +161,13 @@ let crash_due t = t.crash_at >= 0 && t.handled >= t.crash_at
    is still in its ring or queue. *)
 let crash_exit t = Atomic.set t.dead true
 
-(* Supervisor side: clear the crash, drop the soft state. The flow
-   caches are the only state that does not survive — they rebuild warm
-   on demand from the shared immutable FIB snapshots, so post-restart
-   forwarding decisions (and verdicts) are identical; only the
-   hit/miss statistics show the restart. *)
+(* Supervisor side: clear the crash. A shard keeps no soft state: its
+   walks read the shared immutable FIB snapshots, so post-restart
+   forwarding decisions (and verdicts and counters) are identical to a
+   never-crashed run's. *)
 let revive t =
   Atomic.set t.dead false;
-  t.crash_at <- -1;
-  Hop.clear_caches t.hop
+  t.crash_at <- -1
 
 (* Ring shard [c]'s doorbell. Nonblocking: a full pipe just means the
    consumer already has plenty of reasons to wake, so the byte can be

@@ -1,10 +1,10 @@
 (** One worker of the sharded data plane: a block of routers, their
-    flow caches and telemetry, and the run loop that forwards packets
-    until the pool-wide live count drains (DESIGN.md §11).
+    telemetry, and the run loop that forwards packets until the
+    pool-wide live count drains (DESIGN.md §11).
 
     Each shard owns every piece of state it writes — the
-    {!Dataplane.Hop} kernel state of its router block (flow caches and
-    its own {!Dataplane.Telemetry}), its queue of staged injections,
+    {!Dataplane.Hop} kernel state of its router block (its own
+    {!Dataplane.Telemetry} and path buffer), its queue of staged injections,
     rng stream and counters — which is what lets the evolvelint
     domain-safety pack prove the sharded hot path race-free from the
     {!run} root, the same §9.4 proof that covers the serial pump.
@@ -48,15 +48,13 @@ val create :
   sid:int ->
   map:Shardmap.t ->
   tables:Simcore.Fib.action Netcore.Lpm.t array ->
-  cache_slots:int ->
   rng:Topology.Rng.t ->
   live:int Atomic.t ->
   unit ->
   t
-(** A worker for shard [sid] of [map]. [tables] is the shared FIB
-    snapshot array indexed by router id, fronted by [cache_slots]
-    flow-cache slots per router of the shard's block (0 = no cache,
-    as {!Dataplane.Hop.create}); [live] is the pool-wide
+(** A worker for shard [sid] of [map]. [tables] is the shared frozen
+    FIB snapshot array indexed by router id, read by
+    {!Dataplane.Hop.walk}; [live] is the pool-wide
     in-flight packet count this worker decrements on every terminal
     outcome. Rings are wired separately via {!set_channels} once all
     shards exist.
@@ -75,7 +73,7 @@ val create :
     The doorbell pipe is opened last, so a refused call holds no
     descriptor.
     @raise Invalid_argument when [spill_cap] or [inject_per_pass] is
-    not positive, or [cache_slots] is negative. *)
+    not positive. *)
 
 val set_channels : t -> inbox:msg Ring.t array -> outbox:msg Ring.t array -> unit
 (** Wire the per-pair rings: [inbox.(p)] carries handoffs from shard
@@ -157,12 +155,11 @@ val arm_crash : t -> after:int -> unit
 val crash_armed : t -> bool
 
 val revive : t -> unit
-(** Supervisor side: clear the crash and the dead flag, and drop the
-    only non-surviving state — the flow caches, which rebuild warm on
-    demand from the shared immutable FIB snapshots. Forwarding
-    decisions after a revive are identical to a never-crashed run;
-    only cache statistics show the restart. Call only when the worker
-    is not running (after joining its domain). *)
+(** Supervisor side: clear the crash and the dead flag. Nothing else
+    needs rebuilding — a shard's walks read only the shared immutable
+    FIB snapshots — so forwarding decisions and counters after a
+    revive are identical to a never-crashed run's. Call only when the
+    worker is not running (after joining its domain). *)
 
 val pass : t -> bool
 (** One scheduling pass of the run loop (drain cross-shard

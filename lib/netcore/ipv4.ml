@@ -2,7 +2,7 @@ type t = int (* invariant: 0 <= t < 2^32 *)
 
 let mask32 = 0xFFFF_FFFF
 let of_int i = i land mask32
-let to_int a = a
+external to_int : t -> int = "%identity"
 let of_int32 i = Int32.to_int i land mask32
 let to_int32 a = Int32.of_int a
 

@@ -17,7 +17,7 @@ val of_int : int -> t
 (** [of_int i] builds the address whose 32-bit value is [i land
     0xFFFFFFFF]. *)
 
-val to_int : t -> int
+external to_int : t -> int = "%identity"
 (** [to_int a] is the address value in [\[0, 2^32)]. *)
 
 val of_octets : int -> int -> int -> int -> t

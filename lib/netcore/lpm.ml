@@ -4,13 +4,15 @@
 
    [Frozen] is the other form of a table, built by [fill] over a
    [layout] and holding no trie: [keys]/[vals] are its bindings
-   sorted by [Prefix.compare], one per prefix, and [starts]/[cells] its
-   interval layout — [starts.(i)] is the first address of interval i in
-   increasing order ([starts.(0) = 0]) and [cells.(i)] the value cell
-   of the longest bound prefix covering it, or [None] where nothing is
-   bound. Adjacent intervals hold values that differ under the [equal]
-   given to [fill]. A [Frozen] only ever stands at the root: [add],
-   [remove] and [map] rebuild a trie from its bindings. *)
+   sorted by [Prefix.compare], one per prefix, and [line]/[cells] its
+   interval layout. Interval i starts at address [line.(2 * i)], in
+   increasing order ([line.(0) = 0]); [line.(2 * i + 1)] is the tag of
+   the longest bound prefix's value covering it, or [no_tag] where
+   nothing is bound, and [cells.(i)] that value's cell, or [None].
+   Adjacent intervals hold different tags. Start and tag sit side by
+   side so that [lookup_tag] reads one int array and no pointer. A
+   [Frozen] only ever stands at the root: [add], [remove] and [map]
+   rebuild a trie from its bindings. *)
 
 type 'a t =
   | Leaf
@@ -18,7 +20,7 @@ type 'a t =
   | Frozen of {
       keys : Prefix.t array;
       vals : 'a array;
-      starts : int array;
+      line : int array;
       cells : 'a option array;
     }
 
@@ -133,13 +135,17 @@ let lookup addr t =
   in
   go 0 t None
 
-(* The largest [i] in [\[lo, hi)] with [starts.(i) <= a], given
-   [starts.(lo) <= a]. *)
-let rec search starts a lo hi =
+(* The largest interval [i] in [\[lo, hi)] whose start
+   [line.(2 * i)] is at most [a], given that [lo]'s is. Typed, so that
+   the comparison is an integer one and the reads skip the float-array
+   test. *)
+let rec search (line : int array) (a : int) lo hi =
   if hi - lo <= 1 then lo
   else
     let mid = (lo + hi) lsr 1 in
-    if starts.(mid) <= a then search starts a mid hi else search starts a lo mid
+    if line.(2 * mid) <= a then search line a mid hi else search line a lo mid
+
+let intervals line = Array.length line / 2
 
 (* The per-packet lookup: unlike [lookup] it never builds a prefix, and
    it returns a [Some] the table already holds, so a hit allocates
@@ -153,9 +159,17 @@ let rec lookup_value_bits a depth t best =
       if depth = 32 then best
       else if bit a depth then lookup_value_bits a (depth + 1) n.one best
       else lookup_value_bits a (depth + 1) n.zero best
-  | Frozen f -> f.cells.(search f.starts a 0 (Array.length f.starts))
+  | Frozen f -> f.cells.(search f.line a 0 (intervals f.line))
 
 let lookup_value addr t = lookup_value_bits (Ipv4.to_int addr) 0 t None
+
+let no_tag = min_int
+
+let lookup_tag addr = function
+  | Frozen f ->
+      let line = f.line in
+      line.((2 * search line (Ipv4.to_int addr) 0 (intervals line)) + 1)
+  | Leaf | Node _ -> invalid_arg "Lpm.lookup_tag: the table is not frozen"
 
 (* --- freezing ------------------------------------------------------ *)
 
@@ -253,53 +267,77 @@ let layout ps =
 let slots l = Array.length l.keys
 let slot l i = l.slot_of.(i)
 
-let fill ~equal l values =
+let fill ~tag l values =
   let k = Array.length l.keys in
   if Array.length values <> k then invalid_arg "Lpm.fill: one value per slot of the layout";
-  (* the longest bound match inside a key: its own, or its innermost
-     bound ancestor's *)
-  let rec resolve key =
-    if key < 0 then None
-    else match values.(key) with None -> resolve l.parent.(key) | v -> v
+  (* One pass in key order, where a parent precedes the keys it
+     encloses: [tags.(key)] is the tag of the longest bound match
+     inside [key] — its own value's, or its innermost bound ancestor's
+     ([no_tag] where none is bound) — and the bound values and their
+     keys are gathered in key order. Keys are copied only once a slot
+     turns out unbound; a fully bound layout shares its keys. *)
+  let tags = Array.make k no_tag in
+  let vals =
+    match Array.find_opt Option.is_some values with Some (Some v) -> Array.make k v | _ -> [||]
   in
-  let same a b =
-    match (a, b) with
-    | Some x, Some y -> equal x y
-    | None, None -> true
-    | _ -> false
+  let kept = ref 0 and keys = ref l.keys and shared = ref true in
+  for key = 0 to k - 1 do
+    match values.(key) with
+    | Some v ->
+        let t = tag v in
+        if t = no_tag then invalid_arg "Lpm.fill: a value's tag is no_tag";
+        tags.(key) <- t;
+        vals.(!kept) <- v;
+        if not !shared then !keys.(!kept) <- l.keys.(key);
+        incr kept
+    | None ->
+        if !shared then begin
+          keys := Array.copy l.keys;
+          shared := false
+        end;
+        let p = l.parent.(key) in
+        if p >= 0 then tags.(key) <- tags.(p)
+  done;
+  let keys = if !shared then l.keys else Array.sub !keys 0 !kept in
+  let vals = if !kept = k then vals else Array.sub vals 0 !kept in
+  let rec cell key =
+    if key < 0 then None else match values.(key) with None -> cell l.parent.(key) | c -> c
   in
-  (* the maximal runs of elementary intervals with [same] cells, each
-     keeping its first cell *)
-  let e = Array.length l.starts in
-  let starts = Array.make e 0 and cells = Array.make e None in
-  let n = ref 0 in
-  cells.(0) <- resolve l.inner.(0);
+  (* the maximal runs of elementary intervals with equal tags, each
+     keeping its first interval's cell: counted, then written into
+     arrays of their exact size *)
+  let inner = l.inner and starts = l.starts in
+  let e = Array.length starts in
+  let tag_at j = match inner.(j) with -1 -> no_tag | key -> tags.(key) in
+  let runs = ref 1 and last = ref (tag_at 0) in
   for j = 1 to e - 1 do
-    let c = resolve l.inner.(j) in
-    if not (same cells.(!n) c) then begin
-      incr n;
-      starts.(!n) <- l.starts.(j);
-      cells.(!n) <- c
+    let t = tag_at j in
+    if t <> !last then begin
+      incr runs;
+      last := t
     end
   done;
-  let starts = Array.sub starts 0 (!n + 1) and cells = Array.sub cells 0 (!n + 1) in
-  let kept = Array.fold_left (fun n v -> if Option.is_some v then n + 1 else n) 0 values in
-  let keys, vals =
-    if kept = k then (l.keys, Array.map Option.get values)
-    else
-      let idx =
-        Array.of_list (List.filter (fun key -> Option.is_some values.(key)) (List.init k Fun.id))
-      in
-      (Array.map (fun key -> l.keys.(key)) idx, Array.map (fun key -> Option.get values.(key)) idx)
-  in
-  Frozen { keys; vals; starts; cells }
+  let line = Array.make (2 * !runs) 0 and cells = Array.make !runs None in
+  line.(1) <- tag_at 0;
+  cells.(0) <- cell inner.(0);
+  let n = ref 0 in
+  for j = 1 to e - 1 do
+    let t = tag_at j in
+    if t <> line.((2 * !n) + 1) then begin
+      incr n;
+      line.(2 * !n) <- starts.(j);
+      line.((2 * !n) + 1) <- t;
+      cells.(!n) <- cell inner.(j)
+    end
+  done;
+  Frozen { keys; vals; line; cells }
 
-let freeze ~equal bindings =
+let freeze ~tag bindings =
   let l = layout (Array.of_list (List.map fst bindings)) in
   let values = Array.make (slots l) None in
   (* read as a sequence of adds: a later binding of a prefix wins *)
   List.iteri (fun i (_, v) -> values.(l.slot_of.(i)) <- Some v) bindings;
-  fill ~equal l values
+  fill ~tag l values
 
 (* --- whole-table views --------------------------------------------- *)
 

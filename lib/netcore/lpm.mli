@@ -12,8 +12,12 @@
     compiled FIB snapshot, looked up on every hop: it holds its
     bindings sorted and the address space cut into the maximal
     intervals over which the longest match's value is constant, so
-    that {!lookup_value} is a binary search instead of a walk of up to
-    32 nodes. It keeps no trie.
+    that a lookup is a binary search instead of a walk of up to 32
+    nodes. It keeps no trie. Each interval carries an int {e tag} of
+    its value, given by the caller when the table is built, and the
+    interval starts and tags sit interleaved in one int array: a line
+    card's lookup ({!lookup_tag}) reads that array alone and follows
+    no pointer.
 
     A frozen table is built in two steps. A {!layout} depends only on a
     sequence of prefixes: it sorts them and cuts the address space, in
@@ -47,14 +51,25 @@ val lookup : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
     [addr], or [None] when no bound prefix covers it. *)
 
 val lookup_value : Ipv4.t -> 'a t -> 'a option
-(** The value of {!lookup}, without its prefix: the per-packet lookup.
-    A hit returns a [Some] cell the table already stores, the same cell
-    on every lookup of the address, so no lookup allocates. On a trie
-    it is the matching binding's own cell. On a frozen table it is a
-    binary search over the interval starts, returning the interval's
-    cell: its value is [equal] (under the [equal] it was filled with)
-    to the longest match's value, but it need not be that binding's
-    cell. *)
+(** The value of {!lookup}, without its prefix. A hit returns a [Some]
+    cell the table already stores, the same cell on every lookup of the
+    address, so no lookup allocates. On a trie it is the matching
+    binding's own cell. On a frozen table it is a binary search over
+    the interval starts, returning the interval's cell: its value has
+    the tag (under the [tag] it was filled with) of the longest match's
+    value, but it need not be that binding's cell. *)
+
+val no_tag : int
+(** The tag of "no bound prefix covers the address": [min_int]. No
+    value may have it ({!fill} refuses one). *)
+
+val lookup_tag : Ipv4.t -> 'a t -> int
+(** [lookup_tag addr t] is the tag of the longest match's value in the
+    frozen table [t], or {!no_tag} when no bound prefix covers [addr]:
+    the per-packet lookup of a forwarding kernel. A binary search over
+    one int array that allocates nothing and dereferences no value.
+    @raise Invalid_argument when [t] is a trie, not frozen: only
+    compiled tables are looked up by tag. *)
 
 type layout
 (** The prefix-dependent half of a frozen table: a sequence of
@@ -76,31 +91,36 @@ val slot : layout -> int -> int
     rank among the distinct prefixes in {!Prefix.compare} order. Equal
     prefixes share a slot. *)
 
-val fill : equal:('a -> 'a -> bool) -> layout -> 'a option array -> 'a t
-(** [fill ~equal l values] is the frozen table binding the prefix of
+val fill : tag:('a -> int) -> layout -> 'a option array -> 'a t
+(** [fill ~tag l values] is the frozen table binding the prefix of
     each slot [s] to [v] where [values.(s) = Some v]. A prefix whose
     slot holds [None] is not bound, so its addresses fall through to
     the innermost bound prefix enclosing it. The table holds the bound
     prefixes sorted by {!Prefix.compare} and the maximal address
-    intervals over which the longest match's value is constant under
-    [equal] (no match counts as one more value): at most
+    intervals over which the tag of the longest match's value is
+    constant ({!no_tag} where none matches): at most
     [2 * cardinal + 1] intervals, no two adjacent ones holding equal
-    values, each holding one of [values]' own [Some] cells. It keeps no
-    trie: {!find_exact} is a binary search over the sorted prefixes,
-    {!lookup} tries them from /32 down, {!fold}, {!iter}, {!bindings}
-    and {!cardinal} read them in {!Prefix.compare} order, and {!add},
-    {!remove} and {!map} return an unfrozen trie built from them. Costs
-    a pass over the slots and one over the elementary intervals, with
-    no sort. A frozen table holds no lazy or mutable state, so it may
-    be shared read-only across domains.
-    @raise Invalid_argument unless [values] holds {!slots}[ l]
-    values. *)
+    tags, each holding its tag and one of [values]' own [Some] cells
+    (or [None]). [tag] is called once per bound slot, so merging
+    neighbours costs an int comparison; it should be injective on the
+    values that must stay apart. It keeps no trie: {!find_exact} is a
+    binary search over the sorted prefixes, {!lookup} tries them from
+    /32 down, {!fold}, {!iter}, {!bindings} and {!cardinal} read them
+    in {!Prefix.compare} order, and {!add}, {!remove} and {!map} return
+    an unfrozen trie built from them. Costs a pass over the slots and
+    two over the elementary intervals (one counts the intervals, one
+    writes them into arrays of that size), with no sort. A frozen table
+    holds no lazy or mutable state, so it may be shared read-only
+    across domains.
+    @raise Invalid_argument unless [values] holds {!slots}[ l] values,
+    or when a value's tag is {!no_tag}. *)
 
-val freeze : equal:('a -> 'a -> bool) -> (Prefix.t * 'a) list -> 'a t
-(** [freeze ~equal bindings] is the frozen table of [bindings], read as
+val freeze : tag:('a -> int) -> (Prefix.t * 'a) list -> 'a t
+(** [freeze ~tag bindings] is the frozen table of [bindings], read as
     a sequence of {!add}s: where a prefix is bound more than once, the
     last binding wins. It is the {!fill} of the bindings' values over
-    the {!layout} of their prefixes: one sort, one sweep and one fill. *)
+    the {!layout} of their prefixes: one sort, one sweep and one fill.
+    @raise Invalid_argument when a value's tag is {!no_tag}. *)
 
 val fold : (Prefix.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** Fold over all bindings, in {!Prefix.compare} order. *)

@@ -74,12 +74,11 @@ let recompiler c =
        (fun d dom -> if Lazy.is_val dom then Some (Lazy.force dom).plan else c.prior.(d))
        c.domains)
 
-let action_equal a b =
-  match (a, b) with
-  | Local, Local -> true
-  | Attached x, Attached y -> x = y
-  | Next_hop x, Next_hop y -> x = y
-  | (Local | Attached _ | Next_hop _), _ -> false
+let tag = function
+  | Next_hop nh when nh >= 0 -> nh
+  | Local -> -1
+  | Attached h when h >= 0 && h <= max_int - 2 -> -2 - h
+  | Next_hop _ | Attached _ -> invalid_arg "Fib.tag: an id outside its range"
 
 let local = Some Local
 
@@ -139,7 +138,7 @@ let router_table c r =
         (if h.Internet.access_router = r then Some (Attached hid)
          else via h.Internet.access_router))
     (Internet.domain inet d).Internet.endhost_ids;
-  Lpm.fill ~equal:action_equal plan.layout values
+  Lpm.fill ~tag plan.layout values
 
 let compile env =
   let c = compiler env in

@@ -14,10 +14,11 @@
     Tables are snapshots: recompile after any routing or deployment
     change. Each router's table is frozen with no trie built in
     between: the sorted bindings plus the maximal address intervals
-    over which the forwarding action is constant (neighbours equal
-    under {!action_equal} merge), so a lookup is a binary search over a
-    few dozen intervals. A compiled table is only read once built, and
-    can be shared read-only by the data plane's domains.
+    over which the forwarding action is constant, each tagged with its
+    action's {!tag}, so a lookup is a binary search over a few dozen
+    intervals and a line card's ({!Netcore.Lpm.lookup_tag}) reads one
+    int array. A compiled table is only read once built, and can be
+    shared read-only by the data plane's domains.
 
     A compile splits its work per domain and per router. Every router
     of a domain binds the same prefixes in the same order — the
@@ -68,8 +69,8 @@ val router_table : compiler -> int -> action Netcore.Lpm.t
     domain's plan (BGP routes, then anycast groups, then the domain's
     routers and endhosts; none where the IGP has no route, and a later
     binding of a prefix replacing an earlier one), filled over the
-    plan. The per-router entry point of the only compile path:
-    {!compile} maps it over every router, and a staged line-card
+    plan under {!tag}. The per-router entry point of the only compile
+    path: {!compile} maps it over every router, and a staged line-card
     refresh calls it for just the routers in the batch, so its cost is
     proportional to the routers compiled (plus one egress resolution,
     and at most one plan, per domain they span). *)
@@ -83,12 +84,20 @@ val lookup : t -> router:int -> Netcore.Ipv4.t -> action option
 
 val table : t -> router:int -> action Netcore.Lpm.t
 (** One router's compiled table — the line-card view a data-plane
-    engine forwards against (and caches in front of). *)
+    engine forwards against, by {!tag}. *)
 
-val action_equal : action -> action -> bool
-(** Structural equality on forwarding actions: the [equal] a compiled
-    table's intervals are merged under, and the hook cache layers and
-    agreement tests use to compare compiled decisions. *)
+val tag : action -> int
+(** The int a compiled table stores with each interval
+    ({!Netcore.Lpm.fill}'s [tag]), so that a forwarding kernel decides
+    a hop from {!Netcore.Lpm.lookup_tag} alone: [Next_hop nh] ↦ [nh]
+    (≥ 0), [Local] ↦ -1, [Attached h] ↦ [-2 - h] (≤ -2). A kernel
+    decodes a tag [t] as a next hop when [t >= 0], local delivery when
+    [t = -1], no route when [t = ]{!Netcore.Lpm.no_tag}, and delivery
+    to endhost [-2 - t] otherwise. Injective, so a table's neighbours
+    merge exactly when their actions are equal.
+    @raise Invalid_argument for a negative id or an endhost id above
+    [max_int - 2], whose tag would collide with another's or with
+    {!Netcore.Lpm.no_tag}. *)
 
 val size : t -> router:int -> int
 (** Number of FIB entries at one router. *)

@@ -1,6 +1,6 @@
 (* Tests for the data-plane traffic engine: the pump must realize the
-   exact paths and verdicts of the Forward.decide oracle (cache on and
-   off), the flow cache must behave like a direct-mapped cache, and the
+   exact paths and verdicts of the Forward.decide oracle, the flow cache
+   bench/perf replays must behave like a direct-mapped cache, and the
    workload/telemetry plumbing must be deterministic and consistent. *)
 
 module Internet = Topology.Internet
@@ -74,24 +74,31 @@ let sample_probes (inet : Internet.t) env service =
   ignore env;
   probes
 
-let agreement_case ~cache_slots () =
+(* Each probe is injected twice, so a walk's leftover kernel state
+   (path buffer, verdict fields) must not reach the next walk. *)
+let agreement_case pump =
   let inet, env, service = Lazy.force fixture in
-  let pump = Pump.create ~cache_slots env in
   List.iter
     (fun (entry, dst) ->
       let p = Packet.make_data ~src:Ipv4.any ~dst "probe" in
-      let oracle = Forward.forward env p ~entry in
-      (* twice: the second pass is served from a warm cache *)
-      let first = Pump.inject pump p ~entry in
-      let second = Pump.inject pump p ~entry in
-      check Alcotest.string "pump = oracle (cold)" (trace_str oracle)
-        (trace_str first);
-      check Alcotest.string "pump = oracle (warm)" (trace_str oracle)
-        (trace_str second))
+      let oracle = trace_str (Forward.forward env p ~entry) in
+      check Alcotest.string "pump = oracle (first)" oracle
+        (trace_str (Pump.inject pump p ~entry));
+      check Alcotest.string "pump = oracle (again)" oracle
+        (trace_str (Pump.inject pump p ~entry)))
     (sample_probes inet env service)
 
-let test_agreement_cached () = agreement_case ~cache_slots:256 ()
-let test_agreement_uncached () = agreement_case ~cache_slots:0 ()
+(* "cached": every table recompiled from the per-domain plans the pump
+   kept ({!Simcore.Fib.recompiler}); "uncached": a fresh compile. *)
+let test_agreement_cached () =
+  let _, env, _ = Lazy.force fixture in
+  let pump = Pump.create env in
+  Pump.refresh pump;
+  agreement_case pump
+
+let test_agreement_uncached () =
+  let _, env, _ = Lazy.force fixture in
+  agreement_case (Pump.create env)
 
 let test_agreement_send_data () =
   let inet, env, _ = Lazy.force fixture in
@@ -290,16 +297,15 @@ let test_flowcache_negative_not_cached () =
   check Alcotest.int "compute re-ran (None not cached)" 2 !computes
 
 let test_flowcache_churn_stress () =
-  (* rapid membership churn: after every [refresh] the flow caches must
-     serve the NEW snapshot's actions — a stale cached action after
-     refresh returns would desynchronize the pump from the oracle *)
+  (* rapid membership churn: after every [refresh] the pump must serve
+     the NEW snapshot's actions — a stale action after refresh returns
+     would desynchronize the pump from the oracle *)
   let inet = Internet.build Internet.default_params in
   let env = Forward.make_env inet in
   let service = Service.deploy env ~version:8 ~strategy:Service.Option1 in
   let routers_of d = Array.to_list (Internet.domain inet d).Internet.router_ids in
   Service.add_participant service ~domain:5 ~routers:(routers_of 5);
-  (* a tiny cache maximizes collisions, so stale survivors would show *)
-  let pump = Pump.create ~cache_slots:2 env in
+  let pump = Pump.create env in
   let rng = Rng.create 101L in
   let hosts = Array.length inet.Internet.endhosts in
   let probes =
@@ -315,9 +321,6 @@ let test_flowcache_churn_stress () =
       (fun (entry, dst) ->
         let p = Packet.make_data ~src:Ipv4.any ~dst "churn" in
         let oracle = Forward.forward env p ~entry in
-        (* twice: cold fill, then the warm path that a stale entry
-           would poison *)
-        ignore (Pump.inject pump p ~entry);
         check Alcotest.string
           (Printf.sprintf "round %d: pump = oracle" round)
           (trace_str oracle)
@@ -327,8 +330,8 @@ let test_flowcache_churn_stress () =
   assert_agrees 0;
   List.iteri
     (fun i d ->
-      (* flip the domain's membership, reconverge, refresh — the caches
-         must follow instantly *)
+      (* flip the domain's membership, reconverge, refresh — the
+         tables must follow instantly *)
       (if Service.is_participant service ~domain:d then
          Service.remove_participant service ~domain:d
        else Service.add_participant service ~domain:d ~routers:(routers_of d));
@@ -355,33 +358,17 @@ let test_flowcache_huge_slots_rejected () =
         (fun () -> ignore (Flowcache.create ~slots)))
     [ max_int; (1 lsl 61) + 1; Sys.max_array_length ]
 
-(* The pump and the kernel take 0 slots as "no cache" and refuse a
-   negative count, naming themselves. *)
-let test_cache_slots_validation () =
-  let _, env, _ = Lazy.force fixture in
-  let pump = Pump.create ~cache_slots:0 env in
-  ignore (Pump.send_data pump ~src:0 ~dst:9 ~payload:"x");
-  let c = Telemetry.total (Pump.telemetry pump) in
-  check Alcotest.int "no cache, no probe counted" 0
-    (c.Telemetry.cache_hits + c.Telemetry.cache_misses);
-  Alcotest.check_raises "Pump.create refuses -1"
-    (Invalid_argument "Pump.create: cache_slots must be non-negative")
-    (fun () -> ignore (Pump.create ~cache_slots:(-1) env));
-  Alcotest.check_raises "Hop.create refuses -1"
-    (Invalid_argument "Hop.create: cache_slots must be non-negative")
-    (fun () -> ignore (Hop.create ~tables:[||] ~lo:0 ~hi:0 ~cache_slots:(-1)))
-
-(* hop.mli: "A walk allocates nothing". Uniform destinations over 1,792
-   endhosts through 256-slot caches miss at most hops, and each miss
-   refills a cache, so this pins the miss path as well as the hit
-   path. The bound leaves room for the measurement itself. *)
+(* hop.mli: "A walk allocates nothing". Walks toward uniform
+   destinations over 1,792 endhosts decode a next hop at most hops and
+   an attached endhost at the last. The bound leaves room for the
+   measurement itself. *)
 let test_walk_allocates_nothing () =
   let inet = Internet.build { Internet.default_params with endhosts_per_domain = 64 } in
   let env = Forward.make_env inet in
   let fib = Fib.compile env in
   let n = Internet.num_routers inet in
   let tables = Array.init n (fun router -> Fib.table fib ~router) in
-  let k = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots:256 in
+  let k = Hop.create ~tables ~lo:0 ~hi:n in
   let rng = Rng.create 23L in
   let hosts = Array.length inet.Internet.endhosts in
   let walks = 10_000 in
@@ -399,16 +386,9 @@ let test_walk_allocates_nothing () =
   in
   let warm = batch () and measured = batch () in
   run warm;
-  let before = Telemetry.total (Hop.telemetry k) in
   let w0 = Gc.minor_words () in
   run measured;
   let w1 = Gc.minor_words () in
-  let after = Telemetry.total (Hop.telemetry k) in
-  let hits = after.Telemetry.cache_hits - before.Telemetry.cache_hits
-  and misses = after.Telemetry.cache_misses - before.Telemetry.cache_misses in
-  check Alcotest.bool
-    (Printf.sprintf "most hops miss (%d hits, %d misses)" hits misses)
-    true (misses > hits);
   check Alcotest.bool
     (Printf.sprintf "%.0f minor words over %d walks" (w1 -. w0) walks)
     true
@@ -664,7 +644,7 @@ let prop_flowlet_equals_singles =
           end)
         (Topology.Graph.edges inet.Internet.graph);
       let fresh () =
-        let st = Hop.create ~tables ~lo:0 ~hi:n ~cache_slots:64 in
+        let st = Hop.create ~tables ~lo:0 ~hi:n in
         Hop.set_link_filter st (Some (fun a b -> not dead.(a).(b)));
         st
       in
@@ -687,6 +667,27 @@ let prop_flowlet_equals_singles =
       && List.for_all
            (fun c -> Telemetry.cls tf c = Telemetry.cls ts c)
            [ Telemetry.Native; Telemetry.Encap; Telemetry.Control ])
+
+(* The kernel installs only inside its own block: [tables] is shared
+   with the other blocks' walkers, so a router outside it is refused
+   before anything is written. *)
+let test_install_outside_block_refused () =
+  let module Lpm = Netcore.Lpm in
+  let empty = Lpm.freeze ~tag:Fib.tag [] in
+  let tables = Array.make 4 empty in
+  let k = Hop.create ~tables ~lo:1 ~hi:3 in
+  let t = Lpm.freeze ~tag:Fib.tag [ (Netcore.Prefix.of_string "10.0.0.0/8", Fib.Local) ] in
+  List.iter
+    (fun router ->
+      Alcotest.check_raises
+        (Printf.sprintf "router %d refused" router)
+        (Invalid_argument
+           (Printf.sprintf "Hop.install: router %d lies outside the block [1, 3)" router))
+        (fun () -> Hop.install k ~router t))
+    [ 0; 3; 5; -1 ];
+  check Alcotest.bool "nothing written" true (Array.for_all (fun x -> x == empty) tables);
+  Hop.install k ~router:2 t;
+  check Alcotest.bool "a block router installs" true (tables.(2) == t && Hop.table k ~router:2 == t)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot semantics                                                  *)
@@ -711,35 +712,19 @@ let test_refresh_tracks_control_plane () =
   Pump.refresh pump;
   check Alcotest.bool "refreshed snapshot agrees" true (agree ())
 
-let test_refresh_clears_caches () =
-  let _, env, _ = default_setup () in
-  let pump = Pump.create env in
-  ignore (Pump.send_data pump ~src:0 ~dst:9 ~payload:"x");
-  ignore (Pump.send_data pump ~src:0 ~dst:9 ~payload:"x");
-  check Alcotest.bool "warm cache hits" true (Pump.cache_hit_rate pump > 0.0);
-  let hits_before =
-    (Telemetry.total (Pump.telemetry pump)).Telemetry.cache_hits
-  in
-  Pump.refresh pump;
-  ignore (Pump.send_data pump ~src:0 ~dst:9 ~payload:"x");
-  let t = Telemetry.total (Pump.telemetry pump) in
-  check Alcotest.int "first post-refresh pass misses" hits_before
-    t.Telemetry.cache_hits
-
 (* [b] binds what [a] binds, and looks up as [a] does at each binding's
    first and last address and one past the last: where a table's
-   merged intervals start and end. *)
+   merged intervals start and end. Both are compiled tables, and the
+   kernel's tag lookup agrees there too. *)
 let same_bindings a b =
   let module Lpm = Netcore.Lpm in
   let module Prefix = Netcore.Prefix in
   let lookups_agree addr =
-    match (Lpm.lookup_value addr a, Lpm.lookup_value addr b) with
-    | Some x, Some y -> Fib.action_equal x y
-    | None, None -> true
-    | _ -> false
+    Lpm.lookup_value addr a = Lpm.lookup_value addr b
+    && Lpm.lookup_tag addr a = Lpm.lookup_tag addr b
   in
   List.equal
-    (fun (p, x) (q, y) -> Prefix.equal p q && Fib.action_equal x y)
+    (fun (p, x) (q, y) -> Prefix.equal p q && x = y)
     (Lpm.bindings a) (Lpm.bindings b)
   && List.for_all
        (fun (p, _) ->
@@ -752,8 +737,8 @@ let same_bindings a b =
 
 (* A staged refresh touches exactly the routers it names: after a
    control-plane change, [refresh ~routers:rs] moves the routers in
-   [rs] to the new snapshot with cold caches, and every other router
-   keeps its old table and its warm cache. *)
+   [rs] to the new snapshot, and every other router keeps its old
+   table. *)
 let prop_partial_refresh =
   QCheck.Test.make ~name:"refresh ~routers touches exactly the listed routers"
     ~count:15
@@ -763,16 +748,6 @@ let prop_partial_refresh =
       let n = Internet.num_routers inet in
       let rs = List.sort_uniq Int.compare (List.map (fun k -> k mod n) picks) in
       let pump = Pump.create env in
-      let tel = Pump.telemetry pump in
-      (* a router's own address is Local there, so each probe is one
-         lookup at one router and touches only that router's cache *)
-      let probe_all () =
-        for r = 0 to n - 1 do
-          let dst = (Internet.router inet r).Internet.raddr in
-          ignore (Pump.inject pump (Packet.make_data ~src:Ipv4.any ~dst "probe") ~entry:r)
-        done
-      in
-      probe_all ();
       let old_tables = Array.init n (fun router -> Pump.table pump ~router) in
       Service.remove_participant service ~domain:5;
       (* and a /16 goes, so every other domain's prefix list shrinks: a
@@ -782,11 +757,7 @@ let prop_partial_refresh =
         (Internet.domain inet 2).Internet.prefix;
       ignore (Forward.reconverge env);
       let fresh = Fib.compile env in
-      let hits_before =
-        Array.init n (fun r -> (Telemetry.router tel r).Telemetry.cache_hits)
-      in
       Pump.refresh ~routers:rs pump;
-      probe_all ();
       let routers = List.init n Fun.id in
       (* the change must be visible, or "kept the old table" is vacuous *)
       List.exists
@@ -795,15 +766,38 @@ let prop_partial_refresh =
         routers
       && List.for_all
            (fun router ->
-             let listed = List.mem router rs in
-             let warm_hit =
-               (Telemetry.router tel router).Telemetry.cache_hits
-               > hits_before.(router)
-             in
-             same_bindings (Pump.table pump ~router)
-               (if listed then Fib.table fresh ~router else old_tables.(router))
-             && warm_hit = not listed)
+             same_bindings
+               (if List.mem router rs then Fib.table fresh ~router else old_tables.(router))
+               (Pump.table pump ~router))
            routers)
+
+(* A refresh that names a router outside the internet is refused
+   before it compiles or installs anything: every table stays the very
+   one installed before, though the control plane has moved. *)
+let test_refused_refresh_installs_nothing () =
+  let inet, env, service = default_setup () in
+  let n = Internet.num_routers inet in
+  let pump = Pump.create env in
+  let before = Array.init n (fun router -> Pump.table pump ~router) in
+  Service.remove_participant service ~domain:5;
+  List.iter
+    (fun (bad, routers) ->
+      Alcotest.check_raises
+        (Printf.sprintf "router %d refused" bad)
+        (Invalid_argument (Printf.sprintf "Pump.refresh: router %d outside [0, %d)" bad n))
+        (fun () -> Pump.refresh ~routers pump);
+      for router = 0 to n - 1 do
+        check Alcotest.bool
+          (Printf.sprintf "router %d keeps its table" router)
+          true
+          (Pump.table pump ~router == before.(router))
+      done)
+    [ (n, [ 0; n ]); (-1, [ -1 ]); (n + 5, [ 0; 1; 2; n + 5 ]) ];
+  Pump.refresh pump;
+  check Alcotest.bool "a valid refresh then moves a table" true
+    (List.exists
+       (fun router -> not (same_bindings before.(router) (Pump.table pump ~router)))
+       (List.init n Fun.id))
 
 (* A rollout installs, step by step, exactly the ordered slices that
    explicit [refresh ~routers] calls would: [ceil (n / window)] routers
@@ -1029,8 +1023,6 @@ let () =
             test_flowcache_rounds_to_power_of_two;
           Alcotest.test_case "huge slot counts rejected" `Quick
             test_flowcache_huge_slots_rejected;
-          Alcotest.test_case "cache_slots: 0 = none, negative refused" `Quick
-            test_cache_slots_validation;
           Alcotest.test_case "no stale action across churn + refresh" `Quick
             test_flowcache_churn_stress;
         ] );
@@ -1054,14 +1046,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_flowlet_equals_singles;
           Alcotest.test_case "a walk allocates nothing, hit or miss" `Quick
             test_walk_allocates_nothing;
+          Alcotest.test_case "install refuses a router outside the block" `Quick
+            test_install_outside_block_refused;
         ] );
       ( "snapshots",
         [
           Alcotest.test_case "refresh tracks control plane" `Quick
             test_refresh_tracks_control_plane;
-          Alcotest.test_case "refresh clears caches" `Quick
-            test_refresh_clears_caches;
           QCheck_alcotest.to_alcotest prop_partial_refresh;
+          Alcotest.test_case "a refused refresh installs nothing" `Quick
+            test_refused_refresh_installs_nothing;
           Alcotest.test_case "rollout steps the ordered slices" `Quick
             test_rollout_steps_ordered_slices;
         ] );

@@ -613,8 +613,7 @@ let test_e29_stretch_falls_with_deployment () =
       check Alcotest.bool "encap costs bytes mid-deployment" true
         (m1.E.byte_overhead29 > 0.0);
       check Alcotest.bool "p99 bounds mean" true
-        (m1.E.p99_stretch29 >= m1.E.mean_stretch29 -. 1e-9);
-      check Alcotest.bool "flow cache sees repeats" true (f1.E.cache_hit29 > 0.0)
+        (m1.E.p99_stretch29 >= m1.E.mean_stretch29 -. 1e-9)
   | _ -> Alcotest.fail "expected three rows per option"
 
 (* --- E30 ----------------------------------------------------------- *)

@@ -3,8 +3,8 @@
    consumers, the shard map a total contiguous partition, and the
    domain pool's verdicts identical to the serial pump oracle at every
    shard count — with a one-shard pool matching the pump's telemetry
-   field for field, cache statistics included, and a bad batch refused
-   before any of it is queued. *)
+   field for field, and a bad batch refused before any of it is
+   queued. *)
 
 module Internet = Topology.Internet
 module Forward = Simcore.Forward
@@ -188,7 +188,7 @@ let pool_fixture =
      Pump.run_batch pump flows;
      (env, flows, pump))
 
-(* the counters a route decides, independent of cache order *)
+(* the counters a route decides, independent of shard order *)
 let routed (c : Telemetry.counters) =
   ( c.Telemetry.packets,
     c.Telemetry.bytes,
@@ -201,23 +201,13 @@ let verdict t = routed (Telemetry.total t)
 
 let test_pool_one_shard_equals_pump () =
   let env, flows, pump = Lazy.force pool_fixture in
-  (* a flow of no packets sends nothing, as in the pump; toward a host
-     no flow of the batch reaches, walking it would leave a cache miss
-     in the pool's counters that the pump never records *)
-  let used = List.map (fun (f : Workload.flow) -> f.Workload.dst) flows in
-  let hosts = Array.length env.Forward.inet.Internet.endhosts in
-  let first = List.hd flows in
-  let unreached =
-    List.find
-      (fun h -> h <> first.Workload.src && not (List.mem h used))
-      (List.init hosts Fun.id)
-  in
-  let empty = { first with Workload.dst = unreached; packets = 0 } in
+  (* a flow of no packets sends nothing, as in the pump *)
+  let empty = { (List.hd flows) with Workload.packets = 0 } in
   let pool = Domainpool.create env ~shards:1 ~seed:11L in
   Domainpool.run pool (flows @ [ empty ]);
   let pt = Domainpool.telemetry pool and st = Pump.telemetry pump in
-  (* full structural equality, cache statistics included: one shard
-     forwards in exactly the serial order *)
+  (* full structural equality: one shard forwards in exactly the
+     serial order *)
   for r = 0 to Telemetry.num_routers st - 1 do
     check Alcotest.bool
       (Printf.sprintf "router %d counters equal pump's" r)
@@ -311,23 +301,6 @@ let test_pool_refuses_bad_batch () =
         (v = verdict (Pump.telemetry pump)))
     [ 1; 2 ]
 
-(* 0 cache slots means no flow cache, as for the pump: every hop a
-   table lookup, the same verdicts, no cache probe counted. *)
-let test_pool_uncached () =
-  let env, flows, pump = Lazy.force pool_fixture in
-  let pool = Domainpool.create ~cache_slots:0 env ~shards:2 ~seed:11L in
-  Domainpool.run pool flows;
-  let tel = Domainpool.telemetry pool in
-  Domainpool.close pool;
-  check Alcotest.bool "uncached verdict equals the serial pump" true
-    (verdict tel = verdict (Pump.telemetry pump));
-  let c = Telemetry.total tel in
-  check Alcotest.int "no cache probe counted" 0
-    (c.Telemetry.cache_hits + c.Telemetry.cache_misses);
-  Alcotest.check_raises "negative cache_slots refused"
-    (Invalid_argument "Domainpool.create: cache_slots must be non-negative")
-    (fun () -> ignore (Domainpool.create ~cache_slots:(-1) env ~shards:1 ~seed:11L))
-
 (* the lowest free descriptor: the one the next open returns *)
 let lowest_free_fd () =
   let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -348,14 +321,14 @@ let test_refused_create_leaks_no_fd () =
   let map = Shardmap.create ~routers:n ~shards:1 in
   let tables = Array.make n Netcore.Lpm.empty in
   for _ = 1 to 10 do
-    refused "Shard.create ~cache_slots:(-1)" (fun () ->
+    refused "Shard.create ~spill_cap:0" (fun () ->
         ignore
-          (Shard.create ~sid:0 ~map ~tables ~cache_slots:(-1)
-             ~rng:(Topology.Rng.create 1L) ~live:(Atomic.make 0) ()))
+          (Shard.create ~spill_cap:0 ~sid:0 ~map ~tables ~rng:(Topology.Rng.create 1L)
+             ~live:(Atomic.make 0) ()))
   done;
   for _ = 1 to 3 do
-    refused "Domainpool.create ~cache_slots:max_int" (fun () ->
-        ignore (Domainpool.create ~cache_slots:max_int env ~shards:2 ~seed:11L));
+    refused "Domainpool.create ~spill_cap:0" (fun () ->
+        ignore (Domainpool.create ~spill_cap:0 env ~shards:2 ~seed:11L));
     refused "Domainpool.create ~ring_capacity:0" (fun () ->
         ignore (Domainpool.create ~ring_capacity:0 env ~shards:2 ~seed:11L))
   done;
@@ -379,8 +352,7 @@ let test_pool_telemetry_accumulates () =
 
 (* The same comparison over generated internets, workloads and shard
    counts: every per-router counter a route decides equals the serial
-   pump's, and at one shard every counter does, cache statistics
-   included. *)
+   pump's, and at one shard every counter does. *)
 let prop_pool_equals_pump =
   QCheck.Test.make ~name:"domainpool: pool = pump on generated internets"
     ~count:30
@@ -487,8 +459,8 @@ let test_overload_deterministic () =
 let test_pool_supervised_restart_parallel () =
   (* the parallel spawn/join path with a crash armed: the supervisor
      must revive the victim and the verdict must still equal the
-     serial pump's — caches rebuild warm from the shared FIBs, so a
-     restart is invisible to forwarding decisions *)
+     serial pump's — walks read only the shared FIBs, so a restart is
+     invisible to forwarding decisions *)
   let env, flows, pump = Lazy.force pool_fixture in
   let oracle = verdict (Pump.telemetry pump) in
   let pool = Domainpool.create env ~shards:4 ~seed:11L in
@@ -593,8 +565,6 @@ let () =
             test_pool_refuses_bad_batch;
           Alcotest.test_case "telemetry accumulates" `Quick
             test_pool_telemetry_accumulates;
-          Alcotest.test_case "0 cache slots = uncached" `Quick
-            test_pool_uncached;
           qcheck prop_pool_equals_pump;
           Alcotest.test_case "a refused create leaks no descriptor" `Quick
             test_refused_create_leaks_no_fd;

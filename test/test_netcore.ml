@@ -145,6 +145,14 @@ let lookups_agree t table addr =
   let want = naive_lookup addr table in
   Lpm.lookup addr t = want && Lpm.lookup_value addr t = Option.map snd want
 
+(* A frozen table's lookups agree with the scan, its tag lookup too:
+   the match's tag (the value itself, under [freeze]'s [Fun.id]), or
+   [no_tag] where nothing matches. *)
+let frozen_agree t table addr =
+  lookups_agree t table addr
+  && Lpm.lookup_tag addr t
+     = match naive_lookup addr table with Some (_, v) -> v | None -> Lpm.no_tag
+
 (* [freeze] keeps every binding, and folds over them in the trie's
    order *)
 let same_bindings a b =
@@ -153,7 +161,7 @@ let same_bindings a b =
   && Lpm.cardinal a = Lpm.cardinal b
   && folded a = folded b
 
-let freeze = Lpm.freeze ~equal:Int.equal
+let freeze = Lpm.freeze ~tag:Fun.id
 
 let prop_lpm_matches_naive =
   QCheck.Test.make ~name:"lpm lookup = naive scan" ~count:300
@@ -188,7 +196,7 @@ let prop_lpm_matches_naive =
         let l = Lpm.layout (Array.of_list (unbound @ List.map fst table @ unbound)) in
         let values = Array.make (Lpm.slots l) None in
         List.iteri (fun i (_, v) -> values.(Lpm.slot l (List.length unbound + i)) <- Some v) table;
-        Lpm.fill ~equal:Int.equal l values
+        Lpm.fill ~tag:Fun.id l values
       in
       let probes =
         Ipv4.of_int (probe * 12347)
@@ -196,8 +204,8 @@ let prop_lpm_matches_naive =
       in
       List.for_all
         (fun a ->
-          lookups_agree t dedup a && lookups_agree frozen dedup a && lookups_agree raw dedup a
-          && lookups_agree padded dedup a)
+          lookups_agree t dedup a && frozen_agree frozen dedup a && frozen_agree raw dedup a
+          && frozen_agree padded dedup a)
         probes
       && same_bindings frozen t
       && same_bindings raw t
@@ -274,8 +282,8 @@ let prop_lpm_sequence =
                 (raw, r),
                 model,
                 lookups_agree t model addr
-                && lookups_agree f model addr
-                && lookups_agree r model addr )
+                && frozen_agree f model addr
+                && frozen_agree r model addr )
       in
       let t, f, (_, r), model, ok =
         List.fold_left step (Lpm.empty, freeze [], ([], freeze []), [], true) ops
@@ -291,8 +299,32 @@ let prop_lpm_sequence =
              && Lpm.find_exact p r = Some v)
            model
       && List.for_all
-           (fun a -> lookups_agree t model a && lookups_agree f model a && lookups_agree r model a)
+           (fun a -> lookups_agree t model a && frozen_agree f model a && frozen_agree r model a)
            (edge_probes model))
+
+(* The kernel only ever holds compiled tables, so a tag lookup on a
+   trie is refused; and a value may not take the tag that means "no
+   route", not even one that every address of its prefix shadows. *)
+let test_lpm_tag_refusals () =
+  let p = Prefix.of_string "10.0.0.0/8" and addr = Ipv4.of_string "10.1.2.3" in
+  let not_frozen = Invalid_argument "Lpm.lookup_tag: the table is not frozen" in
+  Alcotest.check_raises "lookup_tag on a trie" not_frozen (fun () ->
+      ignore (Lpm.lookup_tag addr (Lpm.of_list [ (p, 1) ])));
+  Alcotest.check_raises "lookup_tag on the empty trie" not_frozen (fun () ->
+      ignore (Lpm.lookup_tag addr Lpm.empty));
+  check Alcotest.int "a frozen empty table has no route" Lpm.no_tag
+    (Lpm.lookup_tag addr (freeze []));
+  let no_tag = Invalid_argument "Lpm.fill: a value's tag is no_tag" in
+  Alcotest.check_raises "freeze refuses a no_tag value" no_tag (fun () ->
+      ignore (freeze [ (p, Lpm.no_tag) ]));
+  let l =
+    Lpm.layout
+      [| p; Prefix.of_string "10.0.0.0/9"; Prefix.of_string "10.128.0.0/9" |]
+  in
+  let values = Array.make (Lpm.slots l) (Some 1) in
+  values.(Lpm.slot l 0) <- Some Lpm.no_tag;
+  Alcotest.check_raises "fill refuses a shadowed no_tag value" no_tag (fun () ->
+      ignore (Lpm.fill ~tag:Fun.id l values))
 
 let test_lpm_longest_wins () =
   let t =
@@ -637,6 +669,8 @@ let () =
           qcheck prop_lpm_matches_naive;
           qcheck prop_lpm_remove;
           qcheck prop_lpm_sequence;
+          Alcotest.test_case "tag lookups need frozen tables and real tags" `Quick
+            test_lpm_tag_refusals;
         ] );
       ( "ipvn",
         [

@@ -691,18 +691,25 @@ let fib_env =
 module Lpm = Netcore.Lpm
 module Prefix = Netcore.Prefix
 
+(* The tag fib.mli documents for an action, or for no route, spelled
+   out here so that a wrong [Fib.tag] cannot agree with itself. *)
+let documented_tag = function
+  | Some (Fib.Next_hop nh) -> nh
+  | Some Fib.Local -> -1
+  | Some (Fib.Attached h) -> -2 - h
+  | None -> Lpm.no_tag
+
 (* [b] binds what [a] binds, and looks up as [a] does at each binding's
    first and last address and one past the last: where a table's
-   merged intervals start and end. *)
+   merged intervals start and end. [b] is frozen, and its tag lookup
+   gives the documented tag of [a]'s match there. *)
 let same_table a b =
   let lookups_agree addr =
-    match (Lpm.lookup_value addr a, Lpm.lookup_value addr b) with
-    | Some x, Some y -> Fib.action_equal x y
-    | None, None -> true
-    | _ -> false
+    let want = Lpm.lookup_value addr a in
+    Lpm.lookup_value addr b = want && Lpm.lookup_tag addr b = documented_tag want
   in
   List.equal
-    (fun (p, x) (q, y) -> Prefix.equal p q && Fib.action_equal x y)
+    (fun (p, x) (q, y) -> Prefix.equal p q && x = y)
     (Lpm.bindings a) (Lpm.bindings b)
   && Lpm.cardinal a = Lpm.cardinal b
   && List.for_all
@@ -816,6 +823,54 @@ let model_table (env : Forward.env) r =
   ( table,
     !skipped && Lpm.cardinal table < distinct plan,
     distinct (List.map fst bindings) < List.length bindings )
+
+(* Fib.tag's encoding, decoded by the forwarding kernel: one binding
+   at router 1 of a kernel whose block is [1, 2), so that a next hop of
+   any other id leaves the block and reads back as the handoff's
+   router. Each action is tried at the ends of its range. *)
+let test_fib_tag_round_trips () =
+  let module Hop = Dataplane.Hop in
+  let covered = Ipv4.of_string "10.1.2.3" in
+  let walk ?(dst = covered) action =
+    let table = Lpm.freeze ~tag:Fib.tag [ (Prefix.of_string "10.0.0.0/8", action) ] in
+    let k = Hop.create ~tables:[| table; table |] ~lo:1 ~hi:2 in
+    match
+      Hop.walk k ~cls:Dataplane.Telemetry.Native ~dst ~bytes:20 ~encap_bytes:0 ~count:1
+        ~entry:1 ~ttl:64
+    with
+    | Hop.Local when Hop.router k = 1 -> Some Fib.Local
+    | Hop.Attached when Hop.router k = 1 -> Some (Fib.Attached (Hop.host k))
+    | Hop.Handoff -> Some (Fib.Next_hop (Hop.router k))
+    | Hop.Local | Hop.Attached | Hop.Dropped _ -> None
+  in
+  let show = function
+    | Fib.Local -> "Local"
+    | Fib.Attached h -> Printf.sprintf "Attached %d" h
+    | Fib.Next_hop nh -> Printf.sprintf "Next_hop %d" nh
+  in
+  List.iter
+    (fun a -> check Alcotest.bool (show a ^ " round-trips") true (walk a = Some a))
+    Fib.
+      [
+        Local;
+        Attached 0;
+        Attached 1;
+        Attached (max_int - 2);
+        Next_hop 0;
+        Next_hop 2;
+        Next_hop max_int;
+      ];
+  check Alcotest.bool "an uncovered address has no route" true
+    (walk ~dst:(Ipv4.of_string "11.0.0.1") Fib.Local = None);
+  check Alcotest.(list int) "the tags at the ends"
+    [ -1; -2; min_int + 1; 0; max_int ]
+    (List.map Fib.tag Fib.[ Local; Attached 0; Attached (max_int - 2); Next_hop 0; Next_hop max_int ]);
+  List.iter
+    (fun a ->
+      Alcotest.check_raises (show a ^ " refused")
+        (Invalid_argument "Fib.tag: an id outside its range")
+        (fun () -> ignore (Fib.tag a)))
+    Fib.[ Next_hop (-1); Attached (-1); Attached (max_int - 1); Attached max_int ]
 
 type compile_tally = { mutable fewer : int; mutable twice : int; mutable wrong : string list }
 
@@ -1929,6 +1984,8 @@ let () =
           qcheck prop_compile_equals_model;
           Alcotest.test_case "compile property reaches its cases" `Quick
             test_compile_covers_cases;
+          Alcotest.test_case "tags round-trip through the kernel" `Quick
+            test_fib_tag_round_trips;
         ] );
       ( "bgpdyn",
         [

@@ -14,9 +14,11 @@
 #   - `evolvenet all`,
 #   - `evolvenet drill --list`, then `drill --name NAME --report` for
 #     every drill it prints.
-# The ids and names are the change's. Exits 0 when every output is
-# equal, 1 at the first that differs (naming it, with the head of the
-# diff), 2 on bad usage or a failed build.
+# The ids and names are the change's. Every output is compared, so a
+# change that moves one output on purpose shows that nothing else
+# moved: each that differs is named, with the head of its diff. Exits 0
+# when every output is equal, 1 when any differs, 2 on bad usage or a
+# failed build.
 set -eu
 
 usage() {
@@ -38,10 +40,11 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 compared=0
+differ=0
 # same WHAT COMMAND...: runs the command in both roots, one after the
 # other ({} in it stands for a temporary file at the same path on both
 # sides), and compares what each printed on stdout, that file's
-# contents and the exit status.
+# contents and the exit status; a difference is reported and counted.
 same() {
   what=$1
   shift
@@ -53,12 +56,12 @@ same() {
     (cd "$root" && "${@//\{\}/$file}") > "$out/$side.out" 2> /dev/null || status=$?
     { if [ -f "$file" ]; then cat "$file"; fi; echo "exit $status"; } >> "$out/$side.out"
   done
+  compared=$((compared + 1))
   if ! cmp -s "$out/parent.out" "$out/change.out"; then
     echo "same_outputs: $what differs (parent < > change)" >&2
     diff "$out/parent.out" "$out/change.out" | head -n 20 >&2
-    exit 1
+    differ=$((differ + 1))
   fi
-  compared=$((compared + 1))
 }
 
 bin=./_build/default/bin/evolvenet.exe
@@ -72,4 +75,8 @@ same "evolvenet drill --list" "$bin" drill --list
 for name in $(cd "$change" && "$bin" drill --list | awk '{print $1}'); do
   same "evolvenet drill --name $name --report" "$bin" drill --name "$name" --report
 done
+if [ "$differ" -gt 0 ]; then
+  echo "same_outputs: $differ of $compared outputs differ" >&2
+  exit 1
+fi
 echo "same_outputs: $compared outputs equal"
