@@ -27,14 +27,21 @@ catalog:      ## regenerate doc/LINT.md from the rule registry
 	dune exec tools/lint/main.exe -- --catalog > doc/LINT.md
 
 # One traced, oracle-checked second of every workload BENCHMARK.json
-# names, each writing perf-NAME.json; stops at the first failed check
-# (run.sh exits 1). CI's perf smoke runs exactly this.
-perf-smoke:   ## 1 s of every bench/perf workload, traced and oracle-checked
+# names, each writing perf-NAME.json, then one untraced second of the
+# same workload whose last stdout line, the result line a benchmark
+# driver reads (the traced line carries the per-layer metrics instead),
+# tools/check_result_line.py checks: it parses, says correct and 0
+# failed, and has every end_to_end metric BENCHMARK.json names, finite
+# and above 0. Stops at the first failed check (run.sh exits 1, or the
+# line check does). CI's perf smoke runs exactly this.
+perf-smoke:   ## 1 s of every bench/perf workload, traced and oracle-checked, then its result line checked
 	@set -e; \
 	workloads=$$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); \
 	test -n "$$workloads"; \
 	for w in $$workloads; do \
 	  bash bench/perf/run.sh --workload "$$w" --seed 1 --seconds 1 --trace 1 --out "perf-$$w.json"; \
+	  out=$$(bash bench/perf/run.sh --workload "$$w" --seed 1 --seconds 1 --trace 0); \
+	  printf '%s\n' "$$out" | python3 tools/check_result_line.py "$$w"; \
 	done
 
 # Alternating paired runs of one workload against another checkout

@@ -93,15 +93,20 @@ let stop k r ~cls ~count v =
   v
 
 (* The hop loop. All state threads through arguments and [k], so the
-   recursion is a static closure and a hop allocates nothing. The
-   table's tag is decoded in place (Fib.tag): a next hop is
-   non-negative, -1 is local delivery, [Lpm.no_tag] no route, and
+   recursion is a static closure and a hop allocates nothing. [near] is
+   the interval the previous hop's table held [dst] in: the routers of
+   one domain fill their tables over one layout, so inside a domain it
+   is this table's interval too, and only a hop into another layout
+   searches. The table's tag is decoded in place (Fib.tag): a next hop
+   is non-negative, -1 is local delivery, [Lpm.no_tag] no route, and
    anything else the endhost [-2 - tag]. *)
-let rec go k ~cls ~dst ~bytes ~encap_bytes ~count r ttl =
+let rec go k ~cls ~dst ~bytes ~encap_bytes ~count r ttl near =
   k.path.(k.visits) <- r;
   k.visits <- k.visits + 1;
   Telemetry.record_hop_n k.telemetry ~router:r ~cls ~bytes ~encap_bytes ~count;
-  let tag = Lpm.lookup_tag dst k.tables.(r) in
+  let table = k.tables.(r) in
+  let i = Lpm.interval table dst ~near in
+  let tag = Lpm.interval_tag table i in
   if tag >= 0 then
     let nh = tag in
     if ttl <= 1 then stop k r ~cls ~count (Dropped Forward.Ttl_expired)
@@ -117,7 +122,7 @@ let rec go k ~cls ~dst ~bytes ~encap_bytes ~count r ttl =
       | Linkq.Admitted ->
           (* ownership is a block test — no division on the per-hop path *)
           if nh >= k.lo && nh < k.hi then
-            go k ~cls ~dst ~bytes ~encap_bytes ~count nh (ttl - 1)
+            go k ~cls ~dst ~bytes ~encap_bytes ~count nh (ttl - 1) i
           else begin
             k.router <- nh;
             k.ttl <- ttl - 1;
@@ -130,6 +135,8 @@ let rec go k ~cls ~dst ~bytes ~encap_bytes ~count r ttl =
     stop k r ~cls ~count Attached
   end
 
+(* interval 0 exists in every frozen table, so it is a valid first
+   hint *)
 let walk k ~cls ~dst ~bytes ~encap_bytes ~count ~entry ~ttl =
   k.visits <- 0;
-  go k ~cls ~dst ~bytes ~encap_bytes ~count entry ttl
+  go k ~cls ~dst ~bytes ~encap_bytes ~count entry ttl 0

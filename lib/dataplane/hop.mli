@@ -3,10 +3,11 @@
     Both data paths walk packets through {!walk} — the serial {!Pump}
     with count 1 over a block spanning every router, and each
     [Multicore.Shard] with a flowlet's count over its own router
-    block. A walk starts at an entry router and, hop by hop, looks up
-    the tag of the router's compiled {!Simcore.Fib} table (§3.2's
-    per-router data-plane state) with {!Netcore.Lpm.lookup_tag} and
-    decodes it in place ({!Simcore.Fib.tag}), checks TTL and a next hop
+    block. A walk starts at an entry router and, hop by hop, finds the
+    interval of the router's compiled {!Simcore.Fib} table (§3.2's
+    per-router data-plane state) that holds the destination
+    ({!Netcore.Lpm.interval}), reads its tag ({!Netcore.Lpm.interval_tag})
+    and decodes it in place ({!Simcore.Fib.tag}), checks TTL and a next hop
     that does not advance, consults the link filter and the optional
     {!Linkq}, and records count-weighted {!Telemetry}, until the
     packets are delivered, dropped, or the next hop leaves the block.
@@ -14,13 +15,18 @@
     over the installed tables; the test-suite asserts that for both
     callers.
 
-    A hop is a binary search over one int array that interleaves the
-    table's interval starts and action tags, and no flow cache sits in
-    front of it: on the frozen, merged tables {!Simcore.Fib} compiles,
-    the search costs less than a cache probe plus its misses on
-    uniform traffic and about as much as a hit on gravity traffic
-    walked packet by packet. Only hot flows walked as flowlets, as a
-    pool shard walks them, would see a cache pay.
+    A walk searches once per domain it enters, not once per hop, and
+    no flow cache sits in front of it. Every router of a domain fills
+    its table over the domain's one layout ({!Simcore.Fib}'s plan), so
+    an interval index means the same addresses in all of them. The
+    walk carries the index the last hop found to the next hop, which
+    tests it against its own table's interval starts
+    ({!Netcore.Lpm.interval}: two loads, two compares) and
+    binary-searches only when the test fails, on entering another
+    domain's layout or another version's after a partial refresh. The
+    test compares the address with the table's own starts, so a stale
+    index costs at most a search, never a wrong answer. The index lives inside one walk: the
+    first hop's is interval 0, and nothing carries across walks.
     A walk allocates nothing (the test-suite counts its minor words):
     it returns a constant verdict and leaves the routers it visited,
     the terminal router, the endhost, or the handoff hop and TTL in the
@@ -44,7 +50,7 @@ val create : tables:Simcore.Fib.action Netcore.Lpm.t array -> lo:int -> hi:int -
     only through {!install}) for the block [\[lo, hi)]: fresh
     telemetry over every router of [tables], every link up and no link
     queues. A walk looks up every table it reaches with
-    {!Netcore.Lpm.lookup_tag}, so the tables must be frozen, as
+    {!Netcore.Lpm.interval}, so the tables must be frozen, as
     {!Simcore.Fib} compiles them. *)
 
 val telemetry : t -> Telemetry.t
@@ -99,7 +105,7 @@ val walk :
     the block, and [ttl] must be at most 255, as {!Netcore.Wire}
     enforces; a larger one overflows the 256-slot path buffer with
     [Invalid_argument]. A table that is not frozen also raises
-    [Invalid_argument] ({!Netcore.Lpm.lookup_tag}). *)
+    [Invalid_argument] ({!Netcore.Lpm.interval}). *)
 
 val visits : t -> int
 (** Routers the last walk visited, the entry and a revisit included. *)

@@ -79,6 +79,10 @@ type inputs = {
   mutable scoped : (int * int) list;  (* from, to *)
 }
 
+(* One domain's neighbours in increasing order, each with the
+   lowest-numbered link to it. *)
+type egress = { nbrs : int array; via : Internet.interlink array }
+
 type t = {
   inet : Internet.t;
   config : config;
@@ -88,8 +92,7 @@ type t = {
   ribs : route Lpm.t array;  (* per domain: the chosen routes again, for LPM *)
   best : route option array;  (* per domain: a round's best candidate so far *)
   neighbors : (int * Relationship.t) list array;
-  links : (int * Internet.interlink) list array;
-      (* per domain: the lowest-numbered link to each neighbour *)
+  links : egress array;  (* per domain *)
 }
 
 let internet t = t.inet
@@ -102,7 +105,7 @@ let lowest_link inet d nb =
            (b.Internet.a_router, b.Internet.b_router))
   |> function
   | [] -> None
-  | l :: _ -> Some (nb, l)
+  | l :: _ -> Some l
 
 let create ?(config = default_config) inet =
   let n = Internet.num_domains inet in
@@ -118,7 +121,15 @@ let create ?(config = default_config) inet =
     neighbors;
     links =
       Array.mapi
-        (fun d nbs -> List.filter_map (fun (nb, _) -> lowest_link inet d nb) nbs)
+        (fun d nbs ->
+          (* [neighbor_domains] lists them in increasing order *)
+          let linked =
+            Array.of_list
+              (List.filter_map
+                 (fun (nb, _) -> Option.map (fun l -> (nb, l)) (lowest_link inet d nb))
+                 nbs)
+          in
+          { nbrs = Array.map fst linked; via = Array.map snd linked })
         neighbors;
   }
 
@@ -274,10 +285,20 @@ let as_path_length r = List.length r.as_path
 let rib_size t ~domain = Lpm.cardinal t.ribs.(domain)
 let rib t ~domain = List.map snd (Lpm.bindings t.ribs.(domain))
 
+(* A binary search over the domain's neighbours. *)
 let link_of t ~domain r =
-  match next_hop_domain r with
-  | None -> None
-  | Some nb -> List.assoc_opt nb t.links.(domain)
+  match r.as_path with
+  | _ :: nb :: _ ->
+      let e = t.links.(domain) in
+      let rec go lo hi =
+        if lo >= hi then None
+        else
+          let mid = (lo + hi) lsr 1 in
+          let m = e.nbrs.(mid) in
+          if m = nb then Some e.via.(mid) else if m < nb then go (mid + 1) hi else go lo mid
+      in
+      go 0 (Array.length e.nbrs)
+  | [ _ ] | [] -> None
 
 let egress_link t ~domain prefix =
   (* the neighbour the domain's route for the covering prefix goes
@@ -290,20 +311,20 @@ let egress_link t ~domain prefix =
    route of a prefix's network address is the longest route with that
    same network (a longer prefix holding the address starts there), so
    in the RIB's prefix order it is the last of the run of routes that
-   share the network, the prefix's own route first. *)
+   share the network. One fold lists the routes last first, where it
+   is the first of its run; walking that list pairs each prefix with
+   its run's link and conses the result back into RIB order. *)
 let egress_links t ~domain =
-  let rec covering net r = function
-    | r' :: rest when Netcore.Ipv4.equal (Prefix.network r'.prefix) net -> covering net r' rest
-    | _ -> r
+  let rec go acc net link = function
+    | [] -> acc
+    | r :: rest ->
+        let n = Netcore.Ipv4.to_int (Prefix.network r.prefix) in
+        let link = if n = net then link else link_of t ~domain r in
+        let acc = match link with Some l -> (r.prefix, l) :: acc | None -> acc in
+        go acc n link rest
   in
-  let rec go = function
-    | [] -> []
-    | r :: rest -> (
-        match link_of t ~domain (covering (Prefix.network r.prefix) r rest) with
-        | Some l -> (r.prefix, l) :: go rest
-        | None -> go rest)
-  in
-  go (rib t ~domain)
+  (* no network is -1 *)
+  go [] (-1) None (Lpm.fold (fun _ r acc -> r :: acc) t.ribs.(domain) [])
 
 let domain_path t ~src addr =
   match lookup t ~domain:src addr with

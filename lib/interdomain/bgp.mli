@@ -160,8 +160,9 @@ val egress_links :
   t -> domain:int -> (Netcore.Prefix.t * Topology.Internet.interlink) list
 (** Every prefix of the domain's {!rib}, in RIB order, paired with its
     {!egress_link}; prefixes without one are left out — the per-domain
-    half of FIB compilation (§3.2's data-plane state). One pass over
-    the RIB, with no lookup. *)
+    half of FIB compilation (§3.2's data-plane state). One fold over
+    the RIB, with no lookup; each route's link is a binary search over
+    the domain's neighbours, tabled at {!create}. *)
 
 val domain_path : t -> src:int -> Netcore.Ipv4.t -> int list option
 (** The AS-level path from [src] to the address's best-matching prefix:

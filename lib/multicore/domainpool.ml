@@ -57,37 +57,43 @@ let shard t i = t.shards.(i)
 (* Stage a batch on the caller's domain: encode each flow's packet once
    with the pump's codec, keep the header fields a walk reads, and
    queue them at the entry router's shard. Everything that can refuse
-   ([Workload.validate]: a negative count, a body Wire cannot carry)
-   runs before the first enqueue, so a refused batch leaves every
-   queue empty. A flow of no packets is skipped, as the pump sends
-   nothing for it. Returns the pool-wide packet count; the caller
+   ([Workload.validate]: a negative count, a body Wire cannot carry;
+   an endhost id outside the internet) runs over the whole batch
+   before the first enqueue, so a refused batch leaves every queue
+   empty; then one pass builds and queues each message, with no list
+   of them in between. A flow of no packets is skipped, as the pump
+   sends nothing for it. Returns the pool-wide packet count; the caller
    publishes it into [t.live] before any worker starts. *)
 let stage t (flows : Workload.flow list) =
   let inet = t.env.Forward.inet in
-  let staged =
-    List.filter_map
-      (fun (f : Workload.flow) ->
-        Workload.validate f;
-        if f.Workload.packets = 0 then None
-        else
-          let hs = Internet.endhost inet f.Workload.src
-          and hd = Internet.endhost inet f.Workload.dst in
-          let p =
-            Packet.make_data ~src:hs.Internet.haddr ~dst:hd.Internet.haddr
-              (String.make f.Workload.bytes_per_packet 'x')
-          in
-          let wire = Wire.encode p in
-          let len = String.length wire in
-          let entry = hs.Internet.access_router in
-          Some
-            ( Shardmap.shard_of t.map entry,
-              Shard.msg ~cls:(Hop.cls_of p)
-                ~dst:(Wire.peek_dst_or wire ~default:p.Packet.dst)
-                ~bytes:len ~encap_bytes:(Hop.encap_of p ~len)
-                ~count:f.Workload.packets ~router:entry ~ttl:p.Packet.ttl ))
-      flows
-  in
-  List.iter (fun (sid, m) -> Shard.enqueue t.shards.(sid) m) staged;
+  List.iter
+    (fun (f : Workload.flow) ->
+      Workload.validate f;
+      if f.Workload.packets > 0 then begin
+        ignore (Internet.endhost inet f.Workload.src : Internet.endhost);
+        ignore (Internet.endhost inet f.Workload.dst : Internet.endhost)
+      end)
+    flows;
+  List.iter
+    (fun (f : Workload.flow) ->
+      if f.Workload.packets > 0 then begin
+        let hs = Internet.endhost inet f.Workload.src
+        and hd = Internet.endhost inet f.Workload.dst in
+        let p =
+          Packet.make_data ~src:hs.Internet.haddr ~dst:hd.Internet.haddr
+            (String.make f.Workload.bytes_per_packet 'x')
+        in
+        let wire = Wire.encode p in
+        let len = String.length wire in
+        let entry = hs.Internet.access_router in
+        Shard.enqueue
+          t.shards.(Shardmap.shard_of t.map entry)
+          (Shard.msg ~cls:(Hop.cls_of p)
+             ~dst:(Wire.peek_dst_or wire ~default:p.Packet.dst)
+             ~bytes:len ~encap_bytes:(Hop.encap_of p ~len) ~count:f.Workload.packets
+             ~router:entry ~ttl:p.Packet.ttl)
+      end)
+    flows;
   Workload.total_packets flows
 
 (* Supervisor action for a dead shard: revive it (Shard.revive) and

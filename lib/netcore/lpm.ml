@@ -3,25 +3,42 @@
    the structure easy to verify. A node is one inline-record block.
 
    [Frozen] is the other form of a table, built by [fill] over a
-   [layout] and holding no trie: [keys]/[vals] are its bindings
-   sorted by [Prefix.compare], one per prefix, and [line]/[cells] its
-   interval layout. Interval i starts at address [line.(2 * i)], in
-   increasing order ([line.(0) = 0]); [line.(2 * i + 1)] is the tag of
-   the longest bound prefix's value covering it, or [no_tag] where
-   nothing is bound, and [cells.(i)] that value's cell, or [None].
-   Adjacent intervals hold different tags. Start and tag sit side by
-   side so that [lookup_tag] reads one int array and no pointer. A
-   [Frozen] only ever stands at the root: [add], [remove] and [map]
-   rebuild a trie from its bindings. *)
+   [layout] and holding no trie. Its intervals are the layout's
+   elementary ones: interval i starts at address [starts.(i)], the
+   layout's own array, shared by every table filled over it
+   ([starts.(0) = 0], increasing, and one sentinel above every address
+   after the last), and [tags.(i)] is the tag of the longest bound
+   prefix's value covering it, or [no_tag] where nothing is bound.
+   [cells] holds one entry per slot of the layout: the bound value's
+   own [Some] cell, or [None] where the slot is unbound; [cardinal]
+   counts the bound ones. A [Frozen] only ever stands at the root:
+   [add], [remove] and [map] rebuild a trie from its bindings. *)
+
+(* [keys]: the distinct prefixes in [Prefix.compare] order, every
+   prefix before the longer ones it covers; [slot_of.(i)] the key of
+   the i-th prefix given; [parent.(k)] the innermost key enclosing key
+   [k], or -1. [starts]/[inner]: the elementary intervals, [starts.(0)
+   = 0] and increasing, over each of which the innermost covering key
+   is [inner.(j)] (-1 where no key covers it); [starts] has one more
+   entry than [inner], a sentinel above every address, so that interval
+   j ends where [starts.(j + 1)] begins for every j. *)
+type layout = {
+  keys : Prefix.t array;
+  slot_of : int array;
+  parent : int array;
+  starts : int array;
+  inner : int array;
+}
 
 type 'a t =
   | Leaf
   | Node of { value : 'a option; zero : 'a t; one : 'a t }
   | Frozen of {
-      keys : Prefix.t array;
-      vals : 'a array;
-      line : int array;
+      starts : int array;
+      tags : int array;
+      layout : layout;
       cells : 'a option array;
+      cardinal : int;
     }
 
 let empty = Leaf
@@ -34,7 +51,7 @@ let node value zero one =
 let is_empty = function
   | Leaf -> true
   | Node _ -> false
-  | Frozen f -> Array.length f.keys = 0
+  | Frozen f -> f.cardinal = 0
 
 (* Bit [depth] of address value [a], 0 = most significant. Callers keep
    [depth < 32]: no trie is deeper than a /32. *)
@@ -50,13 +67,16 @@ let rec add_bits net depth len v t =
       if depth = len then node (Some v) n.zero n.one
       else if bit net depth then node n.value n.zero (add_bits net (depth + 1) len v n.one)
       else node n.value (add_bits net (depth + 1) len v n.zero) n.one
-  | Frozen f -> add_bits net depth len v (thaw f.keys f.vals)
+  | Frozen f -> add_bits net depth len v (thaw f.layout.keys f.cells)
 
 (* The trie of a frozen table's bindings, added in key order. *)
-and thaw keys vals =
+and thaw keys cells =
   let t = ref Leaf in
   Array.iteri
-    (fun i p -> t := add_bits (Ipv4.to_int (Prefix.network p)) 0 (Prefix.length p) vals.(i) !t)
+    (fun i p ->
+      match cells.(i) with
+      | Some v -> t := add_bits (Ipv4.to_int (Prefix.network p)) 0 (Prefix.length p) v !t
+      | None -> ())
     keys;
   !t
 
@@ -69,7 +89,7 @@ let rec remove_bits net depth len t =
       if depth = len then node None n.zero n.one
       else if bit net depth then node n.value n.zero (remove_bits net (depth + 1) len n.one)
       else node n.value (remove_bits net (depth + 1) len n.zero) n.one
-  | Frozen f -> remove_bits net depth len (thaw f.keys f.vals)
+  | Frozen f -> remove_bits net depth len (thaw f.layout.keys f.cells)
 
 let remove p t = remove_bits (Ipv4.to_int (Prefix.network p)) 0 (Prefix.length p) t
 
@@ -97,15 +117,14 @@ let rec find_exact_bits net depth len t =
       if depth = len then n.value
       else if bit net depth then find_exact_bits net (depth + 1) len n.one
       else find_exact_bits net (depth + 1) len n.zero
-  | Frozen f -> (
-      match find_key f.keys net len with -1 -> None | i -> Some f.vals.(i))
+  | Frozen f -> ( match find_key f.layout.keys net len with -1 -> None | i -> f.cells.(i))
 
 let find_exact p t =
   find_exact_bits (Ipv4.to_int (Prefix.network p)) 0 (Prefix.length p) t
 
 (* A frozen table keeps no trie to walk: try each length from the
    longest, masking the address down to it. *)
-let lookup_sorted keys vals addr =
+let lookup_sorted keys cells addr =
   let a = Ipv4.to_int addr in
   let rec go len =
     if len < 0 then None
@@ -113,7 +132,7 @@ let lookup_sorted keys vals addr =
       let net = if len = 0 then 0 else (a lsr (32 - len)) lsl (32 - len) in
       match find_key keys net len with
       | -1 -> go (len - 1)
-      | i -> Some (Prefix.make addr len, vals.(i))
+      | i -> ( match cells.(i) with Some v -> Some (Prefix.make addr len, v) | None -> go (len - 1))
   in
   go 32
 
@@ -131,21 +150,24 @@ let lookup addr t =
         if depth = 32 then best
         else if bit a depth then go (depth + 1) n.one best
         else go (depth + 1) n.zero best
-    | Frozen f -> lookup_sorted f.keys f.vals addr
+    | Frozen f -> lookup_sorted f.layout.keys f.cells addr
   in
   go 0 t None
 
-(* The largest interval [i] in [\[lo, hi)] whose start
-   [line.(2 * i)] is at most [a], given that [lo]'s is. Typed, so that
-   the comparison is an integer one and the reads skip the float-array
-   test. *)
-let rec search (line : int array) (a : int) lo hi =
+(* The largest interval [i] in [\[lo, hi)] whose start [starts.(i)]
+   is at most [a], given that [lo]'s is. Typed, so that the comparison
+   is an integer one and the reads skip the float-array test. *)
+let rec search (starts : int array) (a : int) lo hi =
   if hi - lo <= 1 then lo
   else
     let mid = (lo + hi) lsr 1 in
-    if line.(2 * mid) <= a then search line a mid hi else search line a lo mid
+    if starts.(mid) <= a then search starts a mid hi else search starts a lo mid
 
-let intervals line = Array.length line / 2
+(* The cell of the innermost bound key enclosing [key] (itself
+   included), or [None]. *)
+let rec bound_cell cells parent key =
+  if key < 0 then None
+  else match cells.(key) with None -> bound_cell cells parent parent.(key) | c -> c
 
 (* The per-packet lookup: unlike [lookup] it never builds a prefix, and
    it returns a [Some] the table already holds, so a hit allocates
@@ -159,17 +181,34 @@ let rec lookup_value_bits a depth t best =
       if depth = 32 then best
       else if bit a depth then lookup_value_bits a (depth + 1) n.one best
       else lookup_value_bits a (depth + 1) n.zero best
-  | Frozen f -> f.cells.(search f.line a 0 (intervals f.line))
+  | Frozen f ->
+      let l = f.layout in
+      bound_cell f.cells l.parent l.inner.(search f.starts a 0 (Array.length f.tags))
 
 let lookup_value addr t = lookup_value_bits (Ipv4.to_int addr) 0 t None
 
 let no_tag = min_int
 
 let lookup_tag addr = function
-  | Frozen f ->
-      let line = f.line in
-      line.((2 * search line (Ipv4.to_int addr) 0 (intervals line)) + 1)
+  | Frozen f -> f.tags.(search f.starts (Ipv4.to_int addr) 0 (Array.length f.tags))
   | Leaf | Node _ -> invalid_arg "Lpm.lookup_tag: the table is not frozen"
+
+(* The hint is taken when the address lies in its interval of this
+   table: [near] is in range and its start and the next one's bound
+   the address. Any int is a safe hint, one from another layout too. *)
+let interval t addr ~near =
+  match t with
+  | Frozen f ->
+      let a = Ipv4.to_int addr and starts = f.starts in
+      if near >= 0 && near < Array.length f.tags && starts.(near) <= a && a < starts.(near + 1)
+      then near
+      else search starts a 0 (Array.length f.tags)
+  | Leaf | Node _ -> invalid_arg "Lpm.interval: the table is not frozen"
+
+let interval_tag t i =
+  match t with
+  | Frozen f -> f.tags.(i)
+  | Leaf | Node _ -> invalid_arg "Lpm.interval_tag: the table is not frozen"
 
 (* --- freezing ------------------------------------------------------ *)
 
@@ -178,20 +217,6 @@ let lookup_tag addr = function
 let code p = (Ipv4.to_int (Prefix.network p) lsl 6) lor Prefix.length p
 let code_first c = c lsr 6
 let code_last c = (c lsr 6) + (1 lsl (32 - (c land 63))) - 1
-
-(* [keys]: the distinct prefixes in [Prefix.compare] order, every
-   prefix before the longer ones it covers; [slot_of.(i)] the key of
-   the i-th prefix given; [parent.(k)] the innermost key enclosing key
-   [k], or -1. [starts]/[inner]: the elementary intervals, [starts.(0)
-   = 0] and increasing, over each of which the innermost covering key
-   is [inner.(j)] (-1 where no key covers it). *)
-type layout = {
-  keys : Prefix.t array;
-  slot_of : int array;
-  parent : int array;
-  starts : int array;
-  inner : int array;
-}
 
 (* The index of [c] in the sorted, distinct [codes]. *)
 let find_code (codes : int array) (c : int) =
@@ -227,7 +252,8 @@ let layout ps =
   let keys = if k = 0 then [||] else Array.make k ps.(0) in
   Array.iteri (fun i s -> keys.(s) <- ps.(i)) slot_of;
   let parent = Array.make k (-1) in
-  let starts = Array.make ((2 * k) + 1) 0 and inner = Array.make ((2 * k) + 1) (-1) in
+  (* room for the sentinel after the last piece *)
+  let starts = Array.make ((2 * k) + 2) 0 and inner = Array.make ((2 * k) + 1) (-1) in
   let pieces = ref 1 in
   let emit start key =
     if starts.(!pieces - 1) = start then inner.(!pieces - 1) <- key
@@ -256,11 +282,12 @@ let layout ps =
   done;
   (* prefixes that end at the top of the space never close *)
   close 0xFFFF_FFFF;
+  starts.(!pieces) <- max_int;
   {
     keys;
     slot_of;
     parent;
-    starts = Array.sub starts 0 !pieces;
+    starts = Array.sub starts 0 (!pieces + 1);
     inner = Array.sub inner 0 !pieces;
   }
 
@@ -271,66 +298,24 @@ let fill ~tag l values =
   let k = Array.length l.keys in
   if Array.length values <> k then invalid_arg "Lpm.fill: one value per slot of the layout";
   (* One pass in key order, where a parent precedes the keys it
-     encloses: [tags.(key)] is the tag of the longest bound match
+     encloses: [slot_tags.(key)] is the tag of the longest bound match
      inside [key] — its own value's, or its innermost bound ancestor's
-     ([no_tag] where none is bound) — and the bound values and their
-     keys are gathered in key order. Keys are copied only once a slot
-     turns out unbound; a fully bound layout shares its keys. *)
-  let tags = Array.make k no_tag in
-  let vals =
-    match Array.find_opt Option.is_some values with Some (Some v) -> Array.make k v | _ -> [||]
-  in
-  let kept = ref 0 and keys = ref l.keys and shared = ref true in
+     ([no_tag] where none is bound). *)
+  let slot_tags = Array.make k no_tag and cardinal = ref 0 in
   for key = 0 to k - 1 do
     match values.(key) with
     | Some v ->
         let t = tag v in
         if t = no_tag then invalid_arg "Lpm.fill: a value's tag is no_tag";
-        tags.(key) <- t;
-        vals.(!kept) <- v;
-        if not !shared then !keys.(!kept) <- l.keys.(key);
-        incr kept
+        slot_tags.(key) <- t;
+        incr cardinal
     | None ->
-        if !shared then begin
-          keys := Array.copy l.keys;
-          shared := false
-        end;
         let p = l.parent.(key) in
-        if p >= 0 then tags.(key) <- tags.(p)
+        if p >= 0 then slot_tags.(key) <- slot_tags.(p)
   done;
-  let keys = if !shared then l.keys else Array.sub !keys 0 !kept in
-  let vals = if !kept = k then vals else Array.sub vals 0 !kept in
-  let rec cell key =
-    if key < 0 then None else match values.(key) with None -> cell l.parent.(key) | c -> c
-  in
-  (* the maximal runs of elementary intervals with equal tags, each
-     keeping its first interval's cell: counted, then written into
-     arrays of their exact size *)
-  let inner = l.inner and starts = l.starts in
-  let e = Array.length starts in
-  let tag_at j = match inner.(j) with -1 -> no_tag | key -> tags.(key) in
-  let runs = ref 1 and last = ref (tag_at 0) in
-  for j = 1 to e - 1 do
-    let t = tag_at j in
-    if t <> !last then begin
-      incr runs;
-      last := t
-    end
-  done;
-  let line = Array.make (2 * !runs) 0 and cells = Array.make !runs None in
-  line.(1) <- tag_at 0;
-  cells.(0) <- cell inner.(0);
-  let n = ref 0 in
-  for j = 1 to e - 1 do
-    let t = tag_at j in
-    if t <> line.((2 * !n) + 1) then begin
-      incr n;
-      line.(2 * !n) <- starts.(j);
-      line.((2 * !n) + 1) <- t;
-      cells.(!n) <- cell inner.(j)
-    end
-  done;
-  Frozen { keys; vals; line; cells }
+  (* each elementary interval takes its innermost key's tag *)
+  let tags = Array.map (fun key -> if key < 0 then no_tag else slot_tags.(key)) l.inner in
+  Frozen { starts = l.starts; tags; layout = l; cells = Array.copy values; cardinal = !cardinal }
 
 let freeze ~tag bindings =
   let l = layout (Array.of_list (List.map fst bindings)) in
@@ -359,7 +344,9 @@ let fold f t acc =
           go (path lor (1 lsl (31 - depth))) (depth + 1) n.one acc
     | Frozen fz ->
         let acc = ref acc in
-        Array.iteri (fun i p -> acc := f p fz.vals.(i) !acc) fz.keys;
+        Array.iteri
+          (fun i p -> match fz.cells.(i) with Some v -> acc := f p v !acc | None -> ())
+          fz.layout.keys;
         !acc
   in
   go 0 0 t acc
@@ -369,7 +356,7 @@ let iter f t = fold (fun p v () -> f p v) t ()
 let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
 let cardinal = function
-  | Frozen f -> Array.length f.keys
+  | Frozen f -> f.cardinal
   | t -> fold (fun _ _ n -> n + 1) t 0
 
 let of_list l = List.fold_left (fun t (p, v) -> add p v t) empty l
@@ -377,7 +364,7 @@ let of_list l = List.fold_left (fun t (p, v) -> add p v t) empty l
 let rec map f = function
   | Leaf -> Leaf
   | Node n -> Node { value = Option.map f n.value; zero = map f n.zero; one = map f n.one }
-  | Frozen fz -> map f (thaw fz.keys fz.vals)
+  | Frozen fz -> map f (thaw fz.layout.keys fz.cells)
 
 let union f a b =
   fold

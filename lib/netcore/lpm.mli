@@ -9,15 +9,9 @@
     A table has one of two forms. A trie serves every operation and is
     what incremental writers (the BGP RIBs, updated one prefix at a
     time) keep. A frozen table is for tables that are only read — a
-    compiled FIB snapshot, looked up on every hop: it holds its
-    bindings sorted and the address space cut into the maximal
-    intervals over which the longest match's value is constant, so
-    that a lookup is a binary search instead of a walk of up to 32
-    nodes. It keeps no trie. Each interval carries an int {e tag} of
-    its value, given by the caller when the table is built, and the
-    interval starts and tags sit interleaved in one int array: a line
-    card's lookup ({!lookup_tag}) reads that array alone and follows
-    no pointer.
+    compiled FIB snapshot, looked up on every hop: it keeps no trie,
+    so that a lookup is a binary search instead of a walk of up to 32
+    nodes.
 
     A frozen table is built in two steps. A {!layout} depends only on a
     sequence of prefixes: it sorts them and cuts the address space, in
@@ -26,7 +20,19 @@
     layout from one value per distinct prefix, without sorting or
     sweeping the prefixes again. Many tables that bind the same prefixes to
     different values — the routers of one domain — share one layout.
-    {!freeze} is a layout and a fill of one binding list. *)
+    {!freeze} is a layout and a fill of one binding list.
+
+    A frozen table's intervals are its layout's elementary intervals,
+    and it shares the layout's array of their starts. Besides it holds
+    one int {e tag} per interval, the tag of the longest match's value
+    there (the caller gives [tag] when the table is filled), and its
+    bound values. So an interval index means the same addresses in
+    every table filled over one layout. A line card's lookup reads the
+    starts and the tags and follows no value pointer: {!interval} finds
+    an address's interval, testing a hint first, and {!interval_tag}
+    reads its tag. A walk that carries the index from one router's
+    table to the next one's searches once per layout it enters.
+    {!lookup_tag} is the same lookup with no hint. *)
 
 type 'a t
 (** A table mapping prefixes to values of type ['a]. Persistent:
@@ -55,9 +61,10 @@ val lookup_value : Ipv4.t -> 'a t -> 'a option
     cell the table already stores, the same cell on every lookup of the
     address, so no lookup allocates. On a trie it is the matching
     binding's own cell. On a frozen table it is a binary search over
-    the interval starts, returning the interval's cell: its value has
-    the tag (under the [tag] it was filled with) of the longest match's
-    value, but it need not be that binding's cell. *)
+    the interval starts, then a climb from the interval's innermost
+    prefix up its enclosing ones to the first the table binds: that
+    binding's cell, one of the [Some] cells the table was filled
+    with. *)
 
 val no_tag : int
 (** The tag of "no bound prefix covers the address": [min_int]. No
@@ -66,10 +73,34 @@ val no_tag : int
 val lookup_tag : Ipv4.t -> 'a t -> int
 (** [lookup_tag addr t] is the tag of the longest match's value in the
     frozen table [t], or {!no_tag} when no bound prefix covers [addr]:
-    the per-packet lookup of a forwarding kernel. A binary search over
-    one int array that allocates nothing and dereferences no value.
+    {!interval_tag} of {!interval} with no hint. A binary search over
+    the layout's interval starts, then one read of the table's tags;
+    it allocates nothing and dereferences no value.
     @raise Invalid_argument when [t] is a trie, not frozen: only
     compiled tables are looked up by tag. *)
+
+val interval : 'a t -> Ipv4.t -> near:int -> int
+(** [interval t addr ~near] is the index of the interval of the frozen
+    table [t] that holds [addr]: the per-packet lookup of a forwarding
+    kernel. It first tests the hint [near]: when [near] is an index of
+    [t] whose interval holds [addr] (two reads of the starts, two
+    comparisons), that is the answer; otherwise it binary-searches the
+    starts. Any int is a safe hint: the test compares [addr] with
+    [t]'s own starts, so an index out of range is a miss, and one from
+    another layout costs at most a search, never a wrong answer. Interval 0 always
+    exists, so it is a valid first hint. The result is the same for
+    every hint, and for every table filled over [t]'s layout.
+    Allocates nothing.
+    @raise Invalid_argument when [t] is not frozen. *)
+
+val interval_tag : 'a t -> int -> int
+(** [interval_tag t i] is the tag of the longest match's value over
+    interval [i] of the frozen table [t] ({!no_tag} where none
+    matches), for an [i] that {!interval} returned on [t]: so
+    [interval_tag t (interval t addr ~near)] is [lookup_tag addr t]
+    for any [near].
+    @raise Invalid_argument when [t] is not frozen, or [i] is not one
+    of its intervals. *)
 
 type layout
 (** The prefix-dependent half of a frozen table: a sequence of
@@ -95,23 +126,21 @@ val fill : tag:('a -> int) -> layout -> 'a option array -> 'a t
 (** [fill ~tag l values] is the frozen table binding the prefix of
     each slot [s] to [v] where [values.(s) = Some v]. A prefix whose
     slot holds [None] is not bound, so its addresses fall through to
-    the innermost bound prefix enclosing it. The table holds the bound
-    prefixes sorted by {!Prefix.compare} and the maximal address
-    intervals over which the tag of the longest match's value is
-    constant ({!no_tag} where none matches): at most
-    [2 * cardinal + 1] intervals, no two adjacent ones holding equal
-    tags, each holding its tag and one of [values]' own [Some] cells
-    (or [None]). [tag] is called once per bound slot, so merging
-    neighbours costs an int comparison; it should be injective on the
-    values that must stay apart. It keeps no trie: {!find_exact} is a
-    binary search over the sorted prefixes, {!lookup} tries them from
-    /32 down, {!fold}, {!iter}, {!bindings} and {!cardinal} read them
-    in {!Prefix.compare} order, and {!add}, {!remove} and {!map} return
-    an unfrozen trie built from them. Costs a pass over the slots and
-    two over the elementary intervals (one counts the intervals, one
-    writes them into arrays of that size), with no sort. A frozen table
-    holds no lazy or mutable state, so it may be shared read-only
-    across domains.
+    the innermost bound prefix enclosing it. The table's intervals are
+    [l]'s elementary ones, whatever it binds: it shares [l]'s starts
+    and holds one tag per interval, the tag of the longest match's
+    value there ({!no_tag} where none matches), so neighbours with
+    equal tags are not merged. It keeps [values]' own [Some] cells, in
+    a copy of the array, and no other per-interval or per-binding
+    block. [tag] is called once per bound slot; it should be injective
+    on the values that must stay apart. It keeps no trie: {!find_exact}
+    is a binary search over [l]'s sorted prefixes, {!lookup} tries them
+    from /32 down, {!fold}, {!iter}, {!bindings} and {!cardinal} read
+    the bound ones in {!Prefix.compare} order, and {!add}, {!remove}
+    and {!map} return an unfrozen trie built from them. Costs a pass
+    over the slots and one over the elementary intervals, with no sort
+    and no merge. A frozen table holds no lazy or mutable state, so it
+    may be shared read-only across domains.
     @raise Invalid_argument unless [values] holds {!slots}[ l] values,
     or when a value's tag is {!no_tag}. *)
 
@@ -119,7 +148,8 @@ val freeze : tag:('a -> int) -> (Prefix.t * 'a) list -> 'a t
 (** [freeze ~tag bindings] is the frozen table of [bindings], read as
     a sequence of {!add}s: where a prefix is bound more than once, the
     last binding wins. It is the {!fill} of the bindings' values over
-    the {!layout} of their prefixes: one sort, one sweep and one fill.
+    the {!layout} of their prefixes, a layout of its own: one sort, one
+    sweep and one fill.
     @raise Invalid_argument when a value's tag is {!no_tag}. *)
 
 val fold : (Prefix.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc

@@ -13,11 +13,12 @@
 
     Tables are snapshots: recompile after any routing or deployment
     change. Each router's table is frozen with no trie built in
-    between: the sorted bindings plus the maximal address intervals
-    over which the forwarding action is constant, each tagged with its
-    action's {!tag}, so a lookup is a binary search over a few dozen
-    intervals and a line card's ({!Netcore.Lpm.lookup_tag}) reads one
-    int array. A compiled table is only read once built, and can be
+    between: its bound values plus, over the elementary address
+    intervals of its domain's plan (below), one {!tag} per interval,
+    the tag of the action of the longest match there. A lookup is a
+    binary search over the plan's interval starts, and a line card
+    ({!Netcore.Lpm.interval}) reads the starts and the tags and no
+    action. A compiled table is only read once built, and can be
     shared read-only by the data plane's domains.
 
     A compile splits its work per domain and per router. Every router
@@ -28,7 +29,11 @@
     runs once per domain, into the domain's {e plan}; each router then
     computes one action per plan position, asking the IGP once per
     router of its domain, and fills its table over the plan
-    ({!Netcore.Lpm.fill}). *)
+    ({!Netcore.Lpm.fill}). So a domain's routers share their interval
+    starts, and an interval index found in one router's table holds in
+    every other table of the domain filled over the same plan: a
+    forwarding walk that carries the index from hop to hop searches
+    once per domain it enters. *)
 
 type action =
   | Local  (** the address terminates at this router (own address or
@@ -89,7 +94,7 @@ val table : t -> router:int -> action Netcore.Lpm.t
 val tag : action -> int
 (** The int a compiled table stores with each interval
     ({!Netcore.Lpm.fill}'s [tag]), so that a forwarding kernel decides
-    a hop from {!Netcore.Lpm.lookup_tag} alone: [Next_hop nh] ↦ [nh]
+    a hop from the tag alone ({!Netcore.Lpm.lookup_tag}): [Next_hop nh] ↦ [nh]
     (≥ 0), [Local] ↦ -1, [Attached h] ↦ [-2 - h] (≤ -2). A kernel
     decodes a tag [t] as a next hop when [t >= 0], local delivery when
     [t = -1], no route when [t = ]{!Netcore.Lpm.no_tag}, and delivery

@@ -713,8 +713,8 @@ let test_refresh_tracks_control_plane () =
   check Alcotest.bool "refreshed snapshot agrees" true (agree ())
 
 (* [b] binds what [a] binds, and looks up as [a] does at each binding's
-   first and last address and one past the last: where a table's
-   merged intervals start and end. Both are compiled tables, and the
+   first and last address and one past the last: where the binding's
+   intervals start and end. Both are compiled tables, and the
    kernel's tag lookup agrees there too. *)
 let same_bindings a b =
   let module Lpm = Netcore.Lpm in
@@ -735,41 +735,116 @@ let same_bindings a b =
            (first :: last :: (if last < 0xFFFF_FFFF then [ last + 1 ] else [])))
        (Lpm.bindings a)
 
+(* The trace of [dst] from [entry] over the pump's installed tables,
+   walked afresh: at every hop a hint-free [Lpm.lookup_tag], decoded as
+   fib.mli documents {!Fib.tag} (a next hop is the tag itself, -1 local
+   delivery, [no_tag] no route, any other tag the endhost [-2 - tag]). *)
+let reference_walk pump ~entry ~ttl dst =
+  let module Lpm = Netcore.Lpm in
+  let rec go r ttl hops =
+    let hops = r :: hops in
+    let ends outcome = { Forward.hops = List.rev hops; outcome } in
+    let tag = Lpm.lookup_tag dst (Pump.table pump ~router:r) in
+    if tag >= 0 then
+      if ttl <= 1 then ends (Forward.Dropped Forward.Ttl_expired)
+      else if tag = r then ends (Forward.Dropped Forward.Stuck)
+      else go tag (ttl - 1) hops
+    else if tag = -1 then ends (Forward.Router_accepted r)
+    else if tag = Lpm.no_tag then ends (Forward.Dropped Forward.No_route)
+    else ends (Forward.Endhost_accepted (-2 - tag))
+  in
+  go entry ttl []
+
+type partial_refresh = {
+  holds : bool;
+  mixed : int;  (** probes whose walk hops between a refreshed and a kept router of one domain *)
+  stale : int;  (** of those, probes where such a hop's hint is the wrong interval *)
+}
+
 (* A staged refresh touches exactly the routers it names: after a
    control-plane change, [refresh ~routers:rs] moves the routers in
    [rs] to the new snapshot, and every other router keeps its old
-   table. *)
+   table. The pump then holds two versions of some domains' tables,
+   over two layouts, and the kernel, whose walks carry an interval
+   index from hop to hop, must trace every probe as a walk that looks
+   each hop up afresh. *)
+let partial_refresh_case picks =
+  let module Lpm = Netcore.Lpm in
+  let inet, env, service = default_setup () in
+  let n = Internet.num_routers inet in
+  let rs = List.sort_uniq Int.compare (List.map (fun k -> k mod n) picks) in
+  let pump = Pump.create env in
+  let old_tables = Array.init n (fun router -> Pump.table pump ~router) in
+  Service.remove_participant service ~domain:5;
+  (* and a /16 goes, so every other domain's prefix list shrinks: a
+     refresh that kept a domain's stale plan would bind the wrong
+     prefixes *)
+  Interdomain.Bgp.withdraw_origin env.Forward.bgp ~domain:2
+    (Internet.domain inet 2).Internet.prefix;
+  ignore (Forward.reconverge env);
+  let fresh = Fib.compile env in
+  Pump.refresh ~routers:rs pump;
+  let routers = List.init n Fun.id in
+  let refreshed = Array.make n false in
+  List.iter (fun r -> refreshed.(r) <- true) rs;
+  let domain r = (Internet.router inet r).Internet.rdomain in
+  let mixed = ref 0 and stale = ref 0 in
+  let traced (entry, dst) =
+    let p = Packet.make_data ~src:Ipv4.any ~dst "probe" in
+    let got = Pump.inject pump p ~entry in
+    let crossings =
+      let rec hops = function
+        | a :: (b :: _ as rest) ->
+            if domain a = domain b && refreshed.(a) <> refreshed.(b) then (a, b) :: hops rest
+            else hops rest
+        | [ _ ] | [] -> []
+      in
+      hops got.Forward.hops
+    in
+    let interval r = Lpm.interval (Pump.table pump ~router:r) dst ~near:(-1) in
+    if crossings <> [] then incr mixed;
+    if List.exists (fun (a, b) -> interval a <> interval b) crossings then incr stale;
+    trace_str got = trace_str (reference_walk pump ~entry ~ttl:p.Packet.ttl dst)
+  in
+  let holds =
+    (* the change must be visible, or "kept the old table" is vacuous *)
+    List.exists
+      (fun router -> not (same_bindings old_tables.(router) (Fib.table fresh ~router)))
+      routers
+    && List.for_all
+         (fun router ->
+           same_bindings
+             (if List.mem router rs then Fib.table fresh ~router else old_tables.(router))
+             (Pump.table pump ~router))
+         routers
+    && List.for_all traced (sample_probes inet env service)
+  in
+  { holds; mixed = !mixed; stale = !stale }
+
 let prop_partial_refresh =
   QCheck.Test.make ~name:"refresh ~routers touches exactly the listed routers"
     ~count:15
     QCheck.(small_list (int_bound 10_000))
+    (fun picks -> (partial_refresh_case picks).holds)
+
+(* The property's walks reach the case it is there for: a walk that
+   hops, inside one domain, between a refreshed table and a kept one,
+   where the index the first found is not the second's interval. *)
+let test_partial_refresh_reaches_mixed_walks () =
+  let inet, _, _ = Lazy.force fixture in
+  let n = Internet.num_routers inet in
+  let mixed = ref 0 and stale = ref 0 in
+  List.iter
     (fun picks ->
-      let inet, env, service = default_setup () in
-      let n = Internet.num_routers inet in
-      let rs = List.sort_uniq Int.compare (List.map (fun k -> k mod n) picks) in
-      let pump = Pump.create env in
-      let old_tables = Array.init n (fun router -> Pump.table pump ~router) in
-      Service.remove_participant service ~domain:5;
-      (* and a /16 goes, so every other domain's prefix list shrinks: a
-         refresh that kept a domain's stale plan would bind the wrong
-         prefixes *)
-      Interdomain.Bgp.withdraw_origin env.Forward.bgp ~domain:2
-        (Internet.domain inet 2).Internet.prefix;
-      ignore (Forward.reconverge env);
-      let fresh = Fib.compile env in
-      Pump.refresh ~routers:rs pump;
-      let routers = List.init n Fun.id in
-      (* the change must be visible, or "kept the old table" is vacuous *)
-      List.exists
-        (fun router ->
-          not (same_bindings old_tables.(router) (Fib.table fresh ~router)))
-        routers
-      && List.for_all
-           (fun router ->
-             same_bindings
-               (if List.mem router rs then Fib.table fresh ~router else old_tables.(router))
-               (Pump.table pump ~router))
-           routers)
+      let c = partial_refresh_case picks in
+      check Alcotest.bool "the case holds" true c.holds;
+      mixed := !mixed + c.mixed;
+      stale := !stale + c.stale)
+    [ List.init ((n + 1) / 2) (fun i -> 2 * i); List.init (n / 2) Fun.id ];
+  Printf.printf "probes crossing versions inside a domain: %d; with a stale hint: %d\n" !mixed
+    !stale;
+  check Alcotest.bool "walks cross versions" true (!mixed > 0);
+  check Alcotest.bool "and carry a stale hint" true (!stale > 0)
 
 (* A refresh that names a router outside the internet is refused
    before it compiles or installs anything: every table stays the very
@@ -1054,6 +1129,8 @@ let () =
           Alcotest.test_case "refresh tracks control plane" `Quick
             test_refresh_tracks_control_plane;
           QCheck_alcotest.to_alcotest prop_partial_refresh;
+          Alcotest.test_case "partial refresh reaches mixed-version walks" `Quick
+            test_partial_refresh_reaches_mixed_walks;
           Alcotest.test_case "a refused refresh installs nothing" `Quick
             test_refused_refresh_installs_nothing;
           Alcotest.test_case "rollout steps the ordered slices" `Quick

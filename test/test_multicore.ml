@@ -241,7 +241,8 @@ let test_pool_verdicts_shard_invariant () =
    for. Each bad batch leads with valid flows, so a partly staged
    batch would show in the next run's verdict, and a partly sent one
    in the pump's telemetry. Both engines refuse with the same
-   [Workload.validate] message. *)
+   [Workload.validate] message. The pool also refuses a flow to an
+   endhost id outside the internet before it queues anything. *)
 let test_pool_refuses_bad_batch () =
   let env, flows, pump = Lazy.force pool_fixture in
   let inet = env.Forward.inet in
@@ -288,6 +289,11 @@ let test_pool_refuses_bad_batch () =
             exn
             (fun () -> ignore (Domainpool.run_cooperative pool batch : int)))
         bad;
+      let stray = lead @ [ { f with Workload.dst = Array.length inet.Internet.endhosts } ] in
+      Alcotest.check_raises
+        (Printf.sprintf "run refuses a stray endhost at %d shard(s)" shards)
+        (Invalid_argument "index out of bounds")
+        (fun () -> Domainpool.run pool stray);
       (* run_cooperative drains every queue in its first pass, so a
          flow left over from a refused batch shows in the verdict
          instead of hanging the live count *)

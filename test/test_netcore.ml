@@ -163,10 +163,22 @@ let same_bindings a b =
 
 let freeze = Lpm.freeze ~tag:Fun.id
 
+(* The kernel's hinted lookup finds the hint-free interval whatever the
+   hint: out of range below and above (the interval count), the answer
+   and its neighbours, interval 0, a random int and [other], an index
+   from another table's layout. The tag there is [lookup_tag]'s. *)
+let hints_agree t a ~random ~other =
+  let i = Lpm.interval t a ~near:(-1) in
+  let count = Lpm.interval t Ipv4.broadcast ~near:(-1) + 1 in
+  List.for_all
+    (fun near -> Lpm.interval t a ~near = i)
+    [ -1; 0; i - 1; i; i + 1; count; random; other ]
+  && Lpm.interval_tag t i = Lpm.lookup_tag a t
+
 let prop_lpm_matches_naive =
   QCheck.Test.make ~name:"lpm lookup = naive scan" ~count:300
-    QCheck.(pair arbitrary_table (int_bound 0xFFFFFF))
-    (fun (table, probe) ->
+    QCheck.(triple arbitrary_table (int_bound 0xFFFFFF) int)
+    (fun (table, probe, random) ->
       (* de-duplicate prefixes: Lpm.add replaces, the naive scan must
          see the same final binding per prefix *)
       let dedup =
@@ -192,11 +204,17 @@ let prop_lpm_matches_naive =
             ])
           table
       in
-      let padded =
-        let l = Lpm.layout (Array.of_list (unbound @ List.map fst table @ unbound)) in
-        let values = Array.make (Lpm.slots l) None in
-        List.iteri (fun i (_, v) -> values.(Lpm.slot l (List.length unbound + i)) <- Some v) table;
-        Lpm.fill ~tag:Fun.id l values
+      let l = Lpm.layout (Array.of_list (unbound @ List.map fst table @ unbound)) in
+      let values = Array.make (Lpm.slots l) None in
+      List.iteri (fun i (_, v) -> values.(Lpm.slot l (List.length unbound + i)) <- Some v) table;
+      let padded = Lpm.fill ~tag:Fun.id l values in
+      (* over the same layout, only the odd values bound, each one up:
+         other tags, fewer bindings, the same intervals *)
+      let sparse =
+        Lpm.fill ~tag:Fun.id l
+          (Array.map (function Some v when v mod 2 = 1 -> Some (v + 1) | _ -> None) values)
+      and sparse_model =
+        List.filter_map (fun (p, v) -> if v mod 2 = 1 then Some (p, v + 1) else None) dedup
       in
       let probes =
         Ipv4.of_int (probe * 12347)
@@ -205,7 +223,15 @@ let prop_lpm_matches_naive =
       List.for_all
         (fun a ->
           lookups_agree t dedup a && frozen_agree frozen dedup a && frozen_agree raw dedup a
-          && frozen_agree padded dedup a)
+          && frozen_agree padded dedup a
+          && frozen_agree sparse sparse_model a
+          &&
+          let own = Lpm.interval frozen a ~near:(-1) and other = Lpm.interval padded a ~near:(-1) in
+          hints_agree frozen a ~random ~other
+          && hints_agree raw a ~random ~other
+          && hints_agree padded a ~random ~other:own
+          && hints_agree sparse a ~random ~other:own
+          && Lpm.interval sparse a ~near:(-1) = other)
         probes
       && same_bindings frozen t
       && same_bindings raw t
@@ -312,6 +338,12 @@ let test_lpm_tag_refusals () =
       ignore (Lpm.lookup_tag addr (Lpm.of_list [ (p, 1) ])));
   Alcotest.check_raises "lookup_tag on the empty trie" not_frozen (fun () ->
       ignore (Lpm.lookup_tag addr Lpm.empty));
+  Alcotest.check_raises "interval on a trie"
+    (Invalid_argument "Lpm.interval: the table is not frozen") (fun () ->
+      ignore (Lpm.interval (Lpm.of_list [ (p, 1) ]) addr ~near:0));
+  Alcotest.check_raises "interval_tag on a trie"
+    (Invalid_argument "Lpm.interval_tag: the table is not frozen") (fun () ->
+      ignore (Lpm.interval_tag (Lpm.of_list [ (p, 1) ]) 0));
   check Alcotest.int "a frozen empty table has no route" Lpm.no_tag
     (Lpm.lookup_tag addr (freeze []));
   let no_tag = Invalid_argument "Lpm.fill: a value's tag is no_tag" in
