@@ -59,9 +59,6 @@ let stretch_in service anycast members ~endhost =
       | Some (_, best) ->
           if Float.equal best 0.0 then Some 1.0 else Some (got /. best))
 
-let best_member service ~endhost =
-  best_in service (member_trees service) ~endhost
-
 let actual service ~endhost = actual_in service (anycast_tree service) ~endhost
 
 let stretch service ~endhost =

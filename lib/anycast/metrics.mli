@@ -16,10 +16,6 @@
     a converge, an IGP recompute or a membership change sees the new
     state. *)
 
-val best_member : Service.t -> endhost:int -> (int * float) option
-(** The member with the cheapest unicast path from the endhost, with
-    that metric. *)
-
 val actual : Service.t -> endhost:int -> (int * float) option
 (** The member the anycast service actually delivers to, with the
     metric of the path taken. *)

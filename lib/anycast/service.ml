@@ -126,10 +126,6 @@ let withdraw_neighbor_advertisement t ~from_ ~to_ =
   Bgp.withdraw_scoped t.env.Forward.bgp ~from_ ~to_ t.group;
   ignore (Forward.reconverge t.env)
 
-let resolve_from_router t ~entry =
-  let probe = Packet.make_data ~src:Ipv4.any ~dst:(address t) "anycast-probe" in
-  Forward.forward t.env probe ~entry
-
 let resolve_from_endhost t ~endhost =
   let probe = Packet.make_data ~src:Ipv4.any ~dst:(address t) "anycast-probe" in
   Forward.send_from_endhost t.env probe ~endhost

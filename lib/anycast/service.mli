@@ -86,8 +86,6 @@ val resolve_from_endhost : t -> endhost:int -> Simcore.Forward.trace
 (** Send a probe to the anycast address from an endhost; the trace's
     outcome identifies the IPvN ingress router the network chose. *)
 
-val resolve_from_router : t -> entry:int -> Simcore.Forward.trace
-
 val ingress_for_endhost : t -> endhost:int -> int option
 (** The member router this endhost's packets are redirected to, if
     delivery succeeds. *)

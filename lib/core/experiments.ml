@@ -974,10 +974,10 @@ let e16_revenue_gravity ?(params = Internet.default_params) ?(deployers = 4)
     let chosen = sel stubs in
     List.iter (fun d -> Setup.deploy setup ~domain:d) chosen;
     let traffic =
-      Traffic.create inet (Traffic.Gravity { zipf_s = 1.0 })
+      Workload.create inet (Workload.Gravity { zipf_s = 1.0 })
         ~seed:(Int64.add params.Internet.seed 71L)
     in
-    let pairs = Traffic.sample_flows traffic ~count:flows in
+    let pairs = List.init flows (fun _ -> Workload.pair traffic) in
     let report =
       Revenue.traffic_report (Setup.router setup) ~strategy:Router.Bgp_aware
         ~pairs
@@ -989,7 +989,7 @@ let e16_revenue_gravity ?(params = Internet.default_params) ?(deployers = 4)
         0.0 chosen
     in
     let traffic_share = if total > 0.0 then deployer_load /. total else 0.0 in
-    let pop_share = Traffic.population_share traffic chosen in
+    let pop_share = Workload.population_share traffic chosen in
     {
       picker = name;
       pop_share;

@@ -16,7 +16,6 @@ type t = {
 let internet t = t.inet
 let env t = t.env
 let service t = t.service
-let version t = t.version
 
 let of_internet inet ~version ~strategy =
   let env = Forward.make_env inet in

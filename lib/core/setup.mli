@@ -28,7 +28,6 @@ val of_internet :
 val internet : t -> Topology.Internet.t
 val env : t -> Simcore.Forward.env
 val service : t -> Anycast.Service.t
-val version : t -> int
 
 val deploy : ?fraction:float -> t -> domain:int -> unit
 (** The domain deploys IPvN on [fraction] (default 1.0) of its routers

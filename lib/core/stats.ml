@@ -31,5 +31,3 @@ let summarize = function
 let to_string s =
   if Float.is_nan s.mean then "-"
   else Printf.sprintf "%.2f +/- %.2f" s.mean s.ci95
-
-let mean_of f xs = (summarize (List.map f xs)).mean

@@ -15,7 +15,6 @@ val summarize : float list -> summary
 val to_string : summary -> string
 (** ["12.34 +/- 0.56"]. *)
 
-val mean_of : ('a -> float) -> 'a list -> float
 val t_critical_95 : int -> float
 (** Two-sided 95% Student-t critical value for the given degrees of
     freedom (exact for df <= 30, 1.96 beyond). *)

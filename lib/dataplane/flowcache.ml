@@ -85,12 +85,3 @@ let stats t =
       0 t.values
   in
   { hits = t.hits; misses = t.misses; evictions = t.evictions; occupied }
-
-let hit_rate (t : _ t) =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
-let reset_stats (t : _ t) =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0

@@ -55,7 +55,3 @@ val clear : 'a t -> unit
 (** Drop every entry; counters are kept. *)
 
 val stats : 'a t -> stats
-val hit_rate : 'a t -> float
-(** [hits / (hits + misses)]; 0 before any lookup. *)
-
-val reset_stats : 'a t -> unit

@@ -149,9 +149,5 @@ let stats t =
          /. float_of_int !admitted /. float_of_int t.rate);
   }
 
-let depth t = t.depth
-let rate t = t.rate
-let control_reserve t = t.reserve
-
 let queued t ~src ~dst =
   match t.slots.((src * t.routers) + dst) with None -> 0 | Some q -> q.occ

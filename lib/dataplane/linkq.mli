@@ -68,9 +68,5 @@ type stats = {
 
 val stats : t -> stats
 
-val depth : t -> int
-val rate : t -> int
-val control_reserve : t -> int
-
 val queued : t -> src:int -> dst:int -> int
 (** Bytes currently queued on one directed link (0 if unregistered). *)

@@ -1,10 +1,5 @@
 type cls = Native | Encap | Control
 
-let cls_to_string = function
-  | Native -> "native"
-  | Encap -> "encap"
-  | Control -> "control"
-
 type counters = {
   mutable packets : int;
   mutable bytes : int;

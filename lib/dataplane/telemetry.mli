@@ -20,8 +20,6 @@ type cls =
 
 (** traffic class of a packet *)
 
-val cls_to_string : cls -> string
-
 type counters = {
   mutable packets : int;  (** per-hop handlings *)
   mutable bytes : int;  (** wire bytes handled *)

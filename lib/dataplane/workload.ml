@@ -6,6 +6,7 @@ type flow = { src : int; dst : int; packets : int; bytes_per_packet : int }
 
 type t = {
   inet : Internet.t;
+  weights : float array;  (* per domain, normalized *)
   cum : float array;
       (* per domain, the running sum of the normalized weights up to it,
          added left to right *)
@@ -38,14 +39,16 @@ let create ?(packets_per_flow = 4) ?(payload_mix = [| 64; 512; 1400 |])
   in
   let total = Array.fold_left ( +. ) 0.0 raw in
   if total <= 0.0 then invalid_arg "Workload.create: every endhost has zero weight";
+  let weights = Array.map (fun w -> w /. total) raw in
   let cum = Array.make n 0.0 and acc = ref 0.0 in
   Array.iteri
     (fun d w ->
-      acc := !acc +. (w /. total);
+      acc := !acc +. w;
       cum.(d) <- !acc)
-    raw;
+    weights;
   {
     inet;
+    weights;
     cum;
     rng = Rng.create seed;
     packets_per_flow;
@@ -73,18 +76,26 @@ let pick_endhost t =
   in
   try_domain ()
 
+let rec other_endhost t src =
+  let d = pick_endhost t in
+  if d = src then other_endhost t src else d
+
+(* The fields evaluate right to left: src, then the payload, then dst. *)
 let next t =
   let src = pick_endhost t in
-  let rec pick_dst () =
-    let d = pick_endhost t in
-    if d = src then pick_dst () else d
-  in
   {
     src;
-    dst = pick_dst ();
+    dst = other_endhost t src;
     packets = t.packets_per_flow;
     bytes_per_packet = Rng.pick_array t.rng t.payload_mix;
   }
+
+let pair t =
+  let src = pick_endhost t in
+  (src, other_endhost t src)
+
+let population_share t doms =
+  List.fold_left (fun acc d -> acc +. t.weights.(d)) 0.0 doms
 
 let validate f =
   if f.packets < 0 then

@@ -5,9 +5,11 @@
     assumption A1 values a network generation by "the number of users"
     it can reach — so the default workload is a gravity model: flows
     land in a domain with probability proportional to a Zipf share of
-    the user population, mirroring {!Evolve.Traffic} one layer down so
-    the data-plane engine can generate load without depending on the
-    experiment layer. A uniform-over-endhosts matrix is the control.
+    the user population, the standard traffic-matrix assumption. A
+    uniform-over-endhosts matrix is the control. The same generator
+    feeds the data planes ({!next}) and the experiments that only need
+    endpoints, such as E16's attracted-traffic measure (§2's revenue
+    argument; {!pair}).
 
     All draws flow through {!Topology.Rng}, so a (model, seed) pair
     always yields the same flow sequence. *)
@@ -46,6 +48,16 @@ val next : t -> flow
 (** Draw the next flow (advances the generator state). Each side draws
     its domain by a binary search over the running sums of the domain
     weights, which [create] adds once. *)
+
+val pair : t -> int * int
+(** Draw the next (src, dst) endhost pair, [src <> dst], as {!next}
+    draws them but with no payload draw between the two sides (advances
+    the generator state). *)
+
+val population_share : t -> int list -> float
+(** Combined normalized weight of a set of domains: their share of the
+    user population under the model (each domain's weight is its
+    endhost count, or its Zipf share under gravity, over the total). *)
 
 val validate : flow -> unit
 (** The one check a flow must pass before either data plane sends it

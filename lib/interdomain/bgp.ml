@@ -95,8 +95,6 @@ type t = {
   links : egress array;  (* per domain *)
 }
 
-let internet t = t.inet
-
 let lowest_link inet d nb =
   Internet.interlinks_between inet d nb
   |> List.sort (fun a b ->
@@ -281,7 +279,6 @@ let next_hop_domain r =
   | _ :: nb :: _ -> Some nb
   | [ _ ] | [] -> None
 
-let as_path_length r = List.length r.as_path
 let rib_size t ~domain = Lpm.cardinal t.ribs.(domain)
 let rib t ~domain = List.map snd (Lpm.bindings t.ribs.(domain))
 

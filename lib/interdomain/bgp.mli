@@ -141,14 +141,11 @@ val next_hop_domain : route -> int option
 (** The neighbor the route goes through; [None] for self-originated
     routes. *)
 
-val as_path_length : route -> int
-
 val rib_size : t -> domain:int -> int
 (** Number of prefixes in the domain's RIB — the routing-state metric
     of experiment E5. *)
 
 val rib : t -> domain:int -> route list
-val internet : t -> Topology.Internet.t
 
 val egress_link : t -> domain:int -> Netcore.Prefix.t -> Topology.Internet.interlink option
 (** The inter-domain link the domain's chosen route for the covering

@@ -49,8 +49,6 @@ let create ?(ring_capacity = 1024) ?spill_cap ?inject_per_pass (env : Forward.en
     ss;
   { env; map; shards = ss; live; restarts = Array.make shards 0 }
 
-let env t = t.env
-let map t = t.map
 let num_shards t = Array.length t.shards
 let shard t i = t.shards.(i)
 

@@ -6,7 +6,7 @@
     realistic traffic volumes, and a single pump tops out at a couple
     of million packets per second. The pool shards the router id space
     with a fixed {!Shardmap}, gives every {!Shard} its own kernel
-    state, telemetry and rng stream, and hands flowlets between shards
+    state and telemetry, and hands flowlets between shards
     through SPSC {!Ring}s. A batch is staged on the caller's domain
     with the pump's own codec ({!Netcore.Wire.encode}, then
     {!Netcore.Wire.peek_dst_or}); walks and handoffs carry only the
@@ -29,15 +29,14 @@ val create :
 (** Compile one FIB snapshot of the env's control plane (shared
     read-only by all workers) and stand up [shards] workers with
     [ring_capacity]-slot handoff rings (default 1024). [seed] feeds one {!Topology.Rng} per
-    shard via deterministic splits. [spill_cap] and [inject_per_pass]
+    shard via deterministic splits ({!Shard.rng}; no worker draws from
+    it). [spill_cap] and [inject_per_pass]
     configure each shard's overload behaviour — see {!Shard.create}.
     A refused call holds no descriptor.
     @raise Invalid_argument unless [0 < shards <= routers], or when
     [ring_capacity], [spill_cap] or [inject_per_pass] is not
     positive. *)
 
-val env : t -> Simcore.Forward.env
-val map : t -> Shardmap.t
 val num_shards : t -> int
 
 val shard : t -> int -> Shard.t

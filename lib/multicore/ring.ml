@@ -34,11 +34,6 @@ let length t =
 
 let is_empty t = length t = 0
 
-(* Exact from the producer's domain: head only advances, so a stale
-   head read can only understate the free room, never overstate it —
-   the credit never over-promises. *)
-let credits t = Array.length t.buf - length t
-
 (* Publication order is what makes this safe across domains: the slot
    write happens before the Atomic.set on tail (a seq_cst store), and
    the consumer reads tail (seq_cst load) before touching the slot.

@@ -40,13 +40,6 @@ val is_empty : 'a t -> bool
 (** [length t = 0]. Exact for the consumer: once it observes
     non-empty, {!pop} is safe. *)
 
-val credits : 'a t -> int
-(** Free slots: [capacity t - length t]. Exact from the producer's
-    own domain (only the consumer can make it grow concurrently), so a
-    producer can treat it as a credit count that never over-promises:
-    the watermark/backpressure protocol of DESIGN.md §13 reads it to
-    decide between spilling and shedding. *)
-
 val push : 'a t -> 'a -> bool
 (** Producer side only. Enqueue, or return [false] when the ring is
     full — the backpressure signal; the element is NOT queued and the

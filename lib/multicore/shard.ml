@@ -71,8 +71,6 @@ type t = {
   mutable peer_asleep : bool Atomic.t array;
   mutable peer_wake : Unix.file_descr array;
   mutable crossings : int;
-  mutable naps : int;
-  mutable passes : int;
 }
 
 let create ?(spill_cap = 65536) ?(inject_per_pass = max_int) ~sid ~map
@@ -114,8 +112,6 @@ let create ?(spill_cap = 65536) ?(inject_per_pass = max_int) ~sid ~map
     peer_asleep = [||];
     peer_wake = [||];
     crossings = 0;
-    naps = 0;
-    passes = 0;
   }
 
 let set_channels t ~inbox ~outbox =
@@ -134,9 +130,6 @@ let close t =
   Unix.close t.wake_r;
   Unix.close t.wake_w
 
-let naps t = t.naps
-let passes t = t.passes
-let sid t = t.sid
 let telemetry t = Hop.telemetry t.hop
 let crossings t = t.crossings
 let rng t = t.rng
@@ -145,7 +138,6 @@ let overflow_high_water t = t.spill_hw
 let overflow_len t = t.spill_len
 let overflow_cap t = t.spill_cap
 let shed t = t.shed_count
-let handled t = t.handled
 
 (* --- deterministic crash injection (DESIGN.md §13) ------------------- *)
 
@@ -294,7 +286,6 @@ let inboxes_empty st =
    idle, so its allocations (select's fd lists) are off the per-packet
    path (allowlisted with this justification). *)
 let nap st =
-  st.naps <- st.naps + 1;
   Atomic.set st.asleep true;
   (* re-check after publishing the flag: a producer that pushed before
      reading the flag is now visible to us; one that pushed after will
@@ -314,7 +305,6 @@ exception Crashed
    An armed crash fires between flowlets: the message that was next is
    still queued, so nothing in flight is lost. *)
 let pass st =
-  st.passes <- st.passes + 1;
   let progress = ref false in
   (try
      (* 1. cross-shard arrivals — consumers always drain, so producers

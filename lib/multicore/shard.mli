@@ -4,13 +4,14 @@
 
     Each shard owns every piece of state it writes — the
     {!Dataplane.Hop} kernel state of its router block (its own
-    {!Dataplane.Telemetry} and path buffer), its queue of staged injections,
-    rng stream and counters — which is what lets the evolvelint
+    {!Dataplane.Telemetry} and path buffer), its queue of staged
+    injections and its counters — which is what lets the evolvelint
     domain-safety pack prove the sharded hot path race-free from the
     {!run} root, the same §9.4 proof that covers the serial pump.
     Routing state is shared read-only: compiled {!Simcore.Fib}
-    snapshots (§3.2's per-router data-plane state) are persistent
-    maps, safe across domains without locks. A shard walks each
+    snapshots (§3.2's per-router data-plane state) are frozen interval
+    arrays, never written once built, so domains read them without
+    locks. A shard walks each
     flowlet through the same kernel as the serial pump, with the
     flowlet's count, every link up and no link queues, and hands it to
     the owning shard when the next hop leaves its block. A flowlet
@@ -107,8 +108,6 @@ val close : t -> unit
     will never {!run} again; the pool's [close] does this for every
     shard. *)
 
-val sid : t -> int
-
 val telemetry : t -> Dataplane.Telemetry.t
 (** This shard's own counters; merge across shards in fixed order for
     the pool-wide view (commutative — see {!Domainpool.telemetry}). *)
@@ -117,8 +116,8 @@ val crossings : t -> int
 (** Handoffs this shard initiated (lifetime total). *)
 
 val rng : t -> Topology.Rng.t
-(** The shard's private randomness stream, split from the pool seed —
-    the only randomness a worker may use (CLAUDE.md). *)
+(** A randomness stream split from the pool seed. No worker draws from
+    it: it stays while benchmarks pass [Domainpool.create ~seed]. *)
 
 val enqueue : t -> msg -> unit
 (** Queue a staged flowlet for injection at its router, which must
@@ -138,10 +137,6 @@ val shed : t -> int
 (** Packets this shard deliberately shed (lifetime total), already
     recorded per class in its telemetry and retired from the live
     count. *)
-
-val handled : t -> int
-(** Flowlet handlings (arrivals plus injections) this shard performed
-    — the deterministic clock {!arm_crash} counts in. *)
 
 (** {2 Deterministic crash injection and supervision} (DESIGN.md §13) *)
 
@@ -179,8 +174,3 @@ val run : t -> unit
     and wake the moment a producer hands them traffic. *)
 
 (**/**)
-
-val naps : t -> int
-val passes : t -> int
-(** Scheduling diagnostics: idle sleeps taken and main-loop passes,
-    lifetime totals. *)

@@ -6,9 +6,6 @@ let create ~routers ~shards =
     invalid_arg "Shardmap.create: shards must be in [1, routers]";
   { routers; shards }
 
-let routers t = t.routers
-let shards t = t.shards
-
 (* Contiguous blocks: router ids are numbered per topology domain
    ({!Topology.Internet} hands out dense per-domain ranges), so block
    assignment keeps intra-domain hops shard-local. The formula depends

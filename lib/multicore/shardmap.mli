@@ -15,9 +15,6 @@ type t
 val create : routers:int -> shards:int -> t
 (** @raise Invalid_argument unless [0 < shards <= routers]. *)
 
-val routers : t -> int
-val shards : t -> int
-
 val shard_of : t -> int -> int
 (** [shard_of t r] is the owning shard of router [r], in
     [\[0, shards)]. Total and monotone over [\[0, routers)]. *)

@@ -3,8 +3,6 @@ type t = int (* invariant: 0 <= t < 2^32 *)
 let mask32 = 0xFFFF_FFFF
 let of_int i = i land mask32
 external to_int : t -> int = "%identity"
-let of_int32 i = Int32.to_int i land mask32
-let to_int32 a = Int32.of_int a
 
 let of_octets a b c d =
   let check o =
@@ -43,7 +41,6 @@ let to_string a =
 
 let compare = Int.compare
 let equal = Int.equal
-let hash = Hashtbl.hash
 
 let bit a i =
   if i < 0 || i > 31 then invalid_arg "Ipv4.bit: index out of range";
@@ -53,4 +50,3 @@ let succ a = (a + 1) land mask32
 let add a k = (a + k) land mask32
 let any = 0
 let broadcast = mask32
-let pp fmt a = Format.pp_print_string fmt (to_string a)

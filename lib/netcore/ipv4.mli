@@ -8,11 +8,6 @@
 type t
 (** A 32-bit IPv4 address. Values are totally ordered and hashable. *)
 
-val of_int32 : int32 -> t
-(** [of_int32 i] interprets [i] as a big-endian address value. *)
-
-val to_int32 : t -> int32
-
 val of_int : int -> t
 (** [of_int i] builds the address whose 32-bit value is [i land
     0xFFFFFFFF]. *)
@@ -35,7 +30,6 @@ val to_string : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val bit : t -> int -> bool
 (** [bit a i] is bit [i] of the address, where bit 0 is the most
@@ -53,5 +47,3 @@ val any : t
 
 val broadcast : t
 (** [255.255.255.255]. *)
-
-val pp : Format.formatter -> t -> unit

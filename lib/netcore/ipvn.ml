@@ -53,7 +53,6 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let hash t = Hashtbl.hash (t.version, t.value)
 
 let to_string t =
   if is_self t then

@@ -57,6 +57,5 @@ val raw_host : t -> int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -48,11 +48,6 @@ let node value zero one =
   | None, Leaf, Leaf -> Leaf
   | _ -> Node { value; zero; one }
 
-let is_empty = function
-  | Leaf -> true
-  | Node _ -> false
-  | Frozen f -> f.cardinal = 0
-
 (* Bit [depth] of address value [a], 0 = most significant. Callers keep
    [depth < 32]: no trie is deeper than a /32. *)
 let bit a depth = (a lsr (31 - depth)) land 1 = 1
@@ -121,38 +116,6 @@ let rec find_exact_bits net depth len t =
 
 let find_exact p t =
   find_exact_bits (Ipv4.to_int (Prefix.network p)) 0 (Prefix.length p) t
-
-(* A frozen table keeps no trie to walk: try each length from the
-   longest, masking the address down to it. *)
-let lookup_sorted keys cells addr =
-  let a = Ipv4.to_int addr in
-  let rec go len =
-    if len < 0 then None
-    else
-      let net = if len = 0 then 0 else (a lsr (32 - len)) lsl (32 - len) in
-      match find_key keys net len with
-      | -1 -> go (len - 1)
-      | i -> ( match cells.(i) with Some v -> Some (Prefix.make addr len, v) | None -> go (len - 1))
-  in
-  go 32
-
-let lookup addr t =
-  let a = Ipv4.to_int addr in
-  let rec go depth t best =
-    match t with
-    | Leaf -> best
-    | Node n ->
-        let best =
-          match n.value with
-          | Some v -> Some (Prefix.make addr depth, v)
-          | None -> best
-        in
-        if depth = 32 then best
-        else if bit a depth then go (depth + 1) n.one best
-        else go (depth + 1) n.zero best
-    | Frozen f -> lookup_sorted f.layout.keys f.cells addr
-  in
-  go 0 t None
 
 (* The largest interval [i] in [\[lo, hi)] whose start [starts.(i)]
    is at most [a], given that [lo]'s is. Typed, so that the comparison
@@ -351,8 +314,6 @@ let fold f t acc =
   in
   go 0 0 t acc
 
-let iter f t = fold (fun p v () -> f p v) t ()
-
 let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
 let cardinal = function
@@ -360,11 +321,6 @@ let cardinal = function
   | t -> fold (fun _ _ n -> n + 1) t 0
 
 let of_list l = List.fold_left (fun t (p, v) -> add p v t) empty l
-
-let rec map f = function
-  | Leaf -> Leaf
-  | Node n -> Node { value = Option.map f n.value; zero = map f n.zero; one = map f n.one }
-  | Frozen fz -> map f (thaw fz.layout.keys fz.cells)
 
 let union f a b =
   fold

@@ -39,7 +39,6 @@ type 'a t
     operations return new tables. *)
 
 val empty : 'a t
-val is_empty : 'a t -> bool
 
 val add : Prefix.t -> 'a -> 'a t -> 'a t
 (** [add p v t] binds [p] to [v], replacing any previous binding of
@@ -52,19 +51,16 @@ val remove : Prefix.t -> 'a t -> 'a t
 val find_exact : Prefix.t -> 'a t -> 'a option
 (** The value bound to exactly [p]. *)
 
-val lookup : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
-(** [lookup addr t] is the binding with the longest prefix containing
-    [addr], or [None] when no bound prefix covers it. *)
-
 val lookup_value : Ipv4.t -> 'a t -> 'a option
-(** The value of {!lookup}, without its prefix. A hit returns a [Some]
-    cell the table already stores, the same cell on every lookup of the
-    address, so no lookup allocates. On a trie it is the matching
-    binding's own cell. On a frozen table it is a binary search over
-    the interval starts, then a climb from the interval's innermost
-    prefix up its enclosing ones to the first the table binds: that
-    binding's cell, one of the [Some] cells the table was filled
-    with. *)
+(** [lookup_value addr t] is the value bound to the longest prefix
+    containing [addr], or [None] when no bound prefix covers it. A hit
+    returns a [Some] cell the table already stores, the same cell on
+    every lookup of the address, so no lookup allocates. On a trie it
+    is the matching binding's own cell. On a frozen table it is a
+    binary search over the interval starts, then a climb from the
+    interval's innermost prefix up its enclosing ones to the first the
+    table binds: that binding's cell, one of the [Some] cells the table
+    was filled with. *)
 
 val no_tag : int
 (** The tag of "no bound prefix covers the address": [min_int]. No
@@ -134,10 +130,10 @@ val fill : tag:('a -> int) -> layout -> 'a option array -> 'a t
     a copy of the array, and no other per-interval or per-binding
     block. [tag] is called once per bound slot; it should be injective
     on the values that must stay apart. It keeps no trie: {!find_exact}
-    is a binary search over [l]'s sorted prefixes, {!lookup} tries them
-    from /32 down, {!fold}, {!iter}, {!bindings} and {!cardinal} read
-    the bound ones in {!Prefix.compare} order, and {!add}, {!remove}
-    and {!map} return an unfrozen trie built from them. Costs a pass
+    is a binary search over [l]'s sorted prefixes, {!fold},
+    {!bindings} and {!cardinal} read the bound ones in
+    {!Prefix.compare} order, and {!add} and {!remove} return an
+    unfrozen trie built from them. Costs a pass
     over the slots and one over the elementary intervals, with no sort
     and no merge. A frozen table holds no lazy or mutable state, so it
     may be shared read-only across domains.
@@ -155,7 +151,6 @@ val freeze : tag:('a -> int) -> (Prefix.t * 'a) list -> 'a t
 val fold : (Prefix.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** Fold over all bindings, in {!Prefix.compare} order. *)
 
-val iter : (Prefix.t -> 'a -> unit) -> 'a t -> unit
 val bindings : 'a t -> (Prefix.t * 'a) list
 (** All bindings sorted by {!Prefix.compare}. *)
 
@@ -163,9 +158,6 @@ val cardinal : 'a t -> int
 (** Number of bound prefixes. *)
 
 val of_list : (Prefix.t * 'a) list -> 'a t
-
-val map : ('a -> 'b) -> 'a t -> 'b t
-(** The same prefixes bound to [f] of their values; not frozen. *)
 
 val union : (Prefix.t -> 'a -> 'a -> 'a) -> 'a t -> 'a t -> 'a t
 (** [union f a b] contains every binding of [a] and [b]; prefixes bound

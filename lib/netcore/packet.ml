@@ -24,21 +24,7 @@ let encapsulate ~src ~dst vn = { src; dst; ttl = default_ttl; payload = Encap vn
 let decapsulate t = match t.payload with Encap vn -> Some vn | Data _ -> None
 let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
 
-let decrement_vttl vn =
-  if vn.vttl <= 1 then None else Some { vn with vttl = vn.vttl - 1 }
-
 let dest_ipv4 vn =
   match vn.dest_v4_hint with
   | Some a -> Some a
   | None -> Ipvn.embedded_ipv4 vn.vdst
-
-let pp_vn fmt vn =
-  Format.fprintf fmt "IPv%d[%a -> %a, vttl=%d]" vn.version Ipvn.pp vn.vsrc
-    Ipvn.pp vn.vdst vn.vttl
-
-let pp fmt t =
-  match t.payload with
-  | Data _ -> Format.fprintf fmt "IPv4[%a -> %a, ttl=%d]" Ipv4.pp t.src Ipv4.pp t.dst t.ttl
-  | Encap vn ->
-      Format.fprintf fmt "IPv4[%a -> %a, ttl=%d | %a]" Ipv4.pp t.src Ipv4.pp
-        t.dst t.ttl pp_vn vn

@@ -56,12 +56,7 @@ val decapsulate : t -> vn option
 val decrement_ttl : t -> t option
 (** [None] once the hop budget is exhausted. *)
 
-val decrement_vttl : vn -> vn option
-
 val dest_ipv4 : vn -> Ipv4.t option
 (** The destination's IPv4 address as recoverable by an IPvN router:
     the explicit header hint if present, else the address embedded in a
     self-assigned destination, else [None]. *)
-
-val pp : Format.formatter -> t -> unit
-val pp_vn : Format.formatter -> vn -> unit

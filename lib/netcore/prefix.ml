@@ -27,7 +27,6 @@ let of_string s =
   | None -> invalid_arg (Printf.sprintf "Prefix.of_string: %S" s)
 
 let to_string p = Printf.sprintf "%s/%d" (Ipv4.to_string p.network) p.length
-let pp fmt p = Format.pp_print_string fmt (to_string p)
 
 let compare a b =
   match Ipv4.compare a.network b.network with

@@ -20,7 +20,6 @@ val of_string_opt : string -> t option
 val network : t -> Ipv4.t
 val length : t -> int
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int
 val equal : t -> t -> bool
 

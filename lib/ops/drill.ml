@@ -84,8 +84,6 @@ type run = {
 let book r = r.book
 let internet r = r.inet
 let env r = r.env
-let service r = r.service
-let engine r = r.engine
 let now r = Engine.now r.engine
 let pump r = r.pump
 let link_faults r = r.link_faults
@@ -93,20 +91,11 @@ let session_faults r = r.session_faults
 let bgpdyn r = r.bgpdyn
 let lsprotos r = r.lsprotos
 let fabric r = r.fabric
-let bgpvn r = r.bgpvn
 let deployed r = r.deployed
-let rogue r = r.rogue
-let victim_domain r = r.victim_domain
 let detected_at r = r.detected_at
 let rows r = List.rev r.rows_rev
 let events r = List.rev r.events_rev
 let group r = Service.group r.service
-
-let linkq r =
-  match r.overload with Some (Flash f) -> Some f.lq | _ -> None
-
-let pool r =
-  match r.overload with Some (Slow s) -> Some s.pool | _ -> None
 
 let close r =
   match r.overload with Some (Slow s) -> Domainpool.close s.pool | _ -> ()

@@ -100,8 +100,6 @@ val transcript : run -> string
 val book : run -> Drillbook.t
 val internet : run -> Topology.Internet.t
 val env : run -> Simcore.Forward.env
-val service : run -> Anycast.Service.t
-val engine : run -> Simcore.Engine.t
 
 val now : run -> float
 (** Current engine time. *)
@@ -111,12 +109,6 @@ val phase : run -> string
     (steady | fault | healing | recovered). *)
 
 val pump : run -> Dataplane.Pump.t
-
-val linkq : run -> Dataplane.Linkq.t option
-(** The finite link queues, when the drill is a flash crowd. *)
-
-val pool : run -> Multicore.Domainpool.t option
-(** The sharded pool, when the drill is a slow consumer. *)
 
 val link_faults : run -> Simcore.Faults.t
 (** Router-level fabric: link cuts and member crashes. *)
@@ -129,7 +121,6 @@ val lsprotos : run -> (int * Simcore.Lsproto.t) list
 (** The per-deployed-domain link-state protocol instances. *)
 
 val fabric : run -> Vnbone.Fabric.t
-val bgpvn : run -> Vnbone.Bgpvn.t
 
 val fib : run -> Simcore.Fib.t
 (** The control plane's current compiled FIB (what a completed refresh
@@ -141,9 +132,3 @@ val group : run -> Netcore.Prefix.t
 
 val deployed : run -> int list
 (** Deployed (participant) domains, ascending. *)
-
-val rogue : run -> int option
-(** The hijacking domain, for hijack drills. *)
-
-val victim_domain : run -> int option
-(** The de-peered / flapping stub, for those drills. *)

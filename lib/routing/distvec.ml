@@ -22,7 +22,6 @@ type t = {
   mutable nh : int array array;  (* local idx of next hop, -1 = none/self *)
 }
 
-let domain t = t.dom
 let num_routers t = Array.length t.router_ids
 let num_groups t = List.length t.group_of
 let columns t = num_routers t + num_groups t
@@ -106,35 +105,6 @@ let withdraw_anycast t ~group ~member =
         t.dist.(li).(col) <- infinity_metric;
         t.nh.(li).(col) <- -1
       end
-
-let fail_link t a b =
-  if in_domain t a && in_domain t b then begin
-    let la = local_index t a and lb = local_index t b in
-    t.neighbors.(la) <- List.filter (fun (j, _) -> j <> lb) t.neighbors.(la);
-    t.neighbors.(lb) <- List.filter (fun (j, _) -> j <> la) t.neighbors.(lb);
-    (* routes whose next hop crossed the dead link evaporate, so the
-       withdrawal can propagate instead of lingering forever *)
-    let cols = columns t in
-    for c = 0 to cols - 1 do
-      if t.nh.(la).(c) = lb then begin
-        t.dist.(la).(c) <- infinity_metric;
-        t.nh.(la).(c) <- -1
-      end;
-      if t.nh.(lb).(c) = la then begin
-        t.dist.(lb).(c) <- infinity_metric;
-        t.nh.(lb).(c) <- -1
-      end
-    done
-  end
-
-let restore_link t a b w =
-  if in_domain t a && in_domain t b && a <> b then begin
-    let la = local_index t a and lb = local_index t b in
-    if not (List.exists (fun (j, _) -> j = lb) t.neighbors.(la)) then begin
-      t.neighbors.(la) <- (lb, w) :: t.neighbors.(la);
-      t.neighbors.(lb) <- (la, w) :: t.neighbors.(lb)
-    end
-  end
 
 (* Refresh locally-originated entries (self route, member-of-group
    zero routes) before an exchange round. *)

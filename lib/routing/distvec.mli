@@ -21,8 +21,6 @@ type anycast_decision =
 val create : Topology.Internet.t -> domain:int -> t
 (** Fresh state. Vectors start cold; call {!converge}. *)
 
-val domain : t -> int
-
 val infinity_metric : float
 (** The protocol's "unreachable" metric (the RIP 16, scaled for our
     weights). *)
@@ -35,16 +33,6 @@ val advertise_anycast : t -> group:Netcore.Prefix.t -> member:int -> unit
     domain. *)
 
 val withdraw_anycast : t -> group:Netcore.Prefix.t -> member:int -> unit
-
-val fail_link : t -> int -> int -> unit
-(** [fail_link t a b] (global router ids) removes the adjacency between
-    two domain routers from the protocol's view, as a link failure
-    would. Routes through the link decay over subsequent rounds —
-    bounded by {!infinity_metric}, the classic counting-to-infinity
-    cap. No-op when the routers are not adjacent. *)
-
-val restore_link : t -> int -> int -> float -> unit
-(** Re-add an adjacency with the given weight. *)
 
 val step : t -> bool
 (** One synchronous exchange round; true when any entry changed. *)

@@ -29,7 +29,6 @@ let compute inet ~domain ~flavor =
   { state; dom = domain; live_groups = Hashtbl.create 4 }
 
 let flavor t = match t.state with Ls _ -> Linkstate_igp | Dv _ -> Distvec_igp
-let domain t = t.dom
 let members_known t = match t.state with Ls _ -> true | Dv _ -> false
 
 let distance t ~src ~dst =
@@ -102,5 +101,3 @@ let anycast_members t ~group =
   match t.state with
   | Ls ls -> Some (Linkstate.anycast_members ls ~group)
   | Dv _ -> None
-
-let as_linkstate t = match t.state with Ls ls -> Some ls | Dv _ -> None

@@ -25,7 +25,6 @@ val compute : Topology.Internet.t -> domain:int -> flavor:flavor -> t
     state. *)
 
 val flavor : t -> flavor
-val domain : t -> int
 
 val members_known : t -> bool
 (** True exactly for link-state: members can enumerate one another. *)
@@ -48,6 +47,3 @@ val anycast_route : t -> src:int -> group:Netcore.Prefix.t -> anycast_decision o
 val anycast_members : t -> group:Netcore.Prefix.t -> int list option
 (** [Some members] under link-state; [None] under distance-vector —
     the capability gap that forces anycast-walk vN-Bone discovery. *)
-
-val as_linkstate : t -> Linkstate.t option
-(** The underlying link-state view when that is the flavor. *)

@@ -13,7 +13,6 @@ type t = {
   members : (Prefix.t, int list ref) Hashtbl.t;  (* group -> global ids *)
 }
 
-let domain t = t.dom
 let routers t = Array.to_list t.router_ids
 
 let in_domain t rid =

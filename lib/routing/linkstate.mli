@@ -22,8 +22,6 @@ val compute : Topology.Internet.t -> domain:int -> t
 (** Build the LSDB and all shortest-path trees for the routers of one
     domain. Routes never leave the domain. *)
 
-val domain : t -> int
-
 val advertise_anycast : t -> group:Netcore.Prefix.t -> member:int -> unit
 (** [member] (a global router id in this domain) starts accepting
     packets for [group].

@@ -4,7 +4,6 @@ module Bgp = Interdomain.Bgp
 module Prefix = Netcore.Prefix
 module Lpm = Netcore.Lpm
 module Ipv4 = Netcore.Ipv4
-module Packet = Netcore.Packet
 
 type action = Local | Attached of int | Next_hop of int
 type t = { tables : action Lpm.t array }
@@ -144,52 +143,6 @@ let compile env =
   let c = compiler env in
   { tables = Array.init (Internet.num_routers env.Forward.inet) (router_table c) }
 
-let lookup t ~router addr = Lpm.lookup_value addr t.tables.(router)
 let table t ~router = t.tables.(router)
 
 let size t ~router = Lpm.cardinal t.tables.(router)
-
-let total_entries t =
-  Array.fold_left (fun acc tbl -> acc + Lpm.cardinal tbl) 0 t.tables
-
-let forward t _env packet ~entry =
-  let dst = packet.Packet.dst in
-  let rec go r ttl acc =
-    let acc = r :: acc in
-    match lookup t ~router:r dst with
-    | None -> { Forward.hops = List.rev acc; outcome = Forward.Dropped Forward.No_route }
-    | Some Local -> { Forward.hops = List.rev acc; outcome = Forward.Router_accepted r }
-    | Some (Attached h) ->
-        { Forward.hops = List.rev acc; outcome = Forward.Endhost_accepted h }
-    | Some (Next_hop nh) ->
-        if ttl <= 1 then
-          { Forward.hops = List.rev acc; outcome = Forward.Dropped Forward.Ttl_expired }
-        else if nh = r then
-          { Forward.hops = List.rev acc; outcome = Forward.Dropped Forward.Stuck }
-        else go nh (ttl - 1) acc
-  in
-  go entry packet.Packet.ttl []
-
-let outcome_eq a b =
-  match (a, b) with
-  | Forward.Router_accepted x, Forward.Router_accepted y -> x = y
-  | Forward.Endhost_accepted x, Forward.Endhost_accepted y -> x = y
-  | Forward.Dropped _, Forward.Dropped _ -> true
-  | _ -> false
-
-let agrees_with_decide t env ~samples =
-  let disagreement = ref None in
-  List.iter
-    (fun (entry, dst) ->
-      if !disagreement = None then begin
-        let p = Packet.make_data ~src:Ipv4.any ~dst "fib-check" in
-        let a = Forward.forward env p ~entry in
-        let b = forward t env p ~entry in
-        if not (outcome_eq a.Forward.outcome b.Forward.outcome) then
-          disagreement :=
-            Some
-              (Printf.sprintf "entry %d -> %s: decide and FIB disagree" entry
-                 (Ipv4.to_string dst))
-      end)
-    samples;
-  match !disagreement with None -> Ok () | Some m -> Error m

@@ -8,8 +8,10 @@
 
     - {e state accounting}: FIB sizes per router class are the
       data-plane side of the paper's routing-state concern (E22);
-    - {e verification}: compiled forwarding must agree with the
-      on-the-fly forwarder everywhere (asserted by the test-suite).
+    - {e forwarding}: the data plane's one forwarding kernel
+      (Dataplane.Hop, behind the pump and the sharded pool) walks these
+      tables by {!tag}, and the test-suite checks its traces against
+      {!Forward.forward}, the only oracle.
 
     Tables are snapshots: recompile after any routing or deployment
     change. Each router's table is frozen with no trie built in
@@ -84,9 +86,6 @@ val compile : Forward.env -> t
 (** Materialize all routers' tables from the current control-plane
     state: {!router_table} over every router of one {!compiler}. *)
 
-val lookup : t -> router:int -> Netcore.Ipv4.t -> action option
-(** The compiled forwarding decision; [None] = drop (no route). *)
-
 val table : t -> router:int -> action Netcore.Lpm.t
 (** One router's compiled table — the line-card view a data-plane
     engine forwards against, by {!tag}. *)
@@ -106,13 +105,3 @@ val tag : action -> int
 
 val size : t -> router:int -> int
 (** Number of FIB entries at one router. *)
-
-val total_entries : t -> int
-
-val forward : t -> Forward.env -> Netcore.Packet.t -> entry:int -> Forward.trace
-(** Forward a packet using only compiled tables (the [env] is used for
-    trace metadata, not decisions). *)
-
-val agrees_with_decide : t -> Forward.env -> samples:(int * Netcore.Ipv4.t) list -> (unit, string) result
-(** Check that compiled forwarding and on-the-fly forwarding reach the
-    same outcome for each (entry router, destination) sample. *)

@@ -37,10 +37,6 @@ let edge_weight g u v =
   check_node g v "Graph.edge_weight";
   Hashtbl.find_opt g.adj.(u) v
 
-let degree g v =
-  check_node g v "Graph.degree";
-  Hashtbl.length g.adj.(v)
-
 let neighbors g v =
   check_node g v "Graph.neighbors";
   Hashtbl.fold (fun u w acc -> (u, w) :: acc) g.adj.(v) []
@@ -103,6 +99,3 @@ let components g =
 
 let is_connected g =
   match components g with [] | [ _ ] -> true | _ -> false
-
-let pp fmt g =
-  Format.fprintf fmt "graph(n=%d, m=%d)" (n g) g.edge_count

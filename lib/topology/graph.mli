@@ -23,7 +23,6 @@ val remove_edge : t -> int -> int -> unit
 
 val has_edge : t -> int -> int -> bool
 val edge_weight : t -> int -> int -> float option
-val degree : t -> int -> int
 val neighbors : t -> int -> (int * float) list
 val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
 val edge_count : t -> int
@@ -41,5 +40,3 @@ val component_ids : t -> int array
 
 val is_connected : t -> bool
 (** True when there is one component (vacuously true for [n = 0]). *)
-
-val pp : Format.formatter -> t -> unit

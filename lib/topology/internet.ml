@@ -100,9 +100,6 @@ let interlinks_between t a b =
       else None)
     t.interlinks
 
-let routers_of_domain t d =
-  Array.to_list (Array.map (fun id -> t.routers.(id)) t.domains.(d).router_ids)
-
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 

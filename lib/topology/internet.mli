@@ -76,8 +76,6 @@ val interlinks_between : t -> int -> int -> interlink list
 (** All inter-domain links between two domains (in either orientation,
     normalised so that [a_domain] is the first argument). *)
 
-val routers_of_domain : t -> int -> router list
-
 (** {1 Construction} *)
 
 type intra_style =

@@ -10,7 +10,6 @@ let to_string = function
   | Peer -> "peer"
   | Provider -> "provider"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let equal a b = a = b
 
 let export_allowed ~learned_from ~to_ =

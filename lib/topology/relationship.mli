@@ -12,7 +12,6 @@ val invert : t -> t
 (** The same relationship seen from the other side. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 val export_allowed : learned_from:t -> to_:t -> bool

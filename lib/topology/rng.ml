@@ -47,11 +47,6 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let shuffle_list t xs =
-  let a = Array.of_list xs in
-  shuffle t a;
-  Array.to_list a
-
 let sample t k xs =
   let a = Array.of_list xs in
   shuffle t a;

@@ -43,8 +43,6 @@ val pick_array : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val shuffle_list : t -> 'a list -> 'a list
-
 val sample : t -> int -> 'a list -> 'a list
 (** [sample t k xs] draws [k] distinct elements (all of [xs] when
     [k >= length xs]). *)

@@ -30,9 +30,6 @@ type t = {
   mutable alive : int -> bool;  (* member router id -> process is up *)
 }
 
-let alpha t = t.alpha
-let fabric t = t.fabric
-
 let node_of t member =
   match Fabric.index_of t.fabric member with
   | Some n -> n

@@ -38,9 +38,6 @@ val create : ?alpha:float -> Fabric.t -> t
     aggregate is originated automatically; call {!converge}. [alpha]
     defaults to 0.5 (same knob as {!Router.create}). *)
 
-val alpha : t -> float
-val fabric : t -> Fabric.t
-
 val originate_external : t -> member:int -> prefix:Netcore.Prefix.t -> exit_cost:float -> unit
 (** The member proxy-advertises an IPv(N-1) prefix at the given exit
     distance. Takes effect over subsequent {!converge} rounds.

@@ -51,8 +51,6 @@ let pricer env =
       in
       (Forward.reach tree ~entry:a ~ttl:Packet.default_ttl).Forward.metric
 
-let underlay_metric t a b = pricer (Service.env t.service) a b
-
 let add_tunnel t price kind a b =
   let ia = Hashtbl.find t.index a and ib = Hashtbl.find t.index b in
   if ia <> ib && not (Graph.has_edge t.graph ia ib) then begin

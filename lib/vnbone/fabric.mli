@@ -23,7 +23,7 @@
     {!Simcore.Forward} oracle, through one memoised forwarding tree per
     destination member ({!Simcore.Forward.toward}). Each call that
     prices pairs — {!build}, {!add_manual_tunnel}, {!reanchor},
-    {!mean_vn_stretch}, {!underlay_metric} — builds its own trees and
+    {!mean_vn_stretch} — builds its own trees and
     drops them when it returns; none is kept in {!t}, so a later call
     sees a converge, an IGP recompute or a membership change. *)
 
@@ -97,12 +97,6 @@ val vn_hop_distance : t -> int -> int -> int option
     (BFS, ignoring tunnel metrics); [None] when disconnected or not
     members. This is the hop count BGPvN's policy metric charges for. *)
 
-val underlay_metric : t -> int -> int -> float
-(** Metric of the IPv4 path between two routers as the data plane
-    would forward a fresh packet
-    ({!Simcore.Forward.path_metric} of its trace); [0.0] from a router
-    to itself; [infinity] when undeliverable. *)
-
 val probe_tunnels : t -> alive:(int -> bool) -> int
 (** Tunnel liveness: every tunnel with a dead endpoint (per the
     [alive] predicate over member router ids) fails its probe and is
@@ -122,7 +116,8 @@ val reanchor : t -> alive:(int -> bool) -> int
 
 val mean_vn_stretch : t -> float
 (** Congruence of the vN-Bone with the physical topology (§3.3.1):
-    mean over member pairs of [vn_distance a b / underlay_metric a b],
+    mean over member pairs of [vn_distance a b] over the IPv4 path
+    metric between [a] and [b],
     every pair priced in one pass over the members' forwarding trees.
     1.0 means every vN-Bone path is as good as native IPv4 between the
     same routers; [nan] with fewer than two mutually reachable

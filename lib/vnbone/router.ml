@@ -2,7 +2,6 @@ module Internet = Topology.Internet
 module Forward = Simcore.Forward
 module Service = Anycast.Service
 module Bgp = Interdomain.Bgp
-module Packet = Netcore.Packet
 
 type strategy = Exit_early | Bgp_aware | Proxy | Host_advertised
 
@@ -34,7 +33,6 @@ let create ?(proxy_alpha = 0.5) ?(mode = Oracle) fabric =
   }
 
 let fabric t = t.fabric
-let mode t = t.rmode
 
 let protocol t =
   match t.speaker with
@@ -64,11 +62,6 @@ let egress_to_vn_domain t ~ingress ~domain =
           | _ -> if d < infinity then Some (m, d) else acc)
         None candidates
       |> Option.map fst
-
-let exit_cost t ~member ~dest =
-  (Forward.reach (Forward.toward (env t) dest) ~entry:member
-     ~ttl:Packet.default_ttl)
-    .Forward.metric
 
 let domain_path_length t ~member ~dest =
   Option.map List.length

@@ -50,8 +50,6 @@ val create : ?proxy_alpha:float -> ?mode:mode -> Fabric.t -> t
     on the vN-Bone. [mode] (default [Oracle]) selects how BGPvN routes
     are obtained. *)
 
-val mode : t -> mode
-
 val protocol : t -> Bgpvn.t
 (** The underlying BGPvN speaker state (lazily created and converged;
     available in either mode for inspection). *)
@@ -68,11 +66,6 @@ val egress_for : t -> strategy:strategy -> ingress:int -> dest:Netcore.Ipv4.t ->
     domain) should leave the vN-Bone, per the strategy. Always returns
     [ingress] for {!Exit_early}; [None] only when [ingress] is not a
     member. *)
-
-val exit_cost : t -> member:int -> dest:Netcore.Ipv4.t -> float
-(** Metric of the IPv(N-1) path from a member to the destination
-    address ([infinity] when undeliverable) — what a proxy
-    advertisement for [dest] by [member] would carry. *)
 
 val domain_path_length : t -> member:int -> dest:Netcore.Ipv4.t -> int option
 (** Length of the BGPv(N-1) AS-level path from the member's domain to

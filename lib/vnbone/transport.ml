@@ -58,10 +58,6 @@ let last_vn_router j =
 
 let delivered j = Result.is_ok j.result
 
-let path_metric router j =
-  let env = Service.env (Fabric.service (Router.fabric router)) in
-  List.fold_left (fun acc l -> acc +. Forward.path_metric env (leg_trace l)) 0.0 j.legs
-
 let send_over router ~forward ~strategy ~src ~dst ~payload =
   let fabric = Router.fabric router in
   let service = Fabric.service fabric in

@@ -84,9 +84,6 @@ val last_vn_router : journey -> int option
 (** The last IPvN router that handled the packet (Fig 3's "last IPvN
     hop"). *)
 
-val path_metric : Router.t -> journey -> float
-(** Total underlay metric across all legs. *)
-
 val pp_journey : Topology.Internet.t -> Format.formatter -> journey -> unit
 (** Leg-by-leg rendering — addresses, per-leg router paths, the
     failure if any. What [evolvenet sim --verbose] prints. *)

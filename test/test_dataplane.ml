@@ -528,6 +528,49 @@ let prop_workload_equals_linear_scan =
       Workload.batch (Workload.create ~packets_per_flow ~payload_mix inet model ~seed) ~count
       = linear_scan_batch ~packets_per_flow ~payload_mix inet model ~seed ~count)
 
+let test_workload_populations_normalized () =
+  let inet = Internet.build Internet.default_params in
+  let all = List.init (Internet.num_domains inet) Fun.id in
+  List.iter
+    (fun model ->
+      let t = Workload.create inet model ~seed:1L in
+      check (Alcotest.float 1e-9) "sums to 1" 1.0 (Workload.population_share t all))
+    [ Workload.Uniform; Workload.Gravity { zipf_s = 1.0 } ]
+
+let test_workload_gravity_skews () =
+  let inet = Internet.build Internet.default_params in
+  let g = Workload.create inet (Workload.Gravity { zipf_s = 1.0 }) ~seed:1L in
+  check Alcotest.bool "zipf head heavier than tail" true
+    (Workload.population_share g [ 0 ]
+    > Workload.population_share g [ Internet.num_domains inet - 1 ]);
+  (* sampled pairs reflect the skew: domain 0 endpoints appear more
+     often than under the uniform model *)
+  let share_of_domain t =
+    let pairs = List.init 400 (fun _ -> Workload.pair t) in
+    let hits =
+      List.length
+        (List.filter
+           (fun (s, d) ->
+             (Internet.endhost inet s).Internet.hdomain = 0
+             || (Internet.endhost inet d).Internet.hdomain = 0)
+           pairs)
+    in
+    float_of_int hits
+  in
+  let u = Workload.create inet Workload.Uniform ~seed:2L in
+  check Alcotest.bool "gravity oversamples the head domain" true
+    (share_of_domain g > share_of_domain u)
+
+let test_workload_pairs_valid () =
+  let inet = Internet.build Internet.default_params in
+  let t = Workload.create inet (Workload.Gravity { zipf_s = 1.2 }) ~seed:3L in
+  let hn = Array.length inet.Internet.endhosts in
+  for _ = 1 to 200 do
+    let s, d = Workload.pair t in
+    check Alcotest.bool "distinct" true (s <> d);
+    check Alcotest.bool "in range" true (s >= 0 && s < hn && d >= 0 && d < hn)
+  done
+
 (* One endhost can never be both ends of a flow: create refuses it
    rather than letting the first draw look for ever. *)
 let test_workload_needs_two_endhosts () =
@@ -1108,6 +1151,10 @@ let () =
           Alcotest.test_case "total packets" `Quick test_workload_total_packets;
           QCheck_alcotest.to_alcotest prop_workload_equals_linear_scan;
           Alcotest.test_case "needs two endhosts" `Quick test_workload_needs_two_endhosts;
+          Alcotest.test_case "normalized populations" `Quick
+            test_workload_populations_normalized;
+          Alcotest.test_case "gravity skews sampling" `Quick test_workload_gravity_skews;
+          Alcotest.test_case "valid pairs" `Quick test_workload_pairs_valid;
         ] );
       ( "telemetry",
         [

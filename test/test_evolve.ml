@@ -86,7 +86,8 @@ let test_setup_gia_on_preferential_attachment () =
   check Alcotest.bool "journey delivered" true (Transport.delivered j)
 
 let test_setup_mixed_igp_fib_agreement () =
-  (* compiled FIBs must match on-the-fly decisions in DV domains too *)
+  (* the pump's compiled FIBs must forward as the on-the-fly oracle
+     decides in DV domains too: whole traces, through the Hop kernel *)
   let inet = Internet.build Internet.default_params in
   let env =
     Simcore.Forward.make_env
@@ -94,7 +95,7 @@ let test_setup_mixed_igp_fib_agreement () =
         if d mod 3 = 0 then Routing.Igp.Distvec_igp else Routing.Igp.Linkstate_igp)
       inet
   in
-  let fib = Simcore.Fib.compile env in
+  let pump = Dataplane.Pump.create env in
   let rng = Topology.Rng.create 77L in
   let samples =
     List.init 200 (fun _ ->
@@ -104,9 +105,17 @@ let test_setup_mixed_igp_fib_agreement () =
         in
         (entry, (Internet.endhost inet h).Internet.haddr))
   in
-  match Simcore.Fib.agrees_with_decide fib env ~samples with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+  let hops (t : Simcore.Forward.trace) = t.Simcore.Forward.hops in
+  List.iter
+    (fun (entry, dst) ->
+      let p = Netcore.Packet.make_data ~src:Netcore.Ipv4.any ~dst "fib-check" in
+      let want = Simcore.Forward.forward env p ~entry in
+      let got = Dataplane.Pump.inject pump p ~entry in
+      let what = Printf.sprintf "entry %d -> %s" entry (Netcore.Ipv4.to_string dst) in
+      check Alcotest.(list int) (what ^ ": hops") (hops want) (hops got);
+      check Alcotest.bool (what ^ ": outcome") true
+        (want.Simcore.Forward.outcome = got.Simcore.Forward.outcome))
+    samples
 
 (* ------------------------------------------------------------------ *)
 (* Adoption                                                            *)
@@ -205,58 +214,7 @@ let test_revenue_pairs_are_valid () =
     pairs
 
 (* ------------------------------------------------------------------ *)
-(* Traffic                                                             *)
-
-module Traffic = Evolve.Traffic
-
-let test_traffic_populations_normalized () =
-  let inet = Internet.build Internet.default_params in
-  List.iter
-    (fun model ->
-      let t = Traffic.create inet model ~seed:1L in
-      let total =
-        List.fold_left
-          (fun acc d -> acc +. Traffic.population t d)
-          0.0
-          (List.init (Internet.num_domains inet) Fun.id)
-      in
-      check (Alcotest.float 1e-9) "sums to 1" 1.0 total)
-    [ Traffic.Uniform; Traffic.Gravity { zipf_s = 1.0 } ]
-
-let test_traffic_gravity_skews () =
-  let inet = Internet.build Internet.default_params in
-  let g = Traffic.create inet (Traffic.Gravity { zipf_s = 1.0 }) ~seed:1L in
-  check Alcotest.bool "zipf head heavier than tail" true
-    (Traffic.population g 0 > Traffic.population g (Internet.num_domains inet - 1));
-  (* sampled flows reflect the skew: domain 0 endpoints appear more
-     often than under the uniform model *)
-  let share_of_domain t =
-    let flows = Traffic.sample_flows t ~count:400 in
-    let hits =
-      List.length
-        (List.filter
-           (fun (s, d) ->
-             (Internet.endhost inet s).Internet.hdomain = 0
-             || (Internet.endhost inet d).Internet.hdomain = 0)
-           flows)
-    in
-    float_of_int hits
-  in
-  let u = Traffic.create inet Traffic.Uniform ~seed:2L in
-  check Alcotest.bool "gravity oversamples the head domain" true
-    (share_of_domain g > share_of_domain u)
-
-let test_traffic_flows_valid () =
-  let inet = Internet.build Internet.default_params in
-  let t = Traffic.create inet (Traffic.Gravity { zipf_s = 1.2 }) ~seed:3L in
-  let flows = Traffic.sample_flows t ~count:200 in
-  check Alcotest.int "count" 200 (List.length flows);
-  let hn = Array.length inet.Internet.endhosts in
-  List.iter
-    (fun (s, d) ->
-      check Alcotest.bool "distinct" true (s <> d);
-      check Alcotest.bool "in range" true (s >= 0 && s < hn && d >= 0 && d < hn))
-    flows
+(* Attracted traffic (E16)                                             *)
 
 let test_e16_attraction_premium () =
   let rows = Evolve.Experiments.e16_revenue_gravity ~flows:80 () in
@@ -510,10 +468,6 @@ let () =
         ] );
       ( "traffic",
         [
-          Alcotest.test_case "normalized populations" `Quick
-            test_traffic_populations_normalized;
-          Alcotest.test_case "gravity skews sampling" `Quick test_traffic_gravity_skews;
-          Alcotest.test_case "valid flows" `Quick test_traffic_flows_valid;
           Alcotest.test_case "attraction premium (E16)" `Quick
             test_e16_attraction_premium;
         ] );

@@ -1019,6 +1019,202 @@ let test_stale_root () =
   check Alcotest.(list string) "the committed tree has none" []
     (List.map L.to_string (L.stale_roots (CG.build tree.Lintcore.Typed.tmods)))
 
+(* --- unreached exports -------------------------------------------- *)
+
+module RR = Lintcore.Rules_reach
+
+(* Typecheck fixture units in order, each seeing the ones before. *)
+let units us =
+  match Lintcore.Typed.of_strings us with
+  | Ok ms -> ms
+  | Error d -> Alcotest.failf "fixture rejected: %s" (L.to_string d)
+
+(* A library module with one export per way a program can reach it,
+   plus two no program reaches. *)
+let netfx =
+  ( "lib/fixture/netfx.ml",
+    "Fixture__Netfx",
+    Some
+      "type t = int
+       val direct : int -> int
+       val aliased : int -> int
+       val first_class : int -> int
+       val in_closure : int -> int
+       val registry : (string * (int -> int)) list
+       val compare : t -> t -> int
+       val equal : t -> t -> bool
+       val only_tests : int -> int
+       val unused : int -> int
+",
+    "type t = int
+     let direct x = x + 1
+     let aliased x = x + 2
+     let first_class x = x + 3
+     let in_closure x = x + 4
+     let registry = [ (\"c\", fun x -> in_closure x) ]
+     let compare (a : t) b = Int.compare a b
+     let equal (a : t) b = a = b
+     let only_tests x = x + 5
+     let unused x = x + 6
+" )
+
+(* The values [check] flags, sorted. *)
+let unreached ~lib ~roots =
+  RR.check (CG.build lib) ~lib ~roots
+  |> List.filter_map (fun (d : L.diag) ->
+         if d.L.rule = "unreached-export" then
+           Option.map
+             (fun k -> List.nth (String.split_on_char ':' k) 1)
+             d.L.key
+         else None)
+  |> List.sort compare
+
+let test_unreached_fires_then_reached () =
+  let program =
+    ( "bin/fx.ml",
+      "Dune__exe__Fx",
+      None,
+      "module N = Fixture__Netfx
+       module S = Set.Make (Fixture__Netfx)
+       let apply ~f x = f x
+       let () =
+      \  ignore (Fixture__Netfx.direct 1);
+      \  ignore (N.aliased 1);
+      \  ignore (apply ~f:Fixture__Netfx.first_class 1);
+      \  List.iter (fun (_, f) -> ignore (f 1)) Fixture__Netfx.registry;
+      \  ignore (S.cardinal S.empty)
+" )
+  in
+  let a_test =
+    ("test/test_fx.ml", "Dune__exe__Test_fx", None,
+     "let () = ignore (Fixture__Netfx.only_tests 1)
+")
+  in
+  match units [ netfx; program; a_test ] with
+  | [ lib; exe; _test ] ->
+      check
+        Alcotest.(list string)
+        "no program: every export fires"
+        [ "aliased"; "compare"; "direct"; "equal"; "first_class"; "in_closure";
+          "only_tests"; "registry"; "unused" ]
+        (unreached ~lib:[ lib ] ~roots:[]);
+      (* directly, through an alias, as a first-class function, from a
+         closure inside a top-level value, and through a functor
+         argument, which reaches what the parameter asks for (compare)
+         and nothing else (equal); a test is not a program *)
+      check
+        Alcotest.(list string)
+        "what the program reaches goes quiet"
+        [ "equal"; "only_tests"; "unused" ]
+        (unreached ~lib:[ lib ] ~roots:[ exe ]);
+      let d =
+        List.find
+          (fun (d : L.diag) -> d.L.key = Some "lib/fixture/netfx.mli:unused")
+          (RR.check (CG.build [ lib ]) ~lib:[ lib ] ~roots:[ exe ])
+      in
+      check Alcotest.string "reported in the interface" "lib/fixture/netfx.mli"
+        d.L.file;
+      check Alcotest.int "at the val's line" 10 d.L.line
+  | _ -> Alcotest.fail "three units expected"
+
+(* bench/perf's perfkit library has a Stats module, as lib/core does: a
+   program's Perfkit.Stats call must not count as a use of
+   Evolve.Stats. *)
+let test_unreached_resolves_by_library () =
+  let evolve_stats =
+    ( "lib/core/stats.ml", "Evolve__Stats", Some "val mean : float list -> float
+",
+      "let mean xs = List.fold_left ( +. ) 0. xs
+" )
+  and evolve = ("lib/core/evolve.ml", "Evolve", None, "module Stats = Evolve__Stats
+")
+  and perfkit_stats =
+    ("bench/perf/stats.ml", "Perfkit__Stats", None, "let mean _ = 0.
+")
+  and perfkit = ("bench/perf/perfkit.ml", "Perfkit", None, "module Stats = Perfkit__Stats
+") in
+  let main src = ("bench/perf/main.ml", "Dune__exe__Main", None, src) in
+  match
+    units
+      [ evolve_stats; evolve; perfkit_stats; perfkit;
+        main "open Perfkit
+let () = ignore (Stats.mean [])
+";
+        main "let () = ignore (Evolve.Stats.mean [])
+" ]
+  with
+  | [ stats; _; _; _; bench; lib_user ] ->
+      check Alcotest.(list string) "Perfkit.Stats.mean is not Evolve.Stats.mean"
+        [ "mean" ] (unreached ~lib:[ stats ] ~roots:[ bench ]);
+      check Alcotest.(list string) "Evolve.Stats.mean is" []
+        (unreached ~lib:[ stats ] ~roots:[ lib_user ])
+  | _ -> Alcotest.fail "six units expected"
+
+let test_unreached_allowlist_and_baseline () =
+  match units [ netfx ] with
+  | [ lib ] ->
+      let diags () = RR.check (CG.build [ lib ]) ~lib:[ lib ] ~roots:[] in
+      let entries vs =
+        String.concat ""
+          (List.map (Printf.sprintf "unreached-export lib/fixture/netfx.mli:%s\n") vs)
+      in
+      let all =
+        [ "aliased"; "compare"; "direct"; "equal"; "first_class"; "in_closure";
+          "registry" ]
+      in
+      let allow = L.Allowlist.parse ~path:"allowlist" (entries [ "only_tests" ])
+      and baseline = L.Allowlist.parse ~path:"baseline" (entries ("unused" :: all)) in
+      check Alcotest.int "every finding suppressed" 0
+        (List.length (L.filter_suppressed ~allow ~baseline (diags ())));
+      check Alcotest.int "no stale entry" 0
+        (List.length (L.Allowlist.stale allow)
+        + List.length (L.Allowlist.stale ~rule:"stale-baseline" baseline));
+      (* an entry for an export nobody flags is stale, in either file *)
+      let allow = L.Allowlist.parse ~path:"allowlist" (entries [ "only_tests"; "gone" ])
+      and baseline = L.Allowlist.parse ~path:"baseline" (entries ("unused" :: "old" :: all)) in
+      ignore (L.filter_suppressed ~allow ~baseline (diags ()));
+      check Alcotest.int "stale allowlist entry fires" 1
+        (count_rule "stale-allowlist" (L.Allowlist.stale allow));
+      check Alcotest.int "stale baseline entry fires" 1
+        (count_rule "stale-baseline" (L.Allowlist.stale ~rule:"stale-baseline" baseline))
+  | _ -> Alcotest.fail "one unit expected"
+
+(* Programs are the executables of bin/, bench/perf and examples/;
+   test stanzas are not. *)
+let test_program_stanzas () =
+  let root = Filename.concat (Filename.get_temp_dir_name ()) "evolvelint-stanzas" in
+  let write rel contents =
+    let path = Filename.concat root rel in
+    let rec mkdir d =
+      if not (Sys.file_exists d) then begin
+        mkdir (Filename.dirname d);
+        Sys.mkdir d 0o755
+      end
+    in
+    mkdir (Filename.dirname path);
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc
+  in
+  write "bin/dune" "(executable (name evolvenet) (libraries evolve))\n";
+  write "bench/perf/dune"
+    "(library (name perfkit))\n(executable (name main))\n(test (name test_perf))\n";
+  write "examples/dune" "(executables (names quickstart tour))\n";
+  write "test/dune" "(tests (names test_a test_b))\n";
+  let stanzas = L.program_stanzas ~root in
+  List.iter
+    (fun rel ->
+      Sys.remove (Filename.concat root rel);
+      Sys.rmdir (Filename.dirname (Filename.concat root rel)))
+    [ "bin/dune"; "bench/perf/dune"; "examples/dune"; "test/dune" ];
+  Sys.rmdir (Filename.concat root "bench");
+  Sys.rmdir root;
+  check
+    Alcotest.(list (pair string string))
+    "executables only"
+    [ ("bin", "evolvenet"); ("bench/perf", "main"); ("examples", "quickstart") ]
+    stanzas
+
 let () =
   Alcotest.run "lint"
     [
@@ -1152,6 +1348,17 @@ let () =
             test_unsafe_fires_rooted_or_not;
           Alcotest.test_case "allowlist precedence" `Quick
             test_unsafe_allowlist_precedence;
+        ] );
+      ( "unreached-export",
+        [
+          Alcotest.test_case "fires, then quiet once a program reaches it" `Quick
+            test_unreached_fires_then_reached;
+          Alcotest.test_case "paths resolve by library" `Quick
+            test_unreached_resolves_by_library;
+          Alcotest.test_case "allowlist, baseline and stale entries" `Quick
+            test_unreached_allowlist_and_baseline;
+          Alcotest.test_case "programs are executables, not tests" `Quick
+            test_program_stanzas;
         ] );
       ( "baseline",
         [

@@ -84,13 +84,23 @@ let prop_ring_spsc =
       Domain.join producer;
       Ring.is_empty r && List.rev !got = List.init n Fun.id)
 
+(* Spin until [ready ()] holds, sleeping 10 µs on every 64th try: four
+   spinning domains on fewer cores would otherwise hold the cores the
+   domain they wait for needs. *)
+let wait_until ready =
+  let tries = ref 0 in
+  while not (ready ()) do
+    incr tries;
+    if !tries land 63 = 0 then Unix.sleepf 1e-5 else Domain.cpu_relax ()
+  done
+
 (* Four domains in a relay: main pushes into ring 0, three spawned
    stages each pop their inbox and push their outbox, main drains the
    last ring. Every ring keeps exactly one producer and one consumer
    (the SPSC contract), but all four run concurrently, so the
    occupancy assertions inside push/pop — the debug checks the
    atomics-protocol roles license — are exercised under real
-   cross-domain timing, including the full/empty spins at tiny
+   cross-domain timing, including the full/empty waits at tiny
    capacities. *)
 let prop_ring_relay_4domains =
   QCheck.Test.make ~name:"ring: 4-domain relay preserves FIFO end to end"
@@ -101,13 +111,9 @@ let prop_ring_relay_4domains =
       let rings = Array.init 3 (fun _ -> mk ()) in
       let stage inbox outbox () =
         for _ = 0 to n - 1 do
-          while Ring.is_empty inbox do
-            Domain.cpu_relax ()
-          done;
+          wait_until (fun () -> not (Ring.is_empty inbox));
           let v = Ring.pop inbox in
-          while not (Ring.push outbox v) do
-            Domain.cpu_relax ()
-          done
+          wait_until (fun () -> Ring.push outbox v)
         done
       in
       let d1 = Domain.spawn (stage rings.(0) rings.(1)) in
@@ -116,16 +122,12 @@ let prop_ring_relay_4domains =
       let d3 =
         Domain.spawn (fun () ->
             for _ = 0 to n - 1 do
-              while Ring.is_empty rings.(2) do
-                Domain.cpu_relax ()
-              done;
+              wait_until (fun () -> not (Ring.is_empty rings.(2)));
               got := Ring.pop rings.(2) :: !got
             done)
       in
       for i = 0 to n - 1 do
-        while not (Ring.push rings.(0) i) do
-          Domain.cpu_relax ()
-        done
+        wait_until (fun () -> Ring.push rings.(0) i)
       done;
       Domain.join d1;
       Domain.join d2;

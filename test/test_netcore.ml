@@ -140,10 +140,9 @@ let edge_probes table =
          [ Ipv4.add first (-1); first; last; Ipv4.add last 1 ])
        table
 
-(* Both lookups of [t], trie and per-packet, agree with the scan. *)
+(* The lookup of [t] agrees with the scan. *)
 let lookups_agree t table addr =
-  let want = naive_lookup addr table in
-  Lpm.lookup addr t = want && Lpm.lookup_value addr t = Option.map snd want
+  Lpm.lookup_value addr t = Option.map snd (naive_lookup addr table)
 
 (* A frozen table's lookups agree with the scan, its tag lookup too:
    the match's tag (the value itself, under [freeze]'s [Fun.id]), or
@@ -367,7 +366,7 @@ let test_lpm_longest_wins () =
         (Prefix.of_string "10.1.2.0/24", "long");
       ]
   in
-  let lookup s = Option.map snd (Lpm.lookup (Ipv4.of_string s) t) in
+  let lookup s = Lpm.lookup_value (Ipv4.of_string s) t in
   check Alcotest.(option string) "deep" (Some "long") (lookup "10.1.2.9");
   check Alcotest.(option string) "mid" (Some "mid") (lookup "10.1.9.9");
   check Alcotest.(option string) "short" (Some "short") (lookup "10.9.9.9");

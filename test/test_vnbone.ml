@@ -475,47 +475,56 @@ let test_protocol_mode_journeys_deliver () =
     [ 9 (* participant *); 20 (* non-participant *) ]
 
 (* ------------------------------------------------------------------ *)
-(* Vn_fib: hop-by-hop vN forwarding from compiled tables              *)
+(* vN forwarding, hop by hop over BGPvN's own tables                   *)
 
-module Vn_fib = Vnbone.Vn_fib
+(* The member sequence from [m] to a destination, following each
+   member's route [next] until a route ends there ([next = None]); a
+   dead end or a revisited member fails. *)
+let vn_walk speaker ~from_:m dest =
+  let rec go at acc =
+    if List.mem at acc then Alcotest.failf "forwarding loop at member %d" at
+    else
+      match Bgpvn.route speaker ~at dest with
+      | None -> Alcotest.failf "no route at member %d" at
+      | Some { Bgpvn.next = None; _ } -> List.rev (at :: acc)
+      | Some { Bgpvn.next = Some nh; _ } -> go nh (at :: acc)
+  in
+  go m []
 
 let test_vn_fib_walk_reaches_egress () =
   let _, _, service = default_setup () in
   let fabric = Fabric.build service in
   let speaker = Bgpvn.create fabric in
   ignore (Bgpvn.converge speaker);
-  let fib = Vn_fib.compile speaker in
+  let multi_hop = ref 0 in
   Array.iter
     (fun m ->
       List.iter
-        (fun d ->
-          let dest = Bgpvn.Vn_domain d in
-          match (Vn_fib.walk fib ~from_:m dest, Bgpvn.route speaker ~at:m dest) with
-          | Ok path, Some r ->
-              check Alcotest.int "walk ends at the route's egress"
-                r.Bgpvn.egress
-                (List.nth path (List.length path - 1));
-              check Alcotest.int "walk starts at the source" m (List.hd path)
-          | Error e, _ -> Alcotest.fail ("walk failed: " ^ e)
-          | Ok _, None -> Alcotest.fail "walk succeeded without a route")
-        (Service.participants service))
-    (Fabric.members fabric)
+        (fun (r : Bgpvn.route) ->
+          let path = vn_walk speaker ~from_:m r.Bgpvn.rdest in
+          if List.length path > 1 then incr multi_hop;
+          check Alcotest.int "walk starts at the source" m (List.hd path);
+          check Alcotest.int "walk ends at the route's egress" r.Bgpvn.egress
+            (List.nth path (List.length path - 1)))
+        (Bgpvn.routes speaker ~at:m))
+    (Fabric.members fabric);
+  check Alcotest.bool "some walk crosses a tunnel" true (!multi_hop > 0)
 
 let test_vn_fib_sizes () =
   let _, _, service = default_setup () in
   let fabric = Fabric.build service in
   let speaker = Bgpvn.create fabric in
   ignore (Bgpvn.converge speaker);
-  let fib = Vn_fib.compile speaker in
+  let aggregates = List.length (Service.participants service) in
   Array.iter
     (fun m ->
-      check Alcotest.int "one entry per aggregate"
-        (List.length (Service.participants service))
-        (Vn_fib.size fib ~at:m))
+      check Alcotest.int "one entry per aggregate" aggregates
+        (Bgpvn.table_size speaker ~at:m);
+      check Alcotest.int "the routes are the table" aggregates
+        (List.length (Bgpvn.routes speaker ~at:m)))
     (Fabric.members fabric);
-  Alcotest.check_raises "non-member rejected"
-    (Invalid_argument "Vn_fib: router is not a vN-Bone member") (fun () ->
-      ignore (Vn_fib.size fib ~at:999999))
+  check Alcotest.int "a non-member holds no routes" 0
+    (List.length (Bgpvn.routes speaker ~at:999999))
 
 (* ------------------------------------------------------------------ *)
 (* Transport                                                           *)

@@ -211,6 +211,22 @@ let rules =
        textually, outside the lint binary. The one escape is an \
        allowlist entry `unsafe-unproven file.ml:binding` with a written \
        justification. Provenance: DESIGN.md \u{00A7}9.5." );
+    ( "unreached-export",
+      "Every value a lib/ .mli exports must be reached from a program. \
+       The roots are the top-level items of the executables under bin/, \
+       bench/perf and examples/ (their .cmt files come from `dune build \
+       @check`), plus the items of a lib/ module that run when it is \
+       linked; reachability follows the call graph through module \
+       aliases, first-class functions, closures inside top-level values \
+       and functor arguments. Paths in the programs resolve by library, \
+       so bench/perf's Perfkit.Stats is not Evolve.Stats. Tests are not \
+       roots: an export that only a test calls is code no program runs. \
+       Delete it; allowlist it (`unreached-export file.mli:value`) only \
+       when a test compares the program against it, naming that test; \
+       baseline it when tests use it to build or observe something \
+       else. Provenance: ROADMAP's quality-of-design aim (the same \
+       verdicts from less code; one forwarding kernel with \
+       Forward.decide as the only oracle)." );
     ( "stale-root",
       "Every entry of the hot-path and domain-safety root lists must \
        name at least one binding of the call graph. A root \
@@ -259,6 +275,11 @@ let domain_safety_roots =
     "Ring.push";
     "Ring.pop";
   ]
+
+(* Where the programs live: the executables of these directories'
+   dune files are the roots of the unreached-export rule. Tests are
+   not programs. *)
+let program_dirs = [ "bin"; "bench/perf"; "examples" ]
 
 (* ------------------------------------------------------------------ *)
 (* evolvelint v4: atomic roles (DESIGN.md §9.5)                       *)
@@ -1094,7 +1115,9 @@ let catalog_md () =
      bottom-up to a fixpoint with recursive SCCs collapsed, and runs the \
      comparison-safety, exception-hygiene, hot-path allocation, \
      shared-state, domain-safety, determinism-taint, atomics-protocol \
-     and unsafe-ban rule packs over the Typedtree. `--summaries` \
+     and unsafe-ban rule packs over the Typedtree; it also loads the \
+     executables' `.cmt` files, and the unreached-export rule walks \
+     the call graph from them. `--summaries` \
      dumps the summaries, the shared-state inventory, the accessor \
      aliases and the spawned-closure callees (text or `--format \
      json`). DESIGN.md \u{00A7}9.4 documents the effect lattice and the \
@@ -1114,7 +1137,11 @@ let catalog_md () =
     (String.concat ", " (List.map (fun r -> "`" ^ r ^ "`") domain_safety_roots));
   Buffer.add_string b
     " — plus, automatically, every callee invoked inside a \
-     `Domain.spawn` closure.\n";
+     `Domain.spawn` closure.\n\nExport roots (unreached-export): the \
+     top-level items of the executables under ";
+  Buffer.add_string b
+    (String.concat ", " (List.map (fun d -> "`" ^ d ^ "/`") program_dirs));
+  Buffer.add_string b ".\n";
   List.iter
     (fun (id, why) ->
       Buffer.add_string b (Printf.sprintf "\n## %s\n\n%s\n" id why))
@@ -1271,6 +1298,33 @@ let run_untyped ~root ~allow =
   | _ -> ());
   List.sort compare_diag !diags
 
+(* The [executable]/[executables] stanzas of [program_dirs], as the
+   (dir, first name) pairs that locate their objects. *)
+let program_stanzas ~root =
+  List.concat_map
+    (fun dir ->
+      let path = Filename.concat dir "dune" in
+      if not (Sys.file_exists (Filename.concat root path)) then []
+      else
+        match parse_sexps ~path (read_file (Filename.concat root path)) with
+        | exception Failure _ -> [] (* dune refuses such a file first *)
+        | sexps ->
+            List.filter_map
+              (function
+                | SList (Atom (("executable" | "executables"), _) :: fields, _)
+                  -> (
+                    match
+                      ( stanza_field fields "name",
+                        stanza_field fields "names" )
+                    with
+                    | Some (Atom (n, _) :: _), _ | None, Some (Atom (n, _) :: _)
+                      ->
+                        Some (dir, n)
+                    | _ -> None)
+                | _ -> None)
+              sexps)
+    program_dirs
+
 let run ~root ~allow ~baseline =
   let diags = ref (run_untyped ~root ~allow) in
   let add ds = diags := ds @ !diags in
@@ -1283,6 +1337,13 @@ let run ~root ~allow ~baseline =
   add
     (filter_suppressed ~allow ~baseline
        (typed_pass_on ~decls:tree.Typed.tdecls cg tree.Typed.tmods));
+  (* 6. unreached exports, from the programs' roots *)
+  let programs, missing = Typed.load_exes ~root (program_stanzas ~root) in
+  add missing;
+  if missing = [] then
+    add
+      (filter_suppressed ~allow ~baseline
+         (Rules_reach.check cg ~lib:tree.Typed.tmods ~roots:programs));
   add (Allowlist.stale allow);
   add (Allowlist.stale ~rule:"stale-baseline" baseline);
   dedupe_diags !diags

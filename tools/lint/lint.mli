@@ -144,11 +144,19 @@ val stale_roots : Callgraph.t -> diag list
     {!run} applies it to the whole tree; fixture runs of {!typed_pass}
     do not. *)
 
+val program_stanzas : root:string -> (string * string) list
+(** The [executable] and [executables] stanzas of the dune files of
+    bin/, bench/perf and examples/ — the programs whose top-level items
+    root the unreached-export rule — as (dir, first name) pairs: where
+    dune keeps their objects. [test] and [tests] stanzas are not
+    programs. *)
+
 val run : root:string -> allow:Allowlist.t -> baseline:Allowlist.t -> diag list
 (** Both passes over a repo checkout; sorted, deduplicated. The typed
     pass needs [dune build] artifacts (in-tree or under
-    [_build/default]) and reports their absence as [typed-engine]
-    diagnostics rather than passing vacuously. *)
+    [_build/default]), and the unreached-export rule the executables'
+    [.cmt] files from [dune build @check]; it reports their absence as
+    [typed-engine] diagnostics rather than passing vacuously. *)
 
 val summary_dump : root:string -> json:bool -> string
 (** The `--summaries` report over a built checkout: every binding's

@@ -103,7 +103,7 @@ let () =
                experiment artifacts, comparison safety, exception \
                hygiene, hot-path allocation, shared state, domain \
                safety, determinism taint, atomics protocol, unsafe \
-               ban)"
+               ban, unreached exports)"
         | _ -> Printf.printf "evolvelint: %d violation(s)\n" (List.length diags))
     | _ -> assert false (* validated above *));
     if diags <> [] then exit 1

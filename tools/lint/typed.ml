@@ -3,10 +3,13 @@
    Two ways in:
    - [load_tree] reads the `.cmt`/`.cmti`/`.cmi` artifacts dune emits
      (dune always compiles with -bin-annot) for every library under
-     lib/, giving the rule packs a fully typed, cross-module view.
+     lib/, giving the rule packs a fully typed, cross-module view;
+     [load_exes] reads the executables' own units, the roots of the
+     unreached-export rule.
    - [of_string] typechecks a self-contained fixture in-process
      against the stdlib, so the rule packs are unit-testable without a
-     build tree.
+     build tree; [of_strings] typechecks several units in order, each
+     seeing the ones before it.
 
    Also owns the type-declaration tables ([decls]) the
    comparison-safety rule uses to decide whether a type is abstract,
@@ -34,6 +37,15 @@ let plain_module s =
   match last 0 None with
   | Some j when j < n -> String.sub s j (n - j)
   | _ -> s
+
+(* The library of a dune-mangled unit name: "Evolve__Stats" -> evolve. *)
+let unit_library s =
+  let p = plain_module s in
+  if p = s then None
+  else
+    Some
+      (String.uncapitalize_ascii
+         (String.sub s 0 (String.length s - String.length p - 2)))
 
 let rec path_components p acc =
   match p with
@@ -291,6 +303,58 @@ let load_tree ~root =
     tdiags = List.rev !diags;
   }
 
+(* The executables: [(dir, name)] names the stanza whose objects live in
+   DIR/.NAME.eobjs (an [executables] stanza keeps all of its programs
+   under its first name). Only the programs' own units
+   ("dune__exe__Main") load; the generated alias module does not. dune
+   writes an executable's .cmt for the check alias alone (`dune build
+   @check`): @all stops at its .cmx and .cmti. *)
+let load_exes ~root stanzas =
+  let mods = ref [] and diags = ref [] in
+  List.iter
+    (fun (dir, name) ->
+      let objs = Printf.sprintf "%s/.%s.eobjs/byte" dir name in
+      let byte =
+        List.find_opt is_dir
+          [
+            Filename.concat root objs;
+            Filename.concat root (Filename.concat "_build/default" objs);
+          ]
+      in
+      let cmts =
+        match byte with
+        | None -> []
+        | Some byte ->
+            Sys.readdir byte |> Array.to_list |> List.sort compare
+            |> List.filter (fun f ->
+                   String.starts_with ~prefix:"dune__exe__" f
+                   && Filename.check_suffix f ".cmt")
+            |> List.map (Filename.concat byte)
+      in
+      if cmts = [] then
+        diags :=
+          Diag.make ~file:(Filename.concat dir "dune") ~rule:"typed-engine"
+            (Printf.sprintf
+               "no .cmt artifacts found for executable '%s'; the \
+                unreached-export rule needs `dune build @check` before \
+                linting"
+               name)
+          :: !diags;
+      List.iter
+        (fun path ->
+          match load_cmt ~root ~libname:"exe" path with
+          | Some m -> mods := m :: !mods
+          | None -> ()
+          | exception exn ->
+              diags :=
+                Diag.make ~file:path ~rule:"typed-engine"
+                  (Printf.sprintf "cannot read cmt: %s"
+                     (Printexc.to_string exn))
+                :: !diags)
+        cmts)
+    stanzas;
+  (List.sort (fun a b -> compare a.ti_file b.ti_file) !mods, List.rev !diags)
+
 (* ------------------------------------------------------------------ *)
 (* In-process typechecking (fixtures)                                  *)
 
@@ -305,30 +369,47 @@ let init_typecheck () =
     tc_initialized := true
   end
 
-let of_string ~filename ~modname ?intf src =
+(* Fixture units [(filename, unit, intf, src)] typechecked in order,
+   each seeing the ones before it as compilation units, so fixtures can
+   call across modules as a built tree does. A dune-mangled unit name
+   places the module in a library: "Evolve__Stats" is module Stats of
+   library evolve; a plain name is a module of library "fixture". *)
+let of_strings units =
   init_typecheck ();
-  let env = Compmisc.initial_env () in
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf filename;
-  match Parse.implementation lexbuf with
-  | exception exn ->
-      Error
-        (Diag.make ~file:filename ~rule:"typed-engine"
-           (Printf.sprintf "fixture does not parse: %s"
-              (Printexc.to_string exn)))
-  | pt -> (
-      match Typemod.type_structure env pt with
-      | tstr, _, _, _, _ ->
-          Ok
-            {
-              ti_module = modname;
-              ti_lib = "fixture";
-              ti_file = filename;
-              ti_str = tstr;
-              ti_intf = intf;
-            }
-      | exception exn ->
+  let rec go env acc = function
+    | [] -> Ok (List.rev acc)
+    | (filename, unit, intf, src) :: rest -> (
+        let fail what exn =
           Error
             (Diag.make ~file:filename ~rule:"typed-engine"
-               (Printf.sprintf "fixture does not typecheck: %s"
-                  (Printexc.to_string exn))))
+               (Printf.sprintf "fixture does not %s: %s" what
+                  (Printexc.to_string exn)))
+        in
+        let lexbuf = Lexing.from_string src in
+        Location.init lexbuf filename;
+        match Parse.implementation lexbuf with
+        | exception exn -> fail "parse" exn
+        | pt -> (
+            match Typemod.type_structure env pt with
+            | exception exn -> fail "typecheck" exn
+            | tstr, sg, _, _, _ ->
+                let env =
+                  Env.add_module (Ident.create_persistent unit)
+                    Types.Mp_present (Types.Mty_signature sg) env
+                in
+                go env
+                  ({
+                     ti_module = plain_module unit;
+                     ti_lib =
+                       Option.value (unit_library unit) ~default:"fixture";
+                     ti_file = filename;
+                     ti_str = tstr;
+                     ti_intf = intf;
+                   }
+                  :: acc)
+                  rest))
+  in
+  go (Compmisc.initial_env ()) [] units
+
+let of_string ~filename ~modname ?intf src =
+  Result.map List.hd (of_strings [ (filename, modname, intf, src) ])
